@@ -1,8 +1,7 @@
 """Observability overhead benchmark: instruments on vs off, same cluster.
 
-Companion to ``bench_protocol_hotpath.py``: same steady-state A/B harness,
-but the variable is the observability layer instead of the protocol
-engine.  The acceptance claim is that a fully instrumented run — every
+A steady-state A/B harness whose one variable is the observability
+layer.  The acceptance claim is that a fully instrumented run — every
 counter of the :class:`~repro.obs.wiring.Instruments` bundle live on the
 multicast/unicast fabrics and the protocol hot paths — stays within a few
 percent of the uninstrumented wall clock, because disabled mode costs one
@@ -10,7 +9,7 @@ no-op method call per counted event and enabled mode one attribute load
 plus an integer add.
 
 The measurement builds the same hierarchical cluster repeatedly (same
-topology, same seed, fast path on), alternating ``enable_observability``
+topology, same seed), alternating ``enable_observability``
 on and off, lets the hierarchy form off-timer each time, then times a
 quiet steady-state window.  Because the true delta (a real counter
 increment vs a no-op method call) is tiny, the protocol defends against

@@ -79,10 +79,9 @@ WINDOW = 30.0
 
 #: ``--check`` compares each row's throughput *relative to the 100-node
 #: row* against the same ratio in the committed JSON.  Ratios cancel the
-#: machine's absolute speed, so the gate is portable (same trick as
-#: ``bench_protocol_hotpath.py``); what it pins is the shape of the
-#: scale curve — a superlinear per-event degradation shows up as a
-#: falling ratio long before any absolute floor would trip.
+#: machine's absolute speed, so the gate is portable; what it pins is
+#: the shape of the scale curve — a superlinear per-event degradation
+#: shows up as a falling ratio long before any absolute floor would trip.
 CHECK_TOLERANCE = 0.70
 
 DEFAULT_OUT = REPO_ROOT / "BENCH_scale.json"
@@ -357,8 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     """Standalone mode: time the sweep and emit ``BENCH_scale.json``.
 
     ``nodes -> {wall-clock, events/sec, detection, convergence}`` gives
-    future PRs an absolute scalability trajectory to regress against,
-    complementing the ratio-based ``BENCH_protocol_hotpath.json``.
+    future PRs an absolute scalability trajectory to regress against.
     """
     parser = argparse.ArgumentParser(
         description="Scalability sweep (100-10,000 nodes) emitting BENCH_scale.json"

@@ -19,9 +19,9 @@ survivor's directory agrees at the end.
 
 Everything — base loss, chaos draws, protocol jitter, crash times — is
 derived from the scenario seed, and fault draws happen at send time in
-receiver-iteration order on both fabric paths, so the full trace is
-byte-identical across ``use_fast_path`` flips (covered by the
-determinism-guard tests).  Detection/convergence times and the Fig. 13/14
+delivery-plan (= subscription) order, so same-seed runs produce a
+byte-identical trace (pinned by the determinism guard's golden chaos
+hash).  Detection/convergence times and the Fig. 13/14
 recovery curves are extracted from the trace; ``benchmarks/bench_chaos.py``
 sweeps seeds and records them in BENCH_chaos.json.
 """
@@ -50,7 +50,6 @@ class ChaosResult:
     """Everything one chaos run produced."""
 
     seed: int
-    use_fast_path: bool
     victim: str
     kill_time: float
     recover_time: float
@@ -65,7 +64,7 @@ class ChaosResult:
     false_failures: int
     fault_stats: Dict[str, int]
     failure_log: List[Tuple[float, str, str]]
-    #: full trace, hashable form — equal across fast/slow path runs
+    #: full trace, hashable form — equal across same-seed runs
     trace_signature: List[Tuple[float, str, Optional[str], tuple]]
 
     @property
@@ -81,7 +80,6 @@ class ChaosScenario:
     networks: int = 3
     hosts_per_network: int = 8
     loss_rate: float = 0.02
-    use_fast_path: bool = True
     warmup: float = 20.0
     chaos_start: float = 25.0
     chaos_end: float = 45.0
@@ -106,11 +104,7 @@ class ChaosScenario:
             self.hosts_per_network,
             seed=self.seed,
             loss_rate=self.loss_rate,
-            use_fast_path=self.use_fast_path,
         )
-        # One flag flips both engines: the delivery fabric and the
-        # protocol hot path (the determinism guard brackets the matrix).
-        net.multicast_fabric.use_fast_path = self.use_fast_path
         obs = None
         if self.registry is not None:
             obs = enable_observability(net, self.registry)
@@ -188,7 +182,6 @@ class ChaosScenario:
             obs.sample_kernel()
         return ChaosResult(
             seed=self.seed,
-            use_fast_path=self.use_fast_path,
             victim=victim,
             kill_time=kill_time,
             recover_time=recover_time,

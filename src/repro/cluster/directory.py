@@ -107,8 +107,9 @@ class _Entry:
     relayed_by: Optional[str]  # leader that vouches for this entry, None = heard directly
     #: token of this entry's one live deadline-heap record (lazy deletion)
     stamp: int = 0
-    #: dict-insertion rank, so heap-driven purges report dead entries in
-    #: the same order the legacy full scans did (trace determinism)
+    #: dict-insertion rank: purges report dead entries in insertion
+    #: order, whatever order the heap or the groups yield them in (trace
+    #: determinism)
     order: int = 0
     #: False once this entry left the directory.  Receivers cache entry
     #: references (see ``entry_view``) to skip the full-table probe on
@@ -128,14 +129,13 @@ class Directory:
 
     Hot-path engine (mirrors the net layer's version-validated caches):
 
-    * **Deadline-driven expiry (direct entries)** — while
-      :attr:`use_fast_path` is on, every freshness change pushes a
-      ``(freshness, stamp, node_id)`` record onto a min-heap and the
-      periodic ``purge_stale`` scan becomes heap pops: amortised O(1) per
-      refresh instead of O(members) per tick.  Stale heap records (an
-      entry refreshed since the push, reclassified, or removed) are
-      invalidated by ``stamp`` mismatch and discarded when they surface —
-      lazy deletion, as in the simulator's event queue.
+    * **Deadline-driven expiry (direct entries)** — every direct entry
+      keeps a ``(freshness, stamp, node_id)`` record on a min-heap and the
+      periodic ``purge_stale`` is heap pops: amortised O(1) per refresh
+      instead of O(members) per tick.  Stale heap records (an entry
+      refreshed since the push, reclassified, or removed) are invalidated
+      by ``stamp`` mismatch and discarded when they surface — lazy
+      deletion, as in the simulator's event queue.
     * **Vouch-gated expiry (relayed entries)** — relayed entries are
       indexed per relayer.  A relayed entry's effective freshness is
       ``max(last_refresh, relayer's vouch time)``, and an alive relayer
@@ -150,9 +150,11 @@ class Directory:
       :meth:`snapshot` serve cached tuples rebuilt only when the version
       moved, the same contract as ``Topology.version`` one layer down.
 
-    Both purge implementations evaluate the *same* staleness predicates on
-    the same values and report the dead in the same (insertion) order, so
-    seeded simulation traces are identical on either path.
+    Staleness predicates: a direct entry is dead iff
+    ``now - last_refresh > timeout``; a relayed entry is dead iff
+    ``now - max(last_refresh, relayer's vouch time) > timeout``.  Both
+    purges report the dead in insertion order, which seeded simulation
+    traces depend on.
     """
 
     def __init__(self, owner: str) -> None:
@@ -163,15 +165,13 @@ class Directory:
         # O(1) ("the membership information relayed by a group leader has
         # the same life time as the leader itself").
         self._vouch_times: Dict[str, float] = {}
-        self._use_fast_path = True
         # Deadline heap for direct entries: (freshness key, stamp, node_id).
         # A record is live iff its stamp equals the entry's current stamp;
         # every freshness/classification change bumps the stamp and pushes
         # a new record, orphaning the old one.
         self._direct_heap: List[Tuple[float, int, str]] = []
         # relayer -> insertion-ordered set (dict keyed by node id) of the
-        # entries it currently vouches for.  Maintained on both paths; the
-        # legacy purge keeps its full scans for A/B comparison.
+        # entries it currently vouches for.
         self._relayed_groups: Dict[str, Dict[str, None]] = {}
         self._stamp = 0
         self._order = 0
@@ -191,36 +191,6 @@ class Directory:
         not move it, so cached views stay valid across heartbeat storms.
         """
         return self._version
-
-    @property
-    def use_fast_path(self) -> bool:
-        """Toggle for the deadline-heap/vouch-gated purge engine (default on).
-
-        Turning it off falls back to the legacy full-scan purges — kept for
-        A/B benchmarking; traces are identical either way.  Turning it
-        (back) on rebuilds the direct-entry heap from the live table (the
-        per-relayer index is maintained on both paths).
-        """
-        return self._use_fast_path
-
-    @use_fast_path.setter
-    def use_fast_path(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        if enabled and not self._use_fast_path:
-            self._rebuild_heaps()
-        elif not enabled:
-            self._direct_heap.clear()
-        self._use_fast_path = enabled
-
-    def _rebuild_heaps(self) -> None:
-        self._direct_heap.clear()
-        for nid, entry in self._entries.items():
-            if nid == self.owner or entry.relayed_by is not None:
-                continue
-            self._stamp += 1
-            entry.stamp = self._stamp
-            self._direct_heap.append((entry.last_refresh, entry.stamp, nid))
-        heapq.heapify(self._direct_heap)
 
     def _note_deadline(self, nid: str, entry: _Entry, key: float) -> None:
         """Push a *direct* ``entry``'s current freshness onto the heap."""
@@ -276,7 +246,7 @@ class Directory:
                     self._group_discard(nid, old)
                 if relayed_by is not None:
                     self._group_add(nid, relayed_by)
-                elif self._use_fast_path:
+                else:
                     # Became direct: its old heap record (if any) was
                     # orphaned by the reclass, so file a live one.  Pure
                     # freshness bumps leave the heap alone — the purge
@@ -309,7 +279,7 @@ class Directory:
                 # bytes, so the identity early-out above never fires there
                 # and this path runs once per received heartbeat.
                 self._version += 1
-        if relayed_by is None and self._use_fast_path:
+        if relayed_by is None:
             self._note_deadline(nid, entry, now)
         return changed
 
@@ -339,7 +309,7 @@ class Directory:
             else:
                 group[nid] = None
         self._version += 1
-        if relayed_by is None and self._use_fast_path:
+        if relayed_by is None:
             self._note_deadline(nid, entry, now)
 
     def refresh(self, node_id: str, now: float, relayed_by: Optional[str] = None) -> bool:
@@ -355,7 +325,7 @@ class Directory:
                 self._group_discard(node_id, old)
             if relayed_by is not None:
                 self._group_add(node_id, relayed_by)
-            elif self._use_fast_path:
+            else:
                 self._note_deadline(node_id, entry, now)  # became direct
         return True
 
@@ -382,38 +352,12 @@ class Directory:
         expire (a node always knows it is alive).  When ``incarnations``
         is given it is filled with the purged entries' incarnations, so
         callers can build guarded remove-updates after the fact.
-        """
-        if self._use_fast_path:
-            return self._pop_stale_direct(now, timeout, incarnations)
-        dead = [
-            nid
-            for nid, e in self._entries.items()
-            if nid != self.owner
-            and e.relayed_by is None
-            and now - e.last_refresh > timeout
-        ]
-        for nid in dead:
-            entry = self._entries.pop(nid)
-            entry.live = False
-            if incarnations is not None:
-                incarnations[nid] = entry.record.incarnation
-        if dead:
-            self._version += 1
-        return dead
 
-    def _pop_stale_direct(
-        self,
-        now: float,
-        timeout: float,
-        incarnations: Optional[Dict[str, int]] = None,
-    ) -> List[str]:
-        """Heap-pop equivalent of the direct-entry staleness scan.
-
-        Each live entry has exactly one heap record whose key is a *lower
-        bound* on ``last_refresh`` (freshness bumps do not touch the heap).
-        When a stale-keyed record surfaces but the entry was refreshed
-        since, it is re-keyed at the current ``last_refresh`` and pushed
-        back — at most once per timeout window per entry, so a quiet
+        Each live direct entry has exactly one heap record whose key is a
+        *lower bound* on ``last_refresh`` (freshness bumps do not touch the
+        heap).  When a stale-keyed record surfaces but the entry was
+        refreshed since, it is re-keyed at the current ``last_refresh`` and
+        pushed back — at most once per timeout window per entry, so a quiet
         period costs O(live entries / timeout periods), not O(refreshes).
         """
         heap = self._direct_heap
@@ -428,7 +372,7 @@ class Directory:
             if not now - key > timeout:
                 break  # key <= last_refresh, so the rest is fresh too
             fresh = entry.last_refresh
-            if not now - fresh > timeout:  # identical predicate to legacy
+            if not now - fresh > timeout:
                 # Refreshed since the record was pushed: re-key, move on.
                 heapq.heappop(heap)
                 self._stamp += 1
@@ -457,7 +401,7 @@ class Directory:
         if not group:
             return []
         entries = self._entries
-        # Insertion-rank order matches the legacy full scan's dict order.
+        # Reported in insertion-rank order (trace determinism).
         dead = sorted(group, key=lambda nid: entries[nid].order)
         for nid in dead:
             entries.pop(nid).live = False
@@ -476,41 +420,13 @@ class Directory:
         relayer vouched (see :meth:`vouch`) within the window.  When
         ``incarnations`` is given it is filled with the purged entries'
         incarnations for after-the-fact remove-update guards.
-        """
-        if self._use_fast_path:
-            return self._purge_stale_relayed_grouped(now, timeout, incarnations)
-        dead = []
-        for nid, e in self._entries.items():
-            if nid == self.owner or e.relayed_by is None:
-                continue
-            effective = max(e.last_refresh, self._vouch_times.get(e.relayed_by, float("-inf")))
-            if now - effective > timeout:
-                dead.append(nid)
-        for nid in dead:
-            if incarnations is not None:
-                incarnations[nid] = self._entries[nid].record.incarnation
-            entry = self._entries.pop(nid)
-            entry.live = False
-            if entry.relayed_by is not None:
-                self._group_discard(nid, entry.relayed_by)
-        if dead:
-            self._version += 1
-        return dead
-
-    def _purge_stale_relayed_grouped(
-        self,
-        now: float,
-        timeout: float,
-        incarnations: Optional[Dict[str, int]] = None,
-    ) -> List[str]:
-        """Vouch-gated equivalent of the relayed-entry staleness scan.
 
         A whole group is provably fresh when its relayer vouched within the
         window (``effective >= vouch time``), so the steady-state cost is
         one comparison per relayer.  A group whose vouch lapsed is scanned
-        entry-by-entry with the exact legacy predicate — that only happens
-        while a relayer is dying, and ``purge_relayed_by`` usually empties
-        the group before this backstop ever sees it.
+        entry-by-entry — that only happens while a relayer is dying, and
+        ``purge_relayed_by`` usually empties the group before this backstop
+        ever sees it.
         """
         entries = self._entries
         vouch = self._vouch_times
@@ -522,7 +438,7 @@ class Directory:
                 continue  # fresh vouch covers every entry in the group
             for nid in group:
                 if nid == self.owner:
-                    continue  # the owner never expires (legacy parity)
+                    continue  # the owner never expires
                 entry = entries[nid]
                 effective = entry.last_refresh
                 if effective < vouched:
@@ -531,8 +447,8 @@ class Directory:
                     doomed.append((entry.order, nid, entry))
         if not doomed:
             return []
-        # Insertion-rank order: identical to the legacy full-scan order
-        # (orders are unique, so the sort never compares entries).
+        # Reported in insertion-rank order (orders are unique, so the
+        # sort never compares entries).
         doomed.sort(key=lambda item: item[0])
         dead: List[str] = []
         for _order, nid, entry in doomed:

@@ -84,7 +84,7 @@ def hierarchy_invariant_errors(nodes: Mapping[str, HierarchicalNode]) -> List[st
                     f"{host}: participates at L{level} without leading L{level - 1}"
                 )
             if node.is_leader(level):
-                seen = node._groups[level].visible_leaders()
+                seen = node._ctx.groups[level].visible_leaders()
                 if seen:
                     errors.append(
                         f"{host}: leads L{level} but sees leaders {seen}"

@@ -44,11 +44,9 @@ Directory semantics:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Set
 
-from repro.cluster.directory import NodeRecord
 from repro.core.config import HierarchicalConfig
-from repro.core.groups import GroupState, PeerState
 from repro.core.roles import (
     HMEMBER_PORT,
     Announcer,
@@ -67,22 +65,19 @@ __all__ = ["HierarchicalNode", "HMEMBER_PORT"]
 class HierarchicalNode(MembershipNode):
     """One node of the topology-adaptive hierarchical protocol.
 
-    ``use_fast_path`` selects the protocol hot-path engine (on by default):
-    interned heartbeat payloads, an identity-based no-change receive path,
-    and deadline-heap directory purges.  The legacy scan-per-tick path is
-    kept for A/B benchmarking; seeded traces are identical on both (see
-    docs/PERFORMANCE.md).
+    The protocol hot path — interned heartbeat payloads, an identity-based
+    no-change receive path, deadline-heap directory purges — is described
+    in docs/PERFORMANCE.md.
     """
 
     config: HierarchicalConfig
 
-    def __init__(self, *args, use_fast_path: bool = True, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         if "config" not in kwargs or kwargs["config"] is None:
             kwargs["config"] = HierarchicalConfig()
         super().__init__(*args, **kwargs)
         if not isinstance(self.config, HierarchicalConfig):
             raise TypeError("HierarchicalNode requires a HierarchicalConfig")
-        self.use_fast_path = use_fast_path
         self._ctx = NodeContext(
             node=self,
             runtime=self.runtime,
@@ -163,7 +158,6 @@ class HierarchicalNode(MembershipNode):
     # Lifecycle (template in MembershipNode; scheme hooks here)
     # ==================================================================
     def _reset_run_state(self) -> None:
-        self.directory.use_fast_path = self.use_fast_path
         self._ctx.reset_for_start()
         self._announcer.reset()
         self._informer.reset()
@@ -252,74 +246,10 @@ class HierarchicalNode(MembershipNode):
             )
 
     # ==================================================================
-    # Stable internal surface
-    #
-    # The role split moved the daemon's state and logic into
-    # ``repro.core.roles``; these aliases keep the node's historical
-    # internal names addressable (tests, chaos harnesses and experiment
-    # scripts poke them), and — for ``_maybe_sync`` — keep the facade
-    # attribute the single seam through which every internal sync request
-    # flows, so monkeypatching it intercepts all of them.
+    # Sync seam
     # ==================================================================
-    @property
-    def _groups(self) -> Dict[int, GroupState]:
-        return self._ctx.groups
-
-    @property
-    def _levels(self) -> Tuple[int, ...]:
-        return self._ctx.levels
-
-    @_levels.setter
-    def _levels(self, value: Iterable[int]) -> None:
-        self._ctx.levels = tuple(value)
-
-    @property
-    def _updates(self) -> UpdateManager:
-        return self._ctx.updates
-
-    @property
-    def _tombstones(self) -> Dict[str, Tuple[int, float]]:
-        return self._ctx.tombstones
-
-    @property
-    def _pending_syncs(self) -> Set[str]:
-        return self._ctx.pending_syncs
-
-    @property
-    def _bootstrap_announce_until(self) -> float:
-        return self._ctx.bootstrap_announce_until
-
-    @_bootstrap_announce_until.setter
-    def _bootstrap_announce_until(self, value: float) -> None:
-        self._ctx.bootstrap_announce_until = value
-
-    @property
-    def _oneshots(self) -> set:
-        return self.runtime.oneshots  # type: ignore[attr-defined]
-
-    def _call_once(self, delay: float, fn, *args) -> None:
-        self.runtime.call_once(delay, fn, *args)
-
     def _maybe_sync(self, peer: str) -> bool:
+        # The single seam through which every internal sync request flows
+        # (``NodeContext.maybe_sync`` routes here), so monkeypatching this
+        # attribute on an instance intercepts all of them.
         return self._informer.maybe_sync(peer)
-
-    def _send_heartbeat(self, level: int) -> None:
-        self._announcer.send_heartbeat(level)
-
-    def _originate(self, ops: Sequence[UpdateOp]) -> None:
-        self._informer.originate(ops)
-
-    def _apply_ops(self, ops: Sequence[UpdateOp], via: str) -> None:
-        self._informer.apply_ops(ops, via)
-
-    def _absorb_record(self, record: NodeRecord, via: str, now: float) -> bool:
-        return self._informer.absorb_record(record, via, now)
-
-    def _bury(self, node_id: str, incarnation: int) -> None:
-        self._informer.bury(node_id, incarnation)
-
-    def _handle_peer_death(self, level: int, peer: PeerState) -> None:
-        self._tracker.handle_peer_death(level, peer)
-
-    def _evaluate_election(self, level: int) -> None:
-        self._contender.evaluate(level)

@@ -5,7 +5,7 @@ engine: a heartbeat is identical between state changes, so the frozen
 payload is reused while its signature (self-record identity, election
 flags, designated backup, update sequence number) holds.  Receivers
 exploit the stable identity for the no-change fast path
-(:meth:`~repro.core.roles.receiver.Receiver.on_heartbeat`).
+(:meth:`~repro.core.roles.receiver.Receiver.channel_handler`).
 
 Observability: ``hb_tx`` increments here and nowhere else.
 """
@@ -57,21 +57,19 @@ class Announcer:
         record = ctx.node.self_record()
         backup = group.my_backup if group.i_am_leader else None
         seq = ctx.updates.current_seq(level)
-        hb: Optional[Heartbeat] = None
-        if ctx.use_fast_path:
-            # Interned payload: reuse the frozen instance while its
-            # signature holds (see module docstring).
-            cached = self.hb_cache.get(level)
-            if (
-                cached is not None
-                and cached[0] is record
-                and cached[1] == group.i_am_leader
-                and cached[2] == group.suppressed
-                and cached[3] == backup
-                and cached[4] == seq
-            ):
-                hb = cached[5]
-        if hb is None:
+        # Interned payload: reuse the frozen instance while its
+        # signature holds (see module docstring).
+        cached = self.hb_cache.get(level)
+        if (
+            cached is not None
+            and cached[0] is record
+            and cached[1] == group.i_am_leader
+            and cached[2] == group.suppressed
+            and cached[3] == backup
+            and cached[4] == seq
+        ):
+            hb = cached[5]
+        else:
             hb = Heartbeat(
                 record=record,
                 level=level,
@@ -80,10 +78,9 @@ class Announcer:
                 backup=backup,
                 update_seq=seq,
             )
-            if ctx.use_fast_path:
-                self.hb_cache[level] = (
-                    record, group.i_am_leader, group.suppressed, backup, seq, hb,
-                )
+            self.hb_cache[level] = (
+                record, group.i_am_leader, group.suppressed, backup, seq, hb,
+            )
         ctx.runtime.obs.hb_tx.inc()
         ctx.runtime.publish(
             ctx.config.channel(level),

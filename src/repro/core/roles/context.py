@@ -50,7 +50,6 @@ class MemberHost(Protocol):
     node_id: str
     incarnation: int
     running: bool
-    use_fast_path: bool
 
     def self_record(self) -> "NodeRecord": ...
 
@@ -146,10 +145,6 @@ class NodeContext:
     @property
     def now(self) -> float:
         return self.runtime.now
-
-    @property
-    def use_fast_path(self) -> bool:
-        return self.node.use_fast_path
 
     def maybe_sync(self, peer: str) -> bool:
         """Request a sync exchange, routed through the facade hook.

@@ -41,14 +41,13 @@ class Receiver:
         # Heartbeats dominate steady-state receive traffic, so the kind
         # test orders them first.
         #
-        # The no-change fast path is mirrored inline from on_heartbeat
-        # (which keeps the reference copy and the full rationale — the
-        # two must stay in lockstep).  Receives are the simulator's
-        # hottest path at 10k nodes, and every captured local below
-        # replaces a chain of per-delivery attribute loads through
-        # objects long since evicted from cache.  Handlers are rebuilt
-        # on every channel join, and all captured objects live for the
-        # context's lifetime and are only ever mutated in place.
+        # The no-change fast path lives inline here; everything else
+        # goes to on_heartbeat.  Receives are the simulator's hottest
+        # path at 10k nodes, and every captured local below replaces a
+        # chain of per-delivery attribute loads through objects long
+        # since evicted from cache.  Handlers are rebuilt on every
+        # channel join, and all captured objects live for the context's
+        # lifetime and are only ever mutated in place.
         ctx = self.ctx
         node = ctx.node
         groups = ctx.groups
@@ -75,56 +74,77 @@ class Receiver:
             kind = packet.kind
             if kind == "heartbeat":
                 hb = packet.payload
-                if node.use_fast_path:
-                    group = groups[level]
-                    nid = hb.record.node_id
-                    peer = group.peers.get(nid)
-                    # No-change match: identity when the payload travelled
-                    # by reference (simulator), content otherwise (wire) —
-                    # never identity alone, which a serialization
-                    # round-trip silently breaks.
-                    if peer is not None and (
-                        hb is peer.last_hb
-                        or (peer.last_hb is not None and hb.same_as(peer.last_hb))
-                    ):
-                        entry = peer.dir_entry
-                        if entry is None or not entry.live:
-                            entry = entry_view(nid)
-                            peer.dir_entry = entry
-                        if entry is not None:
-                            now = runtime.now
-                            if entry.relayed_by is None:
-                                entry.last_refresh = now
-                            else:
-                                refresh(nid, now, relayed_by=None)
-                            obs = runtime.obs
-                            obs.hb_rx.inc()
-                            obs.hb_rx_fast.inc()
-                            if tombstones:
-                                tombstones.pop(nid, None)
-                            peer.last_heard = now
-                            if observe_hb is not None:
-                                observe_hb(level, nid, now, peer.incarnation)
-                            if hb.is_leader:
-                                vouch(nid, now)
-                                if (
-                                    group.last_dead_leader is not None
-                                    and group.last_dead_leader != nid
-                                ):
-                                    directory.reattribute(
-                                        group.last_dead_leader, nid
-                                    )
-                                    group.last_dead_leader = None
-                            elif relay_level:
-                                vouch(nid, now)
-                            seq = hb.update_seq
-                            if seq > 0:
-                                last = stream.get(nid)
-                                if last is None or last < seq:
-                                    maybe_sync(nid)
-                            if group.i_am_leader or not group.leader_visible():
-                                evaluate(level)
-                            return
+                group = groups[level]
+                nid = hb.record.node_id
+                peer = group.peers.get(nid)
+                # No-change match: identity when the payload travelled
+                # by reference (simulator), content otherwise (wire) —
+                # never identity alone, which a serialization
+                # round-trip silently breaks.
+                if peer is not None and (
+                    hb is peer.last_hb
+                    or (peer.last_hb is not None and hb.same_as(peer.last_hb))
+                ):
+                    # The directory's main table spans the whole cluster,
+                    # so its per-heartbeat probe is the one cache-hostile
+                    # lookup left on this path at 10k nodes: use the entry
+                    # reference cached on the peer, re-probing only after
+                    # a removal.
+                    entry = peer.dir_entry
+                    if entry is None or not entry.live:
+                        entry = entry_view(nid)
+                        peer.dir_entry = entry
+                    if entry is not None:
+                        # The sender interned this payload, so nothing
+                        # about the peer moved since its last heartbeat.
+                        # Freshness is bumped (peer + directory + vouch),
+                        # the failover/lost-update checks still run (they
+                        # depend on *our* state, not the sender's), and
+                        # record absorption is skipped entirely.
+                        now = runtime.now
+                        if entry.relayed_by is None:
+                            entry.last_refresh = now
+                        else:
+                            # Heard directly: reclassify via the full
+                            # refresh so the relayer-group and
+                            # deadline-heap bookkeeping run.
+                            refresh(nid, now, relayed_by=None)
+                        obs = runtime.obs
+                        obs.hb_rx.inc()
+                        obs.hb_rx_fast.inc()
+                        if tombstones:
+                            tombstones.pop(nid, None)
+                        peer.last_heard = now
+                        if observe_hb is not None:
+                            observe_hb(level, nid, now, peer.incarnation)
+                        if hb.is_leader:
+                            vouch(nid, now)
+                            if (
+                                group.last_dead_leader is not None
+                                and group.last_dead_leader != nid
+                            ):
+                                directory.reattribute(
+                                    group.last_dead_leader, nid
+                                )
+                                group.last_dead_leader = None
+                        elif relay_level:
+                            vouch(nid, now)
+                        seq = hb.update_seq
+                        if seq > 0:
+                            last = stream.get(nid)
+                            if last is None or last < seq:
+                                maybe_sync(nid)
+                        # Election re-evaluation is skipped only while a
+                        # leader is in sight and we are not one ourselves
+                        # — the one configuration where an unchanged
+                        # heartbeat provably cannot move the election
+                        # clock (the leaderless countdown and the
+                        # two-leaders rule both need a state change or
+                        # our own flag, and those route through
+                        # on_heartbeat or the status tick).
+                        if group.i_am_leader or not group.leader_visible():
+                            evaluate(level)
+                        return
                 on_heartbeat(hb, level)
             elif kind == "update":
                 ctx.informer.on_update(packet.payload, level)
@@ -135,74 +155,11 @@ class Receiver:
     # Multicast: heartbeats
     # ------------------------------------------------------------------
     def on_heartbeat(self, hb: "Heartbeat", level: int) -> None:
+        """Full absorb of a heartbeat the inline no-change match declined."""
         ctx = self.ctx
         group = ctx.groups[level]
-        runtime = ctx.runtime
-        now = runtime.now
-        obs = runtime.obs
-        obs.hb_rx.inc()
-        if ctx.node.use_fast_path:
-            nid = hb.record.node_id
-            peer = group.peers.get(nid)
-            directory = ctx.directory
-            # Same no-change match as the inlined channel handler:
-            # identity first (by-reference payloads), content fallback
-            # (payloads rebuilt from bytes by a real transport).
-            if peer is not None and (
-                hb is peer.last_hb
-                or (peer.last_hb is not None and hb.same_as(peer.last_hb))
-            ):
-                # The directory's main table spans the whole cluster, so
-                # its per-heartbeat probe is the one cache-hostile lookup
-                # left on this path at 10k nodes: use the entry reference
-                # cached on the peer, re-probing only after a removal.
-                entry = peer.dir_entry
-                if entry is None or not entry.live:
-                    entry = directory.entry_view(nid)
-                    peer.dir_entry = entry
-            else:
-                entry = None
-            if entry is not None:
-                if entry.relayed_by is None:
-                    entry.last_refresh = now
-                else:
-                    # Heard directly: reclassify via the full refresh so
-                    # the relayer-group and deadline-heap bookkeeping run.
-                    directory.refresh(nid, now, relayed_by=None)
-                # No-change fast path: the sender interned this payload, so
-                # nothing about the peer moved since its last heartbeat.
-                # Freshness is bumped (peer + directory + vouch), the
-                # failover/lost-update checks still run (they depend on
-                # *our* state, not the sender's), and record absorption is
-                # skipped entirely.  Election re-evaluation is skipped only
-                # while a leader is in sight and we are not one ourselves —
-                # the one configuration where an unchanged heartbeat
-                # provably cannot move the election clock (the leaderless
-                # countdown and the two-leaders rule both need a state
-                # change or our own flag, and those route through the slow
-                # path or the status tick).
-                obs.hb_rx_fast.inc()
-                if ctx.tombstones:
-                    ctx.tombstones.pop(nid, None)
-                peer.last_heard = now
-                det = ctx.detector
-                if not det.passive:
-                    det.observe_heartbeat(level, nid, now, peer.incarnation)
-                if hb.is_leader:
-                    directory.vouch(nid, now)
-                    if (
-                        group.last_dead_leader is not None
-                        and group.last_dead_leader != nid
-                    ):
-                        directory.reattribute(group.last_dead_leader, nid)
-                        group.last_dead_leader = None
-                elif level >= 1:
-                    directory.vouch(nid, now)
-                if ctx.updates.behind(nid, level, hb.update_seq):
-                    ctx.maybe_sync(nid)
-                if group.i_am_leader or not group.leader_visible():
-                    ctx.contender.evaluate(level)
-                return
+        now = ctx.runtime.now
+        ctx.runtime.obs.hb_rx.inc()
         was_known = hb.node_id in group.peers
         # Hearing a node directly is proof of life: clear any certificate.
         ctx.tombstones.pop(hb.node_id, None)

@@ -3,8 +3,8 @@
 Once per heartbeat period the tracker retries unfinished sync exchanges,
 purges silent direct peers per-level, re-evaluates every election clock,
 and runs the two directory backstops (stale relayed entries, orphaned
-direct entries).  On the fast path those backstops are deadline-heap
-pops (amortised O(1) in a quiet period) instead of full directory scans.
+direct entries).  Those backstops are deadline-heap pops (amortised
+O(1) in a quiet period), not full directory scans.
 
 Death handling implements the paper's timeout protocol — "membership
 information that is relayed by the dead node is also timeouted" — plus

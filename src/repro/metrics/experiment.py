@@ -43,21 +43,19 @@ def make_scheme_cluster(
     seed: int = 0,
     loss_rate: float = 0.0,
     config: Optional[ProtocolConfig] = None,
-    **node_kwargs: object,
 ) -> Tuple[Network, List[str], Dict[str, MembershipNode]]:
     """Deploy one scheme on the paper's testbed shape.
 
     The evaluation's emulation maps each multicast channel to one network
     of 20 hosts ("Each multicast channel hosts 20 nodes... five networks
-    for 100 nodes", Section 6.2).  Extra keyword arguments are forwarded
-    to the node constructor (e.g. ``use_fast_path=False`` for A/B runs).
+    for 100 nodes", Section 6.2).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {sorted(SCHEMES)}")
     topo, hosts = build_switched_cluster(networks, hosts_per_network)
     net = Network(topo, seed=seed, loss_rate=loss_rate)
     cls = SCHEMES[scheme]
-    kwargs: Dict[str, object] = dict(node_kwargs)
+    kwargs: Dict[str, object] = {}
     if scheme == "gossip":
         kwargs["seeds"] = hosts
     if config is None and scheme == "hierarchical":

@@ -31,11 +31,10 @@ Determinism contract
 All stochastic decisions draw from the plan's own seeded stream
 (``net.chaos`` when installed through :meth:`Network.set_fault_plan`), a
 stream the base loss process never touches.  Decisions are drawn once per
-(packet, receiver) at **send time**, in the fabric's receiver-iteration
-order — which is identical on the cached-plan fast path and the legacy
-slow path — so seeded runs stay byte-identical across
-``use_fast_path`` flips (the existing determinism guard covers this under
-active chaos).  A plan whose rules match nothing consumes no randomness
+(packet, receiver) at **send time**, in the fabric's delivery-plan
+(= subscription) order, so same-seed runs stay byte-identical (the
+determinism guard's golden chaos hash pins the draw order under active
+chaos).  A plan whose rules match nothing consumes no randomness
 at all: installing it cannot perturb an existing seeded experiment.
 """
 

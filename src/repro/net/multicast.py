@@ -12,8 +12,8 @@ independently suffers the loss process — exactly the paper's UDP multicast
 failure model ("it is possible these packets can be lost due to network
 congestion or overloading senders or receivers").
 
-Fast path
----------
+Delivery plans
+--------------
 ``send()`` resolves its recipients through a **delivery plan** cached per
 ``(channel, src, ttl)``: the ordered tuple of ``(host, handler, delay)``
 triples a send from that key fans out to.  Plans are validated against
@@ -25,17 +25,16 @@ by identical delay and each group is scheduled as **one** kernel event
 heap traffic from O(receivers) to O(distinct delays) per send.
 
 Determinism contract: recipients appear in the plan in subscription
-(dict insertion) order — the same order the legacy path iterates — and
-loss draws are taken in that order at send time, so seeded runs produce
-byte-identical traces on either path (``use_fast_path`` toggles; see
-docs/PERFORMANCE.md).
+(dict insertion) order and loss draws are taken in that order at send
+time; the golden SHA-256 traces of the determinism guard pin the
+resulting RNG stream (see docs/PERFORMANCE.md).
 
 Chaos faults
 ------------
 An installed :class:`~repro.net.faults.FaultPlan` (``fault_plan``) is
 consulted per (packet, receiver) after the base loss draw, again in
-receiver-iteration order on both paths, and may drop, delay, duplicate
-or reorder the delivery (see docs/FAULTS.md).
+plan order, and may drop, delay, duplicate or reorder the delivery (see
+docs/FAULTS.md).
 """
 
 from __future__ import annotations
@@ -89,14 +88,6 @@ class MulticastFabric:
         into clean runs — it now raises instead.
     proc_delay:
         Fixed receive-path processing delay added to topology latency.
-
-    Attributes
-    ----------
-    use_fast_path:
-        When True (default) sends go through the cached-plan/batched
-        scheduler; False falls back to the legacy per-receiver path.
-        Benchmarks flip this to measure both engines in one process; the
-        two paths are trace-identical by contract.
     """
 
     def __init__(
@@ -121,7 +112,6 @@ class MulticastFabric:
         self.loss_rate = loss_rate
         self.loss_rng = loss_rng
         self.proc_delay = proc_delay
-        self.use_fast_path = True
         #: Optional chaos fault plan (installed via Network.set_fault_plan).
         self.fault_plan: Optional[FaultPlan] = None
         #: Shared instruments; no-op until observability is enabled.
@@ -188,7 +178,7 @@ class MulticastFabric:
         """Recipients of a (channel, src, ttl) send, in subscription order.
 
         Returns the flat recipient tuple plus the same recipients grouped
-        by identical delay (the shape the lossless fast path schedules
+        by identical delay (the shape a lossless send schedules
         directly).  Cached until the topology mutates or the channel's
         subscriptions change; both are validated on read so invalidation
         is O(1) at the mutation site.
@@ -259,8 +249,6 @@ class MulticastFabric:
         """
         if packet.channel is None:
             raise ValueError("multicast send requires packet.channel")
-        if not self.use_fast_path:
-            return self._send_slow(packet)
         if not self.topo.is_up(packet.src):
             return 0
         self.meter.record(self.sim.now, packet.src, "tx", packet.kind, packet.size)
@@ -273,7 +261,7 @@ class MulticastFabric:
         obs.mc_deliveries.add(len(recipients))
         fault = self.fault_plan
         if fault is not None and fault.rules:
-            return self._send_fast_chaos(packet, recipients, fault)
+            return self._send_chaos(packet, recipients, fault)
         # The stamp lets delivery skip per-receiver revalidation: if neither
         # the topology nor the channel's subscriptions moved while the
         # packet was in flight, every planned receiver is provably still up
@@ -282,8 +270,7 @@ class MulticastFabric:
         now = self.sim.now
         if self.loss_rng is not None and self.loss_rate > 0.0:
             # Group survivors by identical delay; loss is drawn in plan
-            # (= sender-iteration) order so the RNG stream matches the
-            # legacy path draw for draw.
+            # (= subscription) order — the RNG stream the golden traces pin.
             rand = self.loss_rng.random
             rate = self.loss_rate
             dropped = 0
@@ -317,19 +304,19 @@ class MulticastFabric:
                 )
         return len(recipients)
 
-    def _send_fast_chaos(
+    def _send_chaos(
         self,
         packet: Packet,
         recipients: List[Tuple[str, Handler, float]],
         fault: FaultPlan,
     ) -> int:
-        """Fast path under an active fault plan.
+        """Send under an active fault plan.
 
-        Same bucketed scheduling as the plain fast path, but each
-        receiver's total delay folds in the plan's verdict (drop / extra
-        delay / duplicate copies).  Base loss and fault draws both happen
-        in plan (= sender-iteration) order, so the chaos stream is
-        consumed draw-for-draw like the legacy path.
+        Same bucketed scheduling as a plain send, but each receiver's
+        total delay folds in the plan's verdict (drop / extra delay /
+        duplicate copies).  Base loss and fault draws both happen in plan
+        (= subscription) order, receiver by receiver: loss first, then
+        the fault verdict.
         """
         now = self.sim.now
         src = packet.src
@@ -358,48 +345,6 @@ class MulticastFabric:
             )
         return len(recipients)
 
-    def _send_slow(self, packet: Packet) -> int:
-        """Legacy per-receiver path (baseline mode for benchmarks)."""
-        if not self.topo.is_up(packet.src):
-            return 0
-        self.meter.record(self.sim.now, packet.src, "tx", packet.kind, packet.size)
-        obs = self.obs
-        obs.mc_tx.inc()
-        subs = self._subs.get(packet.channel)
-        if not subs:
-            obs.mc_fanout.observe(0)
-            return 0
-        fault = self.fault_plan
-        if fault is not None and not fault.rules:
-            fault = None
-        now = self.sim.now
-        delivered = 0
-        dropped = 0
-        for host, handler in list(subs.items()):
-            if host == packet.src:
-                continue
-            dist = self.topo.ttl_distance(packet.src, host)
-            if dist > packet.ttl:
-                continue
-            delivered += 1
-            if self.loss_rng is not None and self.loss_rate > 0.0:
-                if self.loss_rng.random() < self.loss_rate:
-                    dropped += 1
-                    continue
-            delay = self.topo.latency(packet.src, host) + self.proc_delay
-            if fault is not None:
-                offsets = fault.offsets(packet.src, host, now)
-                if offsets is not None:
-                    for off in offsets:
-                        self.sim.call_after(delay + off, self._deliver, packet, host, handler)
-                    continue
-            self.sim.call_after(delay, self._deliver, packet, host, handler)
-        obs.mc_fanout.observe(delivered)
-        obs.mc_deliveries.add(delivered)
-        if dropped:
-            obs.mc_drops.add(dropped)
-        return delivered
-
     def _deliver_batch(
         self,
         recipients: List[Tuple[str, Handler]],
@@ -409,11 +354,11 @@ class MulticastFabric:
         """Deliver one delay bucket: validate, account once, then dispatch.
 
         Hosts may have crashed or left the channel while in flight, so each
-        is re-validated at delivery time, exactly like the per-receiver path
-        — unless ``stamp`` proves nothing could have changed: if both the
-        topology version and the channel's subscription version still match
-        their send-time values, every planned receiver is still up and
-        still bound to the same handler, and the scan is skipped.
+        is re-validated at delivery time — unless ``stamp`` proves nothing
+        could have changed: if both the topology version and the channel's
+        subscription version still match their send-time values, every
+        planned receiver is still up and still bound to the same handler,
+        and the scan is skipped.
         Receive-side metering for the whole bucket lands in a single
         :meth:`BandwidthMeter.record_many` call.
         """
@@ -447,7 +392,7 @@ class MulticastFabric:
     ) -> None:
         """Deliver a cached plan bucket with flat per-receiver cost.
 
-        The lossless fast path schedules the plan's own buckets, so the
+        A lossless send schedules the plan's own buckets, so the
         receiver pairs, the host list, and (via the bucket's mutable box)
         the meter's deferred-accounting handle are all reused across
         deliveries of the same plan.  When the stamp holds, per-receiver
@@ -475,13 +420,3 @@ class MulticastFabric:
         self.obs.mc_rx.add(len(pairs))
         for handler in handlers:
             handler(packet)
-
-    def _deliver(self, packet: Packet, host: str, handler: Handler) -> None:
-        # The host may have crashed or left the channel while in flight.
-        if not self.topo.is_up(host):
-            return
-        if self._subs.get(packet.channel, {}).get(host) is not handler:
-            return
-        self.meter.record(self.sim.now, host, "rx", packet.kind, packet.size)
-        self.obs.mc_rx.inc()
-        handler(packet)

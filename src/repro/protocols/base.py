@@ -111,12 +111,6 @@ class MembershipNode(ABC):
     re-joins from scratch with a bumped incarnation.
     """
 
-    #: Enable the protocol hot-path engine (interned self records and
-    #: heartbeats, deadline-heap purges).  Class default;
-    #: :class:`~repro.core.node.HierarchicalNode` exposes it per instance.
-    #: Flip only before ``start()`` — the legacy path exists for A/B runs.
-    use_fast_path: bool = True
-
     #: Dissemination-scheme name as keyed in :data:`repro.analysis.models.
     #: MODELS`; concrete nodes set it so detector bounds
     #: (:func:`repro.detect.bounds.detection_bound`) can be quoted for the
@@ -162,7 +156,7 @@ class MembershipNode(ABC):
     def self_record(self) -> NodeRecord:
         """The record this node currently publishes about itself.
 
-        On the fast path the frozen record is interned until either the
+        The frozen record is interned until either the
         published content changes (:meth:`_self_changed`) or the
         incarnation moves — a heartbeat sender then reuses one object per
         boot epoch instead of allocating one per period, which also lets
@@ -177,8 +171,7 @@ class MembershipNode(ABC):
             services={name: spec.partitions for name, spec in self._services.items()},
             attrs={**self.machine.to_attrs(), **self._extra_attrs},
         )
-        if self.use_fast_path:
-            self._self_record_cache = record
+        self._self_record_cache = record
         return record
 
     def register_service(self, spec: ServiceSpec) -> None:

@@ -26,7 +26,6 @@ Key shapes
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, Optional, Tuple, cast
 
 from repro.sim.engine import (
@@ -109,17 +108,13 @@ class _ShardRecurringTimer(RecurringTimer):
         ev.time = sim._now + self.period
         ev.seq = self._base_key + (-1, self._fires)
         ev.sort_key = (ev.time, ev.priority, ev.seq)
-        wheel = sim._wheel
-        if wheel is None:
-            heapq.heappush(sim._queue, ev)
-        else:
-            wheel.schedule(ev)
+        sim._wheel.schedule(ev)
 
 
 class ShardSimulator(Simulator):
     """A :class:`Simulator` whose event order is shard-count invariant.
 
-    Everything about execution (wheel/heap backends, ``run``,
+    Everything about execution (the timer wheel, ``run``,
     ``run_window``, cancellation) is inherited; only the sequence source
     and the recurring-timer re-arm are swapped for the tuple-key scheme,
     plus two extras the barrier runner needs:
@@ -132,8 +127,8 @@ class ShardSimulator(Simulator):
       key so both sides of the merge agree on the order).
     """
 
-    def __init__(self, start_time: float = 0.0, use_timer_wheel: bool = True) -> None:
-        super().__init__(start_time, use_timer_wheel)
+    def __init__(self, start_time: float = 0.0) -> None:
+        super().__init__(start_time)
         self._seq = _KeyAlloc(self)  # type: ignore[assignment]
         self._root: Key = _UNSET_ROOT
 
@@ -190,9 +185,5 @@ class ShardSimulator(Simulator):
                 f"cannot schedule at t={time:.6f} < now={self._now:.6f}"
             )
         ev = ScheduledEvent(float(time), priority, key, fn, args)
-        wheel = self._wheel
-        if wheel is None:
-            heapq.heappush(self._queue, ev)
-        else:
-            wheel.schedule(ev)
+        self._wheel.schedule(ev)
         return ev

@@ -7,9 +7,9 @@ graph), the chaos plan is a tuple of declarative rules over host *index
 ranges*, and failure injection is a timeline of ``(time, op, host_idx)``
 control operations applied at window barriers.
 
-The ``golden`` constructor reproduces the pinned determinism-guard
-scenario of ``tests/integration/test_timer_wheel_differential.py`` so
-the sharded differential suite exercises the exact same workload.
+The ``golden`` constructor reproduces the pinned golden-trace scenario
+of ``tests/integration/test_determinism_guard.py`` so the sharded
+differential suite exercises the exact same workload.
 """
 
 from __future__ import annotations
@@ -144,11 +144,10 @@ class ShardScenario:
     def golden(cls, scheme: str, seed: int, chaos: bool = False) -> "ShardScenario":
         """The pinned 3x10 determinism-guard workload.
 
-        Mirrors ``run_scheme_trace`` of the timer-wheel differential
-        suite: 2% uniform loss, node 5 stopped and crashed at t=20,
-        observed until t=50; the chaos variant adds an asymmetric
-        partition and a lossy/jittery/reordering inter-segment rule over
-        t in [15, 30).
+        Mirrors the determinism guard's golden-trace runs: 2% uniform
+        loss, node 5 stopped and crashed at t=20, observed until t=50; the
+        chaos variant adds an asymmetric partition and a
+        lossy/jittery/reordering inter-segment rule over t in [15, 30).
         """
         partitions: Tuple[PartitionRule, ...] = ()
         link_rules: Tuple[LinkRule, ...] = ()

@@ -5,20 +5,18 @@ callbacks.  :meth:`Simulator.run` pops events in ``(time, priority, seq)``
 order and executes them until the queue drains, a time horizon is reached, or
 a stop is requested.
 
-Two interchangeable queue backends implement that contract:
+The queue is a **hierarchical timer wheel**: events are bucketed by time
+quantum into fine slots (1/256 s), a coarse one-second ring, or a
+far-future overflow heap, and only the events of the slot currently being
+drained live in a tiny "ready" heap.  Scheduling into an occupied slot is
+an O(1) append instead of an O(log n) sift over the whole pending set,
+which is what keeps per-event cost flat as the heartbeat/purge timer
+population grows with cluster size.
 
-* the **legacy binary heap** — one global heap of events, lazy deletion;
-* the **hierarchical timer wheel** (default, ``use_timer_wheel``) — events
-  are bucketed by time quantum into fine slots (1/256 s), a coarse
-  one-second ring, or a far-future overflow heap, and only the events of
-  the slot currently being drained live in a tiny "ready" heap.  Scheduling
-  into an occupied slot is an O(1) append instead of an O(log n) sift over
-  the whole pending set, which is what keeps per-event cost flat as the
-  heartbeat/purge timer population grows with cluster size.
-
-Both backends execute the exact same ``(time, priority, seq)`` total order,
-so seeded runs are byte-identical whichever is active (see
-``tests/sim/test_timer_wheel.py`` and the determinism guard).
+The wheel executes the exact ``(time, priority, seq)`` total order — the
+order a single min-heap over all pending events would give — which
+``tests/sim/test_timer_wheel.py`` checks against a naive model and the
+golden SHA-256 traces of the determinism guard pin end to end.
 
 The kernel is deliberately small: multicast fabrics, transports, protocol
 nodes and experiment harnesses are all built on these few primitives.
@@ -26,7 +24,6 @@ nodes and experiment harnesses are all built on these few primitives.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from heapq import heapify, heappop, heappush
@@ -141,12 +138,17 @@ class TimerWheel:
     * ``far`` — plain event heap for everything beyond the coarse horizon
       (long purge backstops, ``inf`` sentinels).
 
+    Once only events beyond slot arithmetic (``time >= 2**40``) remain,
+    ``far`` becomes ``ready`` wholesale and the cursor goes to ``inf``:
+    from then on every event is filed in ``ready`` and the wheel is a
+    plain heap.
+
     Correctness invariant: every pending event with fine slot ≤ ``cursor``
     is in ``ready``; every other lane only holds slots > ``cursor``.  An
     event in ``ready`` therefore has ``time < (cursor + 1)/256`` while any
     undrained event has ``time ≥ (cursor + 1)/256`` — so ``ready[0]`` is
-    always the global minimum and the exact ``(time, priority, seq)`` order
-    of the legacy heap is reproduced bit-for-bit.
+    always the global minimum and events fire in exact
+    ``(time, priority, seq)`` order.
     """
 
     __slots__ = (
@@ -160,8 +162,9 @@ class TimerWheel:
         self.coarse: dict[int, List[ScheduledEvent]] = {}
         self.coarse_heap: List[int] = []
         self.far: List[ScheduledEvent] = []
-        #: All slots ≤ cursor have been drained into ``ready``.
-        self.cursor = int(now * _FINE)
+        #: All slots ≤ cursor have been drained into ``ready``.  A slot
+        #: index, or ``inf`` once the wheel has become a plain heap.
+        self.cursor: float = int(now * _FINE)
 
     def pending(self) -> int:
         """Queued (possibly cancelled) entries.  O(occupied slots): this is
@@ -194,7 +197,7 @@ class TimerWheel:
                 heappush(self.near_heap, s)
             else:
                 lst.append(ev)
-        elif t < (c >> _SHIFT) + _COARSE_SPAN and t < _FAR_DIRECT:
+        elif t < _FAR_DIRECT and t < c // _FINE + _COARSE_SPAN:
             s = int(t)
             coarse = self.coarse
             lst = coarse.get(s)
@@ -204,7 +207,9 @@ class TimerWheel:
             else:
                 lst.append(ev)
         else:
-            heappush(self.far, ev)
+            # An infinite cursor passes every finite time to ``ready``
+            # above; ``inf`` itself lands here.
+            heappush(self.ready if c == math.inf else self.far, ev)
 
     # ------------------------------------------------------------------
     # Draining
@@ -245,19 +250,23 @@ class TimerWheel:
                 if not far:
                     return False
                 f0 = far[0].time
-                items = []
                 if f0 >= _FAR_DIRECT:
-                    # Beyond slot arithmetic (huge horizon or inf): take
-                    # the equal-time run directly; sort_key ordering within
-                    # it is preserved by the heap pops.
-                    while far and far[0].time == f0:
-                        items.append(heappop(far))
-                else:
-                    target = int(f0 * 256.0)
-                    bound = (target + 1) * _G
-                    while far and far[0].time < bound:
-                        items.append(heappop(far))
-                    self.cursor = target
+                    # Beyond slot arithmetic (huge horizon or inf) and
+                    # nothing nearer pending: ``far`` holds everything and
+                    # is already a heap, so it becomes ``ready`` as it is,
+                    # and the infinite cursor files every later event there
+                    # too — whatever its time or priority, the heap orders
+                    # it against the events matured here.
+                    ready[:] = far
+                    del far[:]
+                    self.cursor = math.inf
+                    return True
+                items = []
+                target = int(f0 * 256.0)
+                bound = (target + 1) * _G
+                while far and far[0].time < bound:
+                    items.append(heappop(far))
+                self.cursor = target
             else:
                 if far and far[0].time < ns * _G:
                     target = int(far[0].time * 256.0)
@@ -288,22 +297,6 @@ class TimerWheel:
             if not self.advance():
                 return None
 
-    def drain_pending(self) -> List[ScheduledEvent]:
-        """Remove and return all live pending events (backend migration)."""
-        out = [ev for ev in self.ready if not ev.cancelled]
-        for lst in self.near.values():
-            out.extend(ev for ev in lst if not ev.cancelled)
-        for lst in self.coarse.values():
-            out.extend(ev for ev in lst if not ev.cancelled)
-        out.extend(ev for ev in self.far if not ev.cancelled)
-        self.ready.clear()
-        self.near.clear()
-        self.near_heap.clear()
-        self.coarse.clear()
-        self.coarse_heap.clear()
-        self.far.clear()
-        return out
-
 
 class RecurringTimer:
     """Handle for a :meth:`Simulator.call_every` periodic callback.
@@ -315,7 +308,7 @@ class RecurringTimer:
     re-created both every period.
 
     Ordering contract: the next occurrence's sequence number is allocated
-    *after* the callback body runs, exactly like the legacy idiom of a
+    *after* the callback body runs, exactly like the idiom of a
     callback whose last statement is ``sim.call_after(period, itself)``.
     Same-seed runs are therefore trace-identical whichever form is used.
 
@@ -323,7 +316,7 @@ class RecurringTimer:
     strictly after it surfaced from the queue — so the one event object can
     never be queued twice, and a timer cancelled and replaced within the
     same tick cannot make the replacement fire twice (regression-tested
-    against both queue backends).
+    in ``tests/sim/test_timer_wheel.py``).
     """
 
     __slots__ = ("_sim", "period", "fn", "args", "cancelled", "_ev")
@@ -356,11 +349,7 @@ class RecurringTimer:
         ev.time = sim._now + self.period
         ev.seq = next(sim._seq)
         ev.sort_key = (ev.time, ev.priority, ev.seq)
-        wheel = sim._wheel
-        if wheel is None:
-            heapq.heappush(sim._queue, ev)
-        else:
-            wheel.schedule(ev)
+        sim._wheel.schedule(ev)
 
     def cancel(self) -> None:
         """Stop firing.  Idempotent; safe from inside the callback."""
@@ -382,12 +371,10 @@ class Simulator:
     Parameters
     ----------
     start_time:
-        Initial value of the virtual clock, in seconds.
-    use_timer_wheel:
-        Select the hierarchical timer-wheel backend (default) or the legacy
-        single binary heap.  Pure A/B switch: both backends execute the
-        identical event order (negative ``start_time`` falls back to the
-        heap — the wheel's slot arithmetic assumes a non-negative clock).
+        Initial value of the virtual clock, in seconds.  Must be
+        non-negative (the wheel's slot arithmetic assumes it); a negative
+        value raises :class:`SimulationError`.  Nothing in ``src/``,
+        ``benchmarks/`` or ``examples/`` passes one.
 
     Notes
     -----
@@ -398,12 +385,13 @@ class Simulator:
     the packet before the timeout that was armed later").
     """
 
-    def __init__(self, start_time: float = 0.0, use_timer_wheel: bool = True) -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: list[ScheduledEvent] = []
-        self._wheel: Optional[TimerWheel] = None
-        if use_timer_wheel and self._now >= 0.0:
-            self._wheel = TimerWheel(self._now)
+        if not self._now >= 0.0:
+            raise SimulationError(
+                f"start_time must be non-negative, got {start_time!r}"
+            )
+        self._wheel = TimerWheel(self._now)
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -429,40 +417,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of queued (possibly cancelled) entries; O(1)."""
-        wheel = self._wheel
-        return wheel.pending() if wheel is not None else len(self._queue)
-
-    # ------------------------------------------------------------------
-    # Backend selection
-    # ------------------------------------------------------------------
-    @property
-    def use_timer_wheel(self) -> bool:
-        """True when the timer-wheel backend is active."""
-        return self._wheel is not None
-
-    @use_timer_wheel.setter
-    def use_timer_wheel(self, enabled: bool) -> None:
-        if enabled == (self._wheel is not None):
-            return
-        if self._running:
-            raise SimulationError("cannot switch queue backend mid-run")
-        if enabled:
-            if self._now < 0.0:
-                raise SimulationError(
-                    "timer wheel requires a non-negative virtual clock"
-                )
-            wheel = TimerWheel(self._now)
-            for ev in self._queue:
-                if not ev.cancelled:
-                    wheel.schedule(ev)
-            self._queue = []
-            self._wheel = wheel
-        else:
-            queue = self._wheel.drain_pending()
-            heapq.heapify(queue)
-            self._queue = queue
-            self._wheel = None
+        """Number of queued (possibly cancelled) entries; O(occupied slots)."""
+        return self._wheel.pending()
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -487,11 +443,7 @@ class Simulator:
         if math.isnan(time):
             raise SimulationError("cannot schedule at NaN time")
         ev = ScheduledEvent(float(time), priority, next(self._seq), fn, args)
-        wheel = self._wheel
-        if wheel is None:
-            heapq.heappush(self._queue, ev)
-        else:
-            wheel.schedule(ev)
+        self._wheel.schedule(ev)
         return ev
 
     def call_after(
@@ -567,11 +519,7 @@ class Simulator:
         else:
             ev = ScheduledEvent(time, priority, seq, fn, (batch, *shared))
             ev.owned = owned
-        wheel = self._wheel
-        if wheel is None:
-            heapq.heappush(self._queue, ev)
-        else:
-            wheel.schedule(ev)
+        self._wheel.schedule(ev)
         return ev
 
     # ------------------------------------------------------------------
@@ -602,87 +550,48 @@ class Simulator:
         self._running = True
         self._stopped = False
         try:
-            if self._wheel is None:
-                return self._run_heap(until, max_events)
-            return self._run_wheel(until, max_events)
+            executed = 0
+            wheel = self._wheel
+            ready = wheel.ready
+            advance = wheel.advance
+            free = self._free
+            while not self._stopped:
+                if not ready and not advance():
+                    break
+                ev = ready[0]
+                if ev.cancelled:
+                    heappop(ready)
+                    continue
+                if until is not None and ev.time > until:
+                    break
+                heappop(ready)
+                self._now = ev.time
+                self._current = ev
+                ev.fn(*ev.args)
+                self._current = None
+                self._events_executed += 1
+                if ev.owned and not ev.cancelled:
+                    ev.fn = _noop
+                    ev.args = ()
+                    if len(free) < _FREE_MAX:
+                        free.append(ev)
+                executed += 1
+                if max_events is not None and executed >= max_events:
+                    break
+            if until is not None and not self._stopped and self._now < until:
+                # Advance the clock to `until` iff no live work at or
+                # before `until` remains queued.  peek() drops cancelled
+                # heads first so the check is exact — a dead entry must
+                # neither mask pending work (max_events break with live
+                # events behind a cancelled head) nor hold the clock back.
+                # It may pre-drain a slot, which is safe: matured events
+                # keep their exact keys in the ready heap.
+                nxt = wheel.peek()
+                if nxt is None or nxt > until:
+                    self._now = until
+            return self._now
         finally:
             self._running = False
-
-    def _run_heap(self, until: Optional[float], max_events: Optional[int]) -> float:
-        executed = 0
-        queue = self._queue
-        free = self._free
-        while queue and not self._stopped:
-            ev = queue[0]
-            if ev.cancelled:
-                heapq.heappop(queue)
-                continue
-            if until is not None and ev.time > until:
-                break
-            heapq.heappop(queue)
-            self._now = ev.time
-            self._current = ev
-            ev.fn(*ev.args)
-            self._current = None
-            self._events_executed += 1
-            if ev.owned and not ev.cancelled:
-                ev.fn = _noop
-                ev.args = ()
-                if len(free) < _FREE_MAX:
-                    free.append(ev)
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                break
-        if until is not None and not self._stopped and self._now < until:
-            # Advance the clock to `until` iff no live work at or
-            # before `until` remains queued.  Cancelled heads are popped
-            # first so the check is exact — a dead entry must neither
-            # mask pending work (max_events break with live events
-            # behind a cancelled head) nor hold the clock back.
-            while queue and queue[0].cancelled:
-                heapq.heappop(queue)
-            if not queue or queue[0].time > until:
-                self._now = until
-        return self._now
-
-    def _run_wheel(self, until: Optional[float], max_events: Optional[int]) -> float:
-        executed = 0
-        wheel = self._wheel
-        assert wheel is not None
-        ready = wheel.ready
-        advance = wheel.advance
-        free = self._free
-        while not self._stopped:
-            if not ready and not advance():
-                break
-            ev = ready[0]
-            if ev.cancelled:
-                heappop(ready)
-                continue
-            if until is not None and ev.time > until:
-                break
-            heappop(ready)
-            self._now = ev.time
-            self._current = ev
-            ev.fn(*ev.args)
-            self._current = None
-            self._events_executed += 1
-            if ev.owned and not ev.cancelled:
-                ev.fn = _noop
-                ev.args = ()
-                if len(free) < _FREE_MAX:
-                    free.append(ev)
-            executed += 1
-            if max_events is not None and executed >= max_events:
-                break
-        if until is not None and not self._stopped and self._now < until:
-            # Same exactness contract as the heap tail; peek() drops
-            # cancelled heads (and may pre-drain a slot, which is safe:
-            # matured events keep their exact keys in the ready heap).
-            nxt = wheel.peek()
-            if nxt is None or nxt > until:
-                self._now = until
-        return self._now
 
     def run_window(self, end: float) -> float:
         """Drain every event with ``time < end``, then set the clock to ``end``.
@@ -705,18 +614,6 @@ class Simulator:
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False if none remain."""
         wheel = self._wheel
-        if wheel is None:
-            while self._queue:
-                ev = heapq.heappop(self._queue)
-                if ev.cancelled:
-                    continue
-                self._now = ev.time
-                self._current = ev
-                ev.fn(*ev.args)
-                self._current = None
-                self._events_executed += 1
-                return True
-            return False
         ready = wheel.ready
         while True:
             if not ready and not wheel.advance():
@@ -733,9 +630,4 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or None if the queue is empty."""
-        wheel = self._wheel
-        if wheel is not None:
-            return wheel.peek()
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        return self._wheel.peek()

@@ -147,7 +147,7 @@ class TestDualLeaders:
         assert len(leaders) == 1
         # Force a second, frozen flag-flier the election cannot demote.
         other = next(h for h in hosts if h not in leaders)
-        group = nodes[other]._groups[0]
+        group = nodes[other]._ctx.groups[0]
         group.i_am_leader = True
         nodes[other].stop = lambda: None  # keep it "running"
         for _ in range(3):
@@ -162,7 +162,7 @@ class TestDualLeaders:
         net.run(until=20.0)
         leader = next(h for h in hosts if nodes[h].is_leader(0))
         other = next(h for h in hosts if h != leader)
-        nodes[other]._groups[0].i_am_leader = True
+        nodes[other]._ctx.groups[0].i_am_leader = True
         net.ensure_fault_plan().partition([leader], [other], start=0.0)
         for _ in range(3):
             checker.tick()

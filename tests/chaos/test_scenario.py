@@ -51,13 +51,6 @@ class TestAcceptance:
         again = ChaosScenario(seed=7).run()
         assert again.trace_signature == result.trace_signature
 
-    def test_fast_and_slow_fabric_paths_identical(self, result):
-        # The determinism contract extends to chaos: fault draws happen at
-        # send time in receiver-iteration order on both paths.
-        slow = ChaosScenario(seed=7, use_fast_path=False).run()
-        assert slow.trace_signature == result.trace_signature
-        assert slow.violations == result.violations
-
     def test_different_seed_diverges(self, result):
         other = ChaosScenario(seed=8).run()
         assert other.trace_signature != result.trace_signature

@@ -159,7 +159,6 @@ class FakeNode:
         self.node_id = node_id
         self.incarnation = 1
         self.running = True
-        self.use_fast_path = True
         self.member_up: List[str] = []
         self.member_down: List[Tuple[str, str]] = []
         self.refutations = 0

@@ -41,19 +41,19 @@ class TestOneShotTimers:
         net, hosts, nodes = make()
         net.run(until=10.0)
         fired = []
-        nodes[hosts[0]]._call_once(2.0, fired.append, "x")
+        nodes[hosts[0]].runtime.call_once(2.0, fired.append, "x")
         net.run(until=15.0)
         assert fired == ["x"]
-        assert not nodes[hosts[0]]._oneshots  # discarded after firing
+        assert not nodes[hosts[0]].runtime.oneshots  # discarded after firing
 
     def test_oneshots_cancelled_on_stop(self):
         net, hosts, nodes = make()
         net.run(until=10.0)
         fired = []
         node = nodes[hosts[0]]
-        node._call_once(5.0, fired.append, "stray")
+        node.runtime.call_once(5.0, fired.append, "stray")
         node.stop()
-        assert not node._oneshots
+        assert not node.runtime.oneshots
         net.run(until=30.0)
         assert fired == []
 
@@ -65,8 +65,8 @@ class TestOneShotTimers:
         net.run(until=10.0)
         fired = []
         node = nodes[hosts[0]]
-        node._call_once(5.0, fired.append, "zombie")
-        node._oneshots.clear()  # sabotage the cancellation sweep
+        node.runtime.call_once(5.0, fired.append, "zombie")
+        node.runtime.oneshots.clear()  # sabotage the cancellation sweep
         node.stop()
         node.start()  # new incarnation
         net.run(until=30.0)
@@ -80,12 +80,12 @@ class TestOneShotTimers:
         y = nodes[hosts[0]]
         victim = hosts[1]
         rec = nodes[victim].self_record()
-        y._bury(victim, rec.incarnation)
-        before = len(y._oneshots)
-        assert y._absorb_record(rec, victim, net.now) is False  # quarantined
-        assert len(y._oneshots) > before  # backstop registered as one-shot
+        y._ctx.informer.bury(victim, rec.incarnation)
+        before = len(y.runtime.oneshots)
+        assert y._ctx.informer.absorb_record(rec, victim, net.now) is False  # quarantined
+        assert len(y.runtime.oneshots) > before  # backstop registered as one-shot
         y.stop()
-        assert not y._oneshots  # ...and dies with the node
+        assert not y.runtime.oneshots  # ...and dies with the node
 
     def test_no_sync_from_previous_life_after_restart(self):
         # The full regression shape: a node schedules the quarantine
@@ -97,7 +97,7 @@ class TestOneShotTimers:
         y = nodes[hosts[0]]
         victim = hosts[1]
         rec = nodes[victim].self_record()
-        y._bury(victim, rec.incarnation)
+        y._ctx.informer.bury(victim, rec.incarnation)
         calls = []
         orig = y._maybe_sync
         y._maybe_sync = lambda peer: (
@@ -105,7 +105,7 @@ class TestOneShotTimers:
             orig(peer),
         )
         old_inc = y.incarnation
-        assert y._absorb_record(rec, victim, net.now) is False  # backstop set
+        assert y._ctx.informer.absorb_record(rec, victim, net.now) is False  # backstop set
         y.stop()
         y.start()
         net.run(until=40.0)  # well past quarantine + backstop delay
@@ -184,14 +184,14 @@ class TestAbdicationIsNotDeath:
         net.run(until=15.0)
         y = nodes[hosts[1]]
         x = hosts[2]  # same network, plain member: y hears x at level 0
-        assert x in y._groups[0].peers
+        assert x in y._ctx.groups[0].peers
         # Fabricate y's view of an upper channel x has abandoned.
         g = GroupState(level=1)
         g.peers[x] = PeerState(x, last_heard=net.now - 100.0)
-        y._groups[1] = g
-        y._levels = tuple(sorted(y._groups))
+        y._ctx.groups[1] = g
+        y._ctx.levels = tuple(sorted(y._ctx.groups))
         stale = g.purge_silent(net.now, y.config.level_timeout(1))[0]
-        y._handle_peer_death(1, stale)
+        y._ctx.tracker.handle_peer_death(1, stale)
         # Fresh at level 0: x stepped down, it did not die.
         assert x in y.directory
         downs = [
@@ -206,9 +206,9 @@ class TestAbdicationIsNotDeath:
         net.run(until=15.0)
         y = nodes[hosts[1]]
         x = hosts[2]
-        y._groups[0].peers[x].last_heard = net.now - 100.0
-        stale = y._groups[0].purge_silent(net.now, y.config.level_timeout(0))[0]
-        y._handle_peer_death(0, stale)
+        y._ctx.groups[0].peers[x].last_heard = net.now - 100.0
+        stale = y._ctx.groups[0].purge_silent(net.now, y.config.level_timeout(0))[0]
+        y._ctx.tracker.handle_peer_death(0, stale)
         assert x not in y.directory
 
 

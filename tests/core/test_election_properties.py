@@ -107,7 +107,7 @@ class TestFormationInvariants:
         for node in nodes.values():
             for level in node.levels():
                 if node.is_leader(level):
-                    assert node._groups[level].visible_leaders() == []
+                    assert node._ctx.groups[level].visible_leaders() == []
         # Participation invariant: level l+1 participation implies
         # leadership at level l.
         for node in nodes.values():

@@ -36,7 +36,7 @@ class TestBackupSelection:
         net.run(until=12.0)
         leader = nodes[min(hosts)]
         assert leader.is_leader(0)
-        backup = leader._groups[0].my_backup
+        backup = leader._ctx.groups[0].my_backup
         assert backup in hosts and backup != leader.node_id
 
     def test_backup_replaced_when_it_dies(self):
@@ -45,11 +45,11 @@ class TestBackupSelection:
         nodes = deploy(HierarchicalNode, net, hosts)
         net.run(until=12.0)
         leader = nodes[min(hosts)]
-        backup = leader._groups[0].my_backup
+        backup = leader._ctx.groups[0].my_backup
         nodes[backup].stop()
         net.crash_host(backup)
         net.run(until=30.0)
-        new_backup = leader._groups[0].my_backup
+        new_backup = leader._ctx.groups[0].my_backup
         assert new_backup != backup
         assert new_backup in set(hosts) - {backup, leader.node_id}
 
@@ -60,9 +60,9 @@ class TestBackupSelection:
         net.run(until=12.0)
         leader_id = min(hosts)
         follower = nodes[hosts[-1]]
-        peer = follower._groups[0].peers[leader_id]
+        peer = follower._ctx.groups[0].peers[leader_id]
         assert peer.is_leader
-        assert peer.backup == nodes[leader_id]._groups[0].my_backup
+        assert peer.backup == nodes[leader_id]._ctx.groups[0].my_backup
 
 
 class TestGroupEdgeCases:

@@ -126,7 +126,7 @@ class TestOverlap:
         for h, node in nodes.items():
             for level in node.levels():
                 if node.is_leader(level):
-                    group = node._groups[level]
+                    group = node._ctx.groups[level]
                     assert group.visible_leaders() == [], (
                         f"{h} leads level {level} but sees {group.visible_leaders()}"
                     )
@@ -209,7 +209,7 @@ class TestLeaderFailover:
         net, hosts, nodes = make_cluster(3, 10)
         net.run(until=15.0)
         leader = nodes[hosts[10]].leader_of(0)
-        backup = nodes[leader]._groups[0].my_backup
+        backup = nodes[leader]._ctx.groups[0].my_backup
         nodes[leader].stop()
         net.crash_host(leader)
         net.run(until=60.0)
@@ -225,7 +225,7 @@ class TestLeaderFailover:
         net, hosts, nodes = make_cluster(3, 10, seed=6)
         net.run(until=15.0)
         leader = nodes[hosts[10]].leader_of(0)
-        backup = nodes[leader]._groups[0].my_backup
+        backup = nodes[leader]._ctx.groups[0].my_backup
         victims = {leader, backup}
         for v in victims:
             nodes[v].stop()

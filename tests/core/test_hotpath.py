@@ -1,7 +1,7 @@
 """Unit tests for the protocol hot-path engine (interning + fast receive).
 
-The behavioural contract (identical seeded traces with the engine on and
-off) is enforced by ``tests/integration/test_determinism_guard.py``; these
+The behavioural contract (seeded traces pinned to golden hashes) is
+enforced by ``tests/integration/test_determinism_guard.py``; these
 tests pin the *mechanisms*: senders reuse one frozen heartbeat object per
 level between state changes, the documented signature invalidates it, and
 the receive fast path keeps peers and the directory fresh.
@@ -14,13 +14,13 @@ from repro.net.builders import build_switched_cluster
 from repro.protocols import deploy
 
 
-def make_cluster(networks=1, hosts=4, seed=3, **node_kwargs):
+def make_cluster(networks=1, hosts=4, seed=3):
     # One extra host per network stays node-less: a real topology position
     # the heartbeat probe can subscribe from.
     topo, hosts_list = build_switched_cluster(networks, hosts + 1)
     probe_host = hosts_list.pop()
     net = Network(topo, seed=seed)
-    nodes = deploy(HierarchicalNode, net, hosts_list, **node_kwargs)
+    nodes = deploy(HierarchicalNode, net, hosts_list)
     return net, hosts_list, nodes, probe_host
 
 
@@ -80,16 +80,6 @@ class TestHeartbeatInterning:
         after = seen[-1]
         assert after is not before
         assert after.update_seq > before.update_seq
-
-    def test_legacy_path_does_not_intern(self):
-        net, hosts, nodes, probe_host = make_cluster(use_fast_path=False)
-        net.run(until=12.0)
-        seen = capture_heartbeats(
-            net, nodes[hosts[0]].config.channel(0), hosts[0], probe_host
-        )
-        net.run(until=20.0)
-        assert len(seen) >= 5
-        assert all(hb is not seen[0] for hb in seen[1:])
 
 
 class TestReceiveFastPath:

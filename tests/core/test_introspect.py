@@ -86,7 +86,7 @@ class TestInvariants:
         net.run(until=12.0)
         # Corrupt: make a follower believe it leads while seeing the leader.
         follower = nodes[hosts[2]]
-        follower._groups[0].i_am_leader = True
+        follower._ctx.groups[0].i_am_leader = True
         errors = hierarchy_invariant_errors(nodes)
         assert any("sees leaders" in e for e in errors)
 
@@ -98,6 +98,6 @@ class TestInvariants:
         follower = nodes[hosts[2]]
         from repro.core.groups import GroupState
 
-        follower._groups[1] = GroupState(1)  # joined L1 without leading L0
+        follower._ctx.groups[1] = GroupState(1)  # joined L1 without leading L0
         errors = hierarchy_invariant_errors(nodes)
         assert any("without leading" in e for e in errors)

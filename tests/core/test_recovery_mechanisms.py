@@ -48,7 +48,7 @@ class TestHeartbeatSeqAdvertising:
         net.topo.set_up(member, False)
         net.run(until=23.0)
         net.topo.set_up(member, True)
-        nodes[member]._send_heartbeat(0)  # re-announce quickly
+        nodes[member]._ctx.announcer.send_heartbeat(0)  # re-announce quickly
         net.run(until=40.0)
         assert victim not in nodes[member].view()
         assert nodes[member].view() == sorted(set(hosts) - {victim})
@@ -68,7 +68,7 @@ class TestTombstones:
         stale_record = observer.directory.get(hosts[0]).__class__(
             node_id=victim, incarnation=1
         )
-        observer._apply_ops(
+        observer._ctx.informer.apply_ops(
             [UpdateOp("add", victim, 1, stale_record)], via=hosts[0]
         )
         assert victim not in observer.view()  # tombstone rejected it
@@ -84,7 +84,7 @@ class TestTombstones:
         fresh = observer.directory.get(hosts[0]).__class__(
             node_id=victim, incarnation=2
         )
-        observer._apply_ops([UpdateOp("add", victim, 2, fresh)], via=hosts[0])
+        observer._ctx.informer.apply_ops([UpdateOp("add", victim, 2, fresh)], via=hosts[0])
         assert victim in observer.view()
 
     def test_tombstone_expires_after_quarantine(self):
@@ -100,7 +100,7 @@ class TestTombstones:
         stale = observer.directory.get(hosts[0]).__class__(
             node_id=victim, incarnation=1
         )
-        observer._apply_ops([UpdateOp("add", victim, 1, stale)], via=hosts[0])
+        observer._ctx.informer.apply_ops([UpdateOp("add", victim, 1, stale)], via=hosts[0])
         assert victim in observer.view()  # certificate lapsed
 
     def test_direct_heartbeat_clears_tombstone(self):
@@ -111,11 +111,11 @@ class TestTombstones:
         net.crash_host(victim)
         net.run(until=25.0)
         observer = nodes[hosts[1]]
-        assert victim in observer._tombstones
+        assert victim in observer._ctx.tombstones
         net.recover_host(victim)
         nodes[victim].start()
         net.run(until=30.0)
-        assert victim not in observer._tombstones
+        assert victim not in observer._ctx.tombstones
         assert victim in observer.view()
 
 
@@ -125,7 +125,7 @@ class TestIncarnationRefutation:
         net.run(until=12.0)
         target = nodes[hosts[2]]
         before = target.incarnation
-        target._apply_ops(
+        target._ctx.informer.apply_ops(
             [UpdateOp("remove", hosts[2], before)], via=hosts[0]
         )
         assert target.incarnation == before + 1
@@ -135,7 +135,7 @@ class TestIncarnationRefutation:
         net.run(until=12.0)
         target = nodes[hosts[2]]
         before = target.incarnation
-        target._apply_ops(
+        target._ctx.informer.apply_ops(
             [UpdateOp("remove", hosts[2], before - 1)], via=hosts[0]
         )
         assert target.incarnation == before
@@ -149,7 +149,7 @@ class TestIncarnationRefutation:
         # Some relay point wrongly announces its death.
         announcer = nodes[hosts[0]]
         rec = announcer.directory.get(live)
-        announcer._originate([UpdateOp("remove", live, rec.incarnation)])
+        announcer._ctx.informer.originate([UpdateOp("remove", live, rec.incarnation)])
         net.run(until=35.0)
         for h, node in nodes.items():
             assert live in node.view(), h
@@ -172,7 +172,7 @@ class TestPendingSyncRetry:
         nodes[dead].stop()
         net.crash_host(dead)
         net.run(until=30.0)
-        assert dead not in leader._pending_syncs
+        assert dead not in leader._ctx.pending_syncs
 
 
 class TestBootstrapAnnounceWindow:
@@ -183,8 +183,8 @@ class TestBootstrapAnnounceWindow:
         assert leader.is_leader(0)
         cfg = leader.config
         expected_span = cfg.tombstone_quarantine + 2 * cfg.min_sync_interval
-        assert leader._bootstrap_announce_until > 0
-        assert leader._bootstrap_announce_until <= 12.0 + expected_span
+        assert leader._ctx.bootstrap_announce_until > 0
+        assert leader._ctx.bootstrap_announce_until <= 12.0 + expected_span
 
     def test_members_recover_collateral_removals_after_failover(self):
         """Covered end-to-end by the leader+backup death test; here we
@@ -193,7 +193,7 @@ class TestBootstrapAnnounceWindow:
         net, hosts, nodes = make(3, 6, seed=13)
         net.run(until=15.0)
         leader = nodes[hosts[6]].leader_of(0)
-        backup = nodes[leader]._groups[0].my_backup
+        backup = nodes[leader]._ctx.groups[0].my_backup
         for v in {leader, backup}:
             nodes[v].stop()
             net.crash_host(v)

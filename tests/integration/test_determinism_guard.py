@@ -1,38 +1,37 @@
-"""Determinism guards for the fast-path engines.
+"""Determinism guards: seeded runs are bit-for-bit reproducible.
 
-Both engines must be pure optimizations: for the same seed a run produces
-the **identical** trace event sequence with the optimization on or off,
-and repeated runs are bit-for-bit reproducible.
+For the same seed a run produces the **identical** trace event sequence
+every time, and the five golden SHA-256 hashes below pin that sequence
+across commits — through the timer wheel, the cached multicast delivery
+plans with batched per-delay-bucket events, the interned heartbeats with
+the identity-based no-change receive path, and the deadline-heap
+directory purges.
 
-* **Delivery engine** (PR: perf engine) — cached multicast delivery plans,
-  batched per-delay-bucket events, route caches
-  (``MulticastFabric.use_fast_path``).
-* **Protocol engine** (PR: protocol hot path) — interned heartbeats with
-  the identity-based no-change receive path and deadline-heap directory
-  purges (``HierarchicalNode(use_fast_path=...)``); recurring timers are
-  now unconditional, owned by the ``repro.runtime`` layer.
-
-This is the contract documented in docs/PERFORMANCE.md; if an
-optimization ever changes scheduling order, loss-draw order, purge order,
-or election timing, these tests are the tripwire.
+This is the contract documented in docs/PERFORMANCE.md; if a change ever
+moves scheduling order, loss-draw order, purge order, or election timing,
+these tests are the tripwire.
 """
 
 from repro.metrics.experiment import make_scheme_cluster
 
 
-def run_30_node_trace(
-    fast_path: bool, seed: int = 7, protocol_fast_path: bool = True
-):
-    """3 networks x 10 hosts, hierarchical scheme, crash + observe."""
-    net, hosts, nodes = make_scheme_cluster(
-        "hierarchical",
-        3,
-        10,
-        seed=seed,
-        loss_rate=0.02,
-        use_fast_path=protocol_fast_path,
-    )
-    net.multicast_fabric.use_fast_path = fast_path
+def run_30_node_trace(seed: int = 7, scheme: str = "hierarchical", chaos: bool = False):
+    """3 networks x 10 hosts at 2% loss, crash + observe.
+
+    With ``chaos``, an active fault plan covers every effect.  Chaos draws
+    happen at send time in delivery-plan order, from the dedicated
+    ``net.chaos`` stream — so the golden hash pins the draw order with
+    loss, jitter, reordering and duplication being injected mid-run.
+    """
+    net, hosts, nodes = make_scheme_cluster(scheme, 3, 10, seed=seed, loss_rate=0.02)
+    if chaos:
+        plan = net.ensure_fault_plan()
+        plan.partition(hosts[:10], hosts[10:], start=15.0, until=30.0, symmetric=False)
+        plan.add(
+            src=hosts[10:20], dst=hosts[20:], loss=0.2, jitter=0.05,
+            reorder=0.3, reorder_window=0.2, duplicate=0.1, dup_lag=0.05,
+            start=15.0, until=30.0,
+        )
     net.run(until=20.0)
     victim = hosts[5]
     nodes[victim].stop()
@@ -41,72 +40,16 @@ def run_30_node_trace(
     return [(r.time, r.kind, r.node, r.data) for r in net.trace]
 
 
-def test_fast_path_trace_identical_to_legacy_path():
-    fast = run_30_node_trace(fast_path=True)
-    slow = run_30_node_trace(fast_path=False)
-    assert len(fast) > 100  # the run actually did protocol work
-    assert fast == slow
-
-
-def test_protocol_fast_path_trace_identical_to_legacy_path():
-    # Delivery engine fixed, protocol engine A/B: interned heartbeats,
-    # the no-change receive path, heap purges and recurring timers must
-    # not move a single trace event.
-    fast = run_30_node_trace(fast_path=True, protocol_fast_path=True)
-    slow = run_30_node_trace(fast_path=True, protocol_fast_path=False)
-    assert len(fast) > 100
-    assert fast == slow
-
-
-def test_both_engines_off_trace_identical_to_both_on():
-    # The two flags compose: all-legacy and all-fast bracket the matrix.
-    all_fast = run_30_node_trace(fast_path=True, protocol_fast_path=True)
-    all_slow = run_30_node_trace(fast_path=False, protocol_fast_path=False)
-    assert all_fast == all_slow
-
-
 def test_same_seed_reproduces_identical_trace():
-    assert run_30_node_trace(fast_path=True) == run_30_node_trace(fast_path=True)
+    trace = run_30_node_trace()
+    assert len(trace) > 100  # the run actually did protocol work
+    assert trace == run_30_node_trace()
 
 
 def test_different_seeds_diverge():
     # Sanity check that the guard is sensitive at all: with loss enabled,
     # different seeds must not produce the same trace.
-    assert run_30_node_trace(True, seed=7) != run_30_node_trace(True, seed=8)
-
-
-def run_30_node_chaos_trace(fast_path: bool, seed: int = 7):
-    """The 30-node run with an active fault plan covering every effect.
-
-    Chaos draws happen at send time in receiver-iteration order on both
-    fabric paths, from the dedicated ``net.chaos`` stream — so the
-    trace-identity contract must survive loss, jitter, reordering and
-    duplication being injected mid-run.
-    """
-    net, hosts, nodes = make_scheme_cluster(
-        "hierarchical", 3, 10, seed=seed, loss_rate=0.02
-    )
-    net.multicast_fabric.use_fast_path = fast_path
-    plan = net.ensure_fault_plan()
-    plan.partition(hosts[:10], hosts[10:], start=15.0, until=30.0, symmetric=False)
-    plan.add(
-        src=hosts[10:20], dst=hosts[20:], loss=0.2, jitter=0.05,
-        reorder=0.3, reorder_window=0.2, duplicate=0.1, dup_lag=0.05,
-        start=15.0, until=30.0,
-    )
-    net.run(until=20.0)
-    victim = hosts[5]
-    nodes[victim].stop()
-    net.crash_host(victim)
-    net.run(until=50.0)
-    return [(r.time, r.kind, r.node, r.data) for r in net.trace]
-
-
-def test_chaos_trace_identical_across_fabric_paths():
-    fast = run_30_node_chaos_trace(fast_path=True)
-    slow = run_30_node_chaos_trace(fast_path=False)
-    assert len(fast) > 100
-    assert fast == slow
+    assert run_30_node_trace(seed=7) != run_30_node_trace(seed=8)
 
 
 def test_installing_inactive_fault_plan_changes_nothing():
@@ -178,9 +121,9 @@ def test_jsonl_sink_attached_changes_nothing_and_is_byte_identical(tmp_path):
 # ``repro.sim``).  The runtime/roles refactor — and any future structural
 # change — must reproduce them bit-for-bit: a changed hash means the
 # "pure code motion" claim is false (a scheduling call moved, an RNG draw
-# was added or reordered, a trace emit shifted).  Unlike the pairwise A/B
+# was added or reordered, a trace emit shifted).  Unlike the pairwise
 # tests above, these pin the traces across *commits*, not just across
-# flag settings within one commit.
+# runs of one commit.
 # ----------------------------------------------------------------------
 
 GOLDEN_SHA256 = {
@@ -208,41 +151,25 @@ def _trace_hash(trace) -> str:
     return hashlib.sha256(repr(trace).encode()).hexdigest()
 
 
-def run_30_node_scheme_trace(scheme: str, seed: int = 7):
-    """The baseline schemes through the same 3x10 crash scenario."""
-    net, hosts, nodes = make_scheme_cluster(scheme, 3, 10, seed=seed, loss_rate=0.02)
-    net.run(until=20.0)
-    victim = hosts[5]
-    nodes[victim].stop()
-    net.crash_host(victim)
-    net.run(until=50.0)
-    return [(r.time, r.kind, r.node, r.data) for r in net.trace]
-
-
 def test_golden_trace_hierarchical_seed7():
-    assert _trace_hash(run_30_node_trace(True)) == GOLDEN_SHA256[("hierarchical", 7)]
-
-
-def test_golden_trace_hierarchical_seed7_legacy_protocol_path():
-    trace = run_30_node_trace(True, protocol_fast_path=False)
-    assert _trace_hash(trace) == GOLDEN_SHA256[("hierarchical", 7)]
+    assert _trace_hash(run_30_node_trace()) == GOLDEN_SHA256[("hierarchical", 7)]
 
 
 def test_golden_trace_hierarchical_seed8():
-    trace = run_30_node_trace(True, seed=8)
+    trace = run_30_node_trace(seed=8)
     assert _trace_hash(trace) == GOLDEN_SHA256[("hierarchical", 8)]
 
 
 def test_golden_trace_hierarchical_chaos():
-    trace = run_30_node_chaos_trace(True)
+    trace = run_30_node_trace(chaos=True)
     assert _trace_hash(trace) == GOLDEN_SHA256[("hierarchical-chaos", 7)]
 
 
 def test_golden_trace_all_to_all():
-    trace = run_30_node_scheme_trace("all-to-all")
+    trace = run_30_node_trace(scheme="all-to-all")
     assert _trace_hash(trace) == GOLDEN_SHA256[("all-to-all", 7)]
 
 
 def test_golden_trace_gossip():
-    trace = run_30_node_scheme_trace("gossip")
+    trace = run_30_node_trace(scheme="gossip")
     assert _trace_hash(trace) == GOLDEN_SHA256[("gossip", 7)]

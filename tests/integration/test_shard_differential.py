@@ -1,7 +1,7 @@
 """Sharded-vs-single differential suite: the determinism contract.
 
-Mirrors ``test_timer_wheel_differential``: the same five pinned golden
-scenarios, but the axis under test is the shard count.  The contract is
+Runs the five pinned golden scenarios of ``test_determinism_guard``,
+with the shard count as the axis under test.  The contract is
 strict — the merged trace of a sharded run must be **byte-identical**
 (same sha256) at shards=1, 2 and 4, and pinned against golden digests so
 a semantics drift in the shard kernel cannot hide behind self-consistent

@@ -189,17 +189,15 @@ class TestNetworkIntegration:
         assert len(sink_a.received) == 1  # reverse flows
 
     def test_multicast_directional_total_loss_fast_and_slow(self):
-        for fast in (True, False):
-            net, hosts = make_net(1, 3)
-            net.multicast_fabric.use_fast_path = fast
-            net.ensure_fault_plan().add(src=hosts[0], dst=hosts[1], loss=1.0)
-            sinks = {h: Collector(net) for h in hosts[1:]}
-            for h, s in sinks.items():
-                net.subscribe("ch", h, s)
-            net.multicast(hosts[0], "ch", ttl=1, kind="hb", payload=None, size=1)
-            net.run()
-            assert sinks[hosts[1]].received == []
-            assert len(sinks[hosts[2]].received) == 1
+        net, hosts = make_net(1, 3)
+        net.ensure_fault_plan().add(src=hosts[0], dst=hosts[1], loss=1.0)
+        sinks = {h: Collector(net) for h in hosts[1:]}
+        for h, s in sinks.items():
+            net.subscribe("ch", h, s)
+        net.multicast(hosts[0], "ch", ttl=1, kind="hb", payload=None, size=1)
+        net.run()
+        assert sinks[hosts[1]].received == []
+        assert len(sinks[hosts[2]].received) == 1
 
     def test_duplication_delivers_twice(self):
         net, hosts = make_net()

@@ -1,6 +1,6 @@
 """Delivery-plan cache invalidation under churn.
 
-The fast-path fabric caches per-(channel, src, ttl) recipient plans keyed
+The multicast fabric caches per-(channel, src, ttl) recipient plans keyed
 on the topology version and a per-channel subscription version.  Every
 mutation that can change who hears a send — subscribe, unsubscribe,
 crash-driven unsubscribe_all, handler replacement, device up/down — must
@@ -107,8 +107,8 @@ class TestSubscriptionChurn:
         assert len(new.received) == 1
 
     def test_handler_replacement_mid_flight_drops_inflight_packet(self):
-        # Matches the legacy identity check: a packet sent to handler A is
-        # not delivered to replacement handler B at the same host.
+        # Handler identity is checked at delivery: a packet sent to handler
+        # A is not delivered to replacement handler B at the same host.
         net, hosts = make_net(1, 2)
         old, new = Collector(net), Collector(net)
         net.subscribe("ch", hosts[1], old)
@@ -187,24 +187,40 @@ class TestTopologyChurn:
 
 
 class TestFastSlowEquivalence:
-    @pytest.mark.parametrize("loss_rate,seed", [(0.0, 1), (0.25, 9)])
-    def test_paths_deliver_identically(self, loss_rate, seed):
-        def run(fast):
-            net, hosts = make_net(2, 4, loss_rate=loss_rate, seed=seed)
-            net.multicast_fabric.use_fast_path = fast
-            sinks = {h: Collector(net) for h in hosts}
-            for h, s in sinks.items():
-                net.subscribe("ch", h, s)
-            counts = []
-            for src in hosts[:3]:
-                for ttl in (1, 2):
-                    counts.append(
-                        net.multicast(src, "ch", ttl=ttl, kind="x", payload=None, size=7)
-                    )
-            net.run()
-            deliveries = {
-                h: [(t, p.src, p.ttl) for t, p in s.received] for h, s in sinks.items()
-            }
-            return counts, deliveries, net.meter.packets(direction="rx")
+    """Lossless sends against the topology's own scope and latency.
 
-        assert run(True) == run(False)
+    The lossy draw order is pinned by the determinism guard's golden
+    traces (all at 2 % loss).
+    """
+
+    @pytest.mark.parametrize("loss_rate,seed", [(0.0, 1)])
+    def test_paths_deliver_identically(self, loss_rate, seed):
+        net, hosts = make_net(2, 4, loss_rate=loss_rate, seed=seed)
+        topo = net.topo
+        sinks = {h: Collector(net) for h in hosts}
+        for h, s in sinks.items():
+            net.subscribe("ch", h, s)
+        sends = [(src, ttl) for src in hosts[:3] for ttl in (1, 2)]
+        counts = [
+            net.multicast(src, "ch", ttl=ttl, kind="x", payload=None, size=7)
+            for src, ttl in sends
+        ]
+        net.run()
+
+        def reached(src, ttl):
+            return [h for h in hosts if h != src and topo.ttl_distance(src, h) <= ttl]
+
+        assert counts == [len(reached(src, ttl)) for src, ttl in sends]
+        for h, sink in sinks.items():
+            # All sends leave at t=0: arrival is the path latency, ties in
+            # send order (sorted() is stable).
+            expected = sorted(
+                (
+                    (topo.latency(src, h), src, ttl)
+                    for src, ttl in sends
+                    if h in reached(src, ttl)
+                ),
+                key=lambda d: d[0],
+            )
+            assert [(t, p.src, p.ttl) for t, p in sink.received] == expected
+        assert net.meter.packets(direction="rx") == sum(counts)

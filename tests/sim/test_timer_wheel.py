@@ -1,26 +1,30 @@
-"""Timer-wheel backend guards: cancel/re-arm semantics and recycling.
+"""Timer-wheel guards: event order, cancel/re-arm semantics, recycling.
 
-The wheel and the legacy heap both use *lazy deletion*: ``cancel()``
-flags the queued entry and the run loop skips it when popped.  The
-classic blind spot of that scheme is a timer that is cancelled and then
-re-armed for the **same tick** — if the replacement reuses (or collides
-with) the stale queue entry, the callback fires twice in one instant.
-These tests pin the single-firing behaviour on both backends, plus the
-free-list recycling contract for kernel-owned batch events.
+The wheel uses *lazy deletion*: ``cancel()`` flags the queued entry and
+the run loop skips it when popped.  The classic blind spot of that
+scheme is a timer that is cancelled and then re-armed for the **same
+tick** — if the replacement reuses (or collides with) the stale queue
+entry, the callback fires twice in one instant.  These tests pin the
+single-firing behaviour, the free-list recycling contract for
+kernel-owned batch events, and — against a naive in-test model — the
+exact ``(time, priority, seq)`` firing order across every lane.
 """
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator, SimulationError
 from repro.sim.engine import _FREE_MAX
 
 
-@pytest.mark.parametrize("wheel", [False, True], ids=["heap", "wheel"])
 class TestCancelRearmSameTick:
     """A cancelled recurring timer re-armed in the same tick fires once."""
 
-    def test_external_cancel_and_rearm_same_tick(self, wheel):
-        sim = Simulator(use_timer_wheel=wheel)
+    def test_external_cancel_and_rearm_same_tick(self):
+        sim = Simulator()
         fires = []
         old = sim.call_every(1.0, lambda: fires.append(("old", sim.now)))
 
@@ -42,8 +46,8 @@ class TestCancelRearmSameTick:
             ("new", 5.0),
         ]
 
-    def test_cancel_from_inside_own_callback_with_replacement(self, wheel):
-        sim = Simulator(use_timer_wheel=wheel)
+    def test_cancel_from_inside_own_callback_with_replacement(self):
+        sim = Simulator()
         fires = []
         holder = {}
 
@@ -59,16 +63,16 @@ class TestCancelRearmSameTick:
         sim.run(until=4.0)
         assert fires == [1.0, 2.0, 3.0, 4.0]
 
-    def test_cancelled_timer_never_fires_again(self, wheel):
-        sim = Simulator(use_timer_wheel=wheel)
+    def test_cancelled_timer_never_fires_again(self):
+        sim = Simulator()
         fires = []
         timer = sim.call_every(1.0, lambda: fires.append(sim.now))
         sim.call_at(2.5, timer.cancel)
         sim.run(until=10.0)
         assert fires == [1.0, 2.0]
 
-    def test_double_cancel_is_idempotent(self, wheel):
-        sim = Simulator(use_timer_wheel=wheel)
+    def test_double_cancel_is_idempotent(self):
+        sim = Simulator()
         fires = []
         timer = sim.call_every(1.0, lambda: fires.append(sim.now))
         sim.run(until=1.0)
@@ -131,41 +135,119 @@ class TestFreeListRecycling:
         assert seen == ["a"]
 
 
-class TestBackendSwitching:
-    def test_switch_preserves_pending_events(self):
-        sim = Simulator(use_timer_wheel=True)
-        order = []
-        sim.call_at(1.0, order.append, "a")
-        sim.call_at(2.0, order.append, "b")
-        sim.use_timer_wheel = False
-        assert not sim.use_timer_wheel
-        sim.call_at(1.5, order.append, "mid")
-        sim.run(until=3.0)
-        assert order == ["a", "mid", "b"]
+def test_negative_start_time_rejected():
+    with pytest.raises(SimulationError):
+        Simulator(start_time=-1.0)
 
-    def test_switch_back_to_wheel_preserves_pending_events(self):
-        sim = Simulator(use_timer_wheel=False)
-        order = []
-        sim.call_at(1.0, order.append, "a")
-        timer = sim.call_every(1.0, order.append, "tick", first_delay=2.0)
-        sim.use_timer_wheel = True
-        sim.run(until=2.0)
-        timer.cancel()
-        sim.run(until=4.0)
-        assert order == ["a", "tick"]
 
-    def test_negative_clock_rejects_wheel(self):
-        sim = Simulator(start_time=-1.0, use_timer_wheel=True)
-        assert not sim.use_timer_wheel  # silently fell back at construction
-        with pytest.raises(SimulationError):
-            sim.use_timer_wheel = True
+def test_event_scheduled_between_runs_fires_before_matured_far_event():
+    # run(until=...) ends with a peek, which matures the lone ``inf`` event;
+    # work scheduled afterwards must still fire ahead of it.
+    sim = Simulator()
+    order = []
+    sim.call_at(math.inf, order.append, "end")
+    sim.run(until=10.0)
+    sim.call_at(11.0, order.append, "x")
+    sim.call_at(math.inf, order.append, "first-at-end", priority=-1)
+    assert sim.run(until=20.0) == 20.0
+    assert order == ["x"]
+    sim.run()
+    assert order == ["x", "first-at-end", "end"]
 
-    def test_switch_mid_run_rejected(self):
-        sim = Simulator(use_timer_wheel=True)
 
-        def flip():
-            sim.use_timer_wheel = False
+# ----------------------------------------------------------------------
+# Firing order against a naive model
+# ----------------------------------------------------------------------
+#: Delays that land an event in each lane of the wheel: the slot being
+#: drained (same tick), the fine ring (< 8 s), the coarse ring (< 128 s)
+#: and the far heap — including times beyond slot arithmetic (>= 2**40)
+#: and ``inf``.
+_delays = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1.0 / 256),
+    st.floats(min_value=0.0, max_value=8.0),
+    st.floats(min_value=8.0, max_value=128.0),
+    st.floats(min_value=128.0, max_value=1e6),
+    st.sampled_from([float(1 << 40), float(1 << 40) + 1.0, 2.0**60, math.inf]),
+)
 
-        sim.call_at(1.0, flip)
-        with pytest.raises(SimulationError):
-            sim.run(until=2.0)
+
+@st.composite
+def _scripts(draw):
+    """Events as ``(parent, delay, priority, cancels)`` rows.
+
+    Row *i* is scheduled ``delay`` after its parent fires (parent ``-1``:
+    at time zero, before the run) and, when it fires itself, cancels row
+    ``cancels`` if that row has been scheduled by then.
+    """
+    n = draw(st.integers(min_value=1, max_value=25))
+    return [
+        (
+            draw(st.integers(min_value=-1, max_value=i - 1)),
+            draw(_delays),
+            draw(st.integers(min_value=-1, max_value=1)),
+            draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1))),
+        )
+        for i in range(n)
+    ]
+
+
+def _model_order(script, untils):
+    """Always fire ``min(pending)`` by ``(time, priority, seq)``: a list and min()."""
+    pending = []  # [time, priority, seq, row]
+    seq = 0
+    fired = []
+
+    def schedule(parent, now):
+        nonlocal seq
+        for row, (par, delay, priority, _cancels) in enumerate(script):
+            if par == parent:
+                pending.append([now + delay, priority, seq, row])
+                seq += 1
+
+    schedule(-1, 0.0)
+    for until in untils:
+        while pending:
+            item = min(pending)
+            if item[0] > until:
+                break
+            pending.remove(item)
+            row = item[3]
+            fired.append((row, item[0]))
+            schedule(row, item[0])
+            cancels = script[row][3]
+            pending[:] = [p for p in pending if p[3] != cancels]
+    return fired
+
+
+def _wheel_order(script, untils):
+    sim = Simulator()
+    handles = {}
+    fired = []
+
+    def schedule(parent):
+        for row, (par, delay, priority, _cancels) in enumerate(script):
+            if par == parent:
+                handles[row] = sim.call_after(delay, fire, row, priority=priority)
+
+    def fire(row):
+        fired.append((row, sim.now))
+        schedule(row)
+        target = handles.get(script[row][3])
+        if target is not None:
+            target.cancel()
+
+    schedule(-1)
+    for until in untils:
+        sim.run(until=None if until == math.inf else until)
+    return fired
+
+
+@given(
+    _scripts(),
+    st.lists(st.floats(min_value=0.0, max_value=300.0), max_size=4).map(sorted),
+)
+@settings(max_examples=300, deadline=None)
+def test_wheel_fires_in_time_priority_seq_order(script, untils):
+    untils = untils + [math.inf]  # the last piece drains the queue
+    assert _wheel_order(script, untils) == _model_order(script, untils)
