@@ -18,13 +18,13 @@ false-failure budget; a pair is ``ok`` only when every invariant held and
 the failure was detected within twice its advertised bound (plus slack
 for trace granularity).
 
-``benchmarks/bench_detectors.py`` sweeps this matrix into
-``BENCH_detectors.json``.
+``tests/detect/test_chaos_bounds.py`` runs a small instance of the matrix
+as the tier-1 (and CI) gate.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.models import MODELS, AnalysisParams
@@ -233,9 +233,3 @@ class DetectorMatrixLab:
             for detector in self.detectors
             for scheme in self.schemes
         ]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def to_rows(results: Sequence[DetectorPairResult]) -> List[Dict[str, object]]:
-        """JSON-ready rows (the BENCH_detectors.json payload)."""
-        return [asdict(r) for r in results]

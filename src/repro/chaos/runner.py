@@ -22,8 +22,8 @@ derived from the scenario seed, and fault draws happen at send time in
 delivery-plan (= subscription) order, so same-seed runs produce a
 byte-identical trace (pinned by the determinism guard's golden chaos
 hash).  Detection/convergence times and the Fig. 13/14
-recovery curves are extracted from the trace; ``benchmarks/bench_chaos.py``
-sweeps seeds and records them in BENCH_chaos.json.
+recovery curves are extracted from the trace; ``tests/chaos/test_scenario.py``
+sweeps five seeds as the tier-1 (and CI) gate.
 """
 
 from __future__ import annotations

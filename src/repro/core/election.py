@@ -14,7 +14,8 @@ with the lowest ID becomes the group leader"), refined by two rules:
 
 Plus the availability fast path: "The backup leader is randomly chosen by
 the primary group leader and it will take over the leadership if the
-primary leader fails," skipping the election delay entirely.
+primary leader fails," skipping the election delay entirely — applied
+where the death is observed, in ``Tracker.handle_peer_death``.
 
 Decisions are pure functions of a :class:`~repro.core.groups.GroupState`,
 which keeps them unit-testable without a simulator.
@@ -23,7 +24,6 @@ which keeps them unit-testable without a simulator.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
 
 from repro.core.groups import GroupState
 
@@ -75,15 +75,3 @@ def decide(
         return Decision.STAY  # a lower-ID contender should win; wait
     return Decision.BECOME_LEADER
 
-
-def backup_should_take_over(
-    state: GroupState,
-    self_id: str,
-    dead_leader_backup: Optional[str],
-) -> bool:
-    """Fast failover check when a leader was just purged.
-
-    Returns True if this node was the purged leader's designated backup
-    (and is not already a leader itself).
-    """
-    return dead_leader_backup == self_id and not state.i_am_leader

@@ -166,9 +166,6 @@ class MulticastFabric:
     def subscribers(self, channel: str) -> list[str]:
         return sorted(self._subs.get(channel, {}))
 
-    def is_subscribed(self, channel: str, host: str) -> bool:
-        return host in self._subs.get(channel, {})
-
     # ------------------------------------------------------------------
     # Delivery plans
     # ------------------------------------------------------------------
@@ -199,7 +196,7 @@ class MulticastFabric:
         # One fused (ttl, latency) query per candidate: plan building is
         # n^2-scale on cluster-wide channels during a mass join, and the
         # two quantities come out of the same routing cell anyway.
-        route = topo.mc_route
+        route = self._plan_route()
         proc_delay = self.proc_delay
         if plan is not None and plan[1] == reset:
             # Pure additions since this plan was built: evaluate only the
@@ -237,6 +234,14 @@ class MulticastFabric:
         buckets = tuple(by_delay.values())
         self._plans[key] = (sub_version, reset, len(log), recipients, buckets)
         return recipients, buckets
+
+    def _plan_route(self) -> Callable[[str, str], Tuple[float, float]]:
+        """The ``(ttl distance, latency)`` query one plan build scopes with.
+
+        Looked up once per build, not per candidate.  The sharded fabric
+        narrows it to the sender's segment (``repro.shard.netshard``).
+        """
+        return self.topo.mc_route
 
     # ------------------------------------------------------------------
     # Sending

@@ -9,7 +9,7 @@ topologies and metering without touching protocol code.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.net.bandwidth import BandwidthMeter
 from repro.net.faults import FaultPlan
@@ -47,6 +47,10 @@ class Network:
     fault_plan:
         Optional chaos :class:`~repro.net.faults.FaultPlan` to install at
         construction (see :meth:`set_fault_plan`).
+    sim:
+        The kernel to run on; a fresh :class:`Simulator` by default.  The
+        sharded kernel hands in its own (``repro.shard.netshard``), as it
+        does ``trace`` — nothing here branches on either.
     """
 
     def __init__(
@@ -58,17 +62,15 @@ class Network:
         keep_bandwidth_series: bool = False,
         trace: Optional[Trace] = None,
         fault_plan: Optional[FaultPlan] = None,
+        sim: Optional[Simulator] = None,
     ) -> None:
-        self.sim = Simulator()
+        self.sim = sim if sim is not None else Simulator()
         self.topo = topo
         self.rng = RngRegistry(seed)
         self.meter = BandwidthMeter(keep_series=keep_bandwidth_series)
         self.trace = trace if trace is not None else Trace()
         loss_rng = self.rng.stream("net.loss") if loss_rate > 0 else None
-        self.multicast_fabric = MulticastFabric(
-            self.sim, topo, self.meter, loss_rate, loss_rng, proc_delay
-        )
-        self.transport = UnicastTransport(
+        self.multicast_fabric, self.transport = self._make_fabrics(
             self.sim, topo, self.meter, loss_rate, loss_rng, proc_delay
         )
         self.fault_plan: Optional[FaultPlan] = None
@@ -77,6 +79,10 @@ class Network:
         # Shared instrument bundle; the no-op singleton until
         # repro.obs.enable_observability swaps in real instruments.
         self.obs: Instruments = NOOP
+
+    def _make_fabrics(self, *args: object) -> Tuple[MulticastFabric, UnicastTransport]:
+        """Build both fabrics from their shared constructor arguments."""
+        return MulticastFabric(*args), UnicastTransport(*args)
 
     # ------------------------------------------------------------------
     # Convenience pass-throughs used by protocol code

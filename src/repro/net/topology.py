@@ -70,8 +70,6 @@ class Topology:
         self._wan_edges: set[Tuple[str, str]] = set()
         # source host -> {dest host -> (ttl_distance, latency)}
         self._cache: Dict[str, Dict[str, Tuple[float, float]]] = {}
-        # source host -> {dest host -> latency} (WAN allowed)
-        self._ucache: Dict[str, Dict[str, float]] = {}
         self._version = 0
         # --- segment-compressed distance engine (see _leaf_map) ---
         # Structural layout (who is a simple leaf, the infra adjacency,
@@ -243,7 +241,6 @@ class Topology:
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
         self._cache.clear()
-        self._ucache.clear()
         self._mc_seeded.clear()
         self._uc_seeded.clear()
         self._mc_base.clear()
@@ -513,26 +510,4 @@ class Topology:
             if self._kind[node] is NodeKind.HOST:
                 result[node] = (routers + 1.0 if node != src else 0.0, lat)
         self._cache[src] = result
-        return result
-
-    def _unicast_distances(self, src: str) -> Dict[str, float]:
-        cached = self._ucache.get(src)
-        if cached is not None:
-            return cached
-        result: Dict[str, float] = {}
-        if self._up.get(src, False):
-            seen: Dict[str, float] = {}
-            pq: List[Tuple[float, str]] = [(0.0, src)]
-            while pq:
-                lat, node = heapq.heappop(pq)
-                if node in seen:
-                    continue
-                seen[node] = lat
-                for nxt, edge_lat in self._adj[node].items():
-                    if nxt not in seen and self._up[nxt]:
-                        heapq.heappush(pq, (lat + edge_lat, nxt))
-            for node, lat in seen.items():
-                if self._kind[node] is NodeKind.HOST and node != src:
-                    result[node] = lat
-        self._ucache[src] = result
         return result

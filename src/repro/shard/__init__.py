@@ -20,8 +20,9 @@ Layout
   boundary-link classification.
 * :mod:`repro.shard.engine` — :class:`ShardSimulator`: tuple-keyed event
   ordering that is stable across shard counts, plus window draining.
-* :mod:`repro.shard.netshard` — the per-shard network facade (multicast +
-  unicast fabrics that split same-segment from cross-segment traffic).
+* :mod:`repro.shard.netshard` — the per-shard :class:`~repro.net.network.
+  Network`: the plain fabrics, subclassed to deliver inside the sender's
+  segment at send time and file everything else for the barrier.
 * :mod:`repro.shard.scenario` — the picklable scenario spec (spawn-safe).
 * :mod:`repro.shard.runner` — the in-process windowed barrier loop.
 * :mod:`repro.shard.workers` — the multiprocessing (spawn) runner.

@@ -19,9 +19,11 @@ Key shapes
 * the *k*-th re-arm of a recurring timer first keyed ``B`` —
   ``B + (-1, k)`` (the ``-1`` marker cannot collide with child indices,
   which are always ≥ 0)
-* a barrier-evaluated delivery of cross-shard send descriptor ``D`` to
-  the receiver of global rank *r*, copy *c* — ``D + (r, c)``
-  (scheduled explicitly via :meth:`ShardSimulator.call_at_keyed`).
+* the *b*-th delay bucket of cross-segment multicast descriptor ``D``
+  delivered into segment *s* — ``D + (s, b)``; copy *c* of unicast
+  descriptor ``D`` — ``D + (c,)`` (both scheduled at a barrier, via
+  :meth:`ShardSimulator.call_at_keyed`; one event never spans two
+  segments, so it never spans two shards).
 """
 
 from __future__ import annotations

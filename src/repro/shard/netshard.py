@@ -1,37 +1,46 @@
-"""The per-shard network facade and its traffic-splitting fabrics.
+"""The per-shard :class:`~repro.net.network.Network` and what sharding adds to it.
 
-One :class:`ShardNetwork` is the ``Network``-shaped world a shard's
-protocol nodes live in: it owns a full **replica** of the topology (every
+One :class:`ShardNetwork` is the world a shard's protocol nodes live in:
+a plain ``Network`` handed a :class:`~repro.shard.engine.ShardSimulator`
+and a :class:`ShardTrace`, over a full **replica** of the topology (every
 shard builds the identical graph from the scenario spec and applies the
 identical control operations, so distance/route queries agree
-everywhere), a :class:`~repro.shard.engine.ShardSimulator`, and the two
-fabrics below.
+everywhere).  Its two fabrics are the plain ones —
+:class:`~repro.net.multicast.MulticastFabric` and
+:class:`~repro.net.transport.UnicastTransport` — subclassed only where a
+send can leave the sender's segment.
 
-Traffic classification
-----------------------
+Which half runs where
+---------------------
 * **Same-segment** (sender and receiver in one L2 segment, hence one
-  shard): evaluated at send time against live local state, exactly like
-  the plain fabrics — latency is below the cross-segment lookahead so
-  these deliveries cannot wait for a barrier.
+  shard): the inherited send path, at send time, against live local
+  state — delivery plan, loss, chaos, one event per delay bucket.
+  Latency is below the cross-segment lookahead, so these deliveries
+  cannot wait for a barrier.  The multicast plan is kept to the segment
+  by a plan-build-time route filter; nothing per send or per receiver.
 * **Cross-segment** (always crosses a router/WAN pinch, latency ≥ the
   lookahead): the send appends one :class:`Descriptor` to the shard's
   outbox.  At the next window barrier all outboxes are merged, sorted by
   ``(t_send, key)``, and *every* shard evaluates the merged stream
   against its own local receivers — even the sender's shard, for its
   locally-owned other segments.  This holds for shards=1 too, which is
-  what makes the merged trace shard-count invariant.
+  what makes the merged trace shard-count invariant.  Deliveries run the
+  inherited ``_deliver_batch`` / ``_deliver``.
 
 Determinism of the stochastic processes
 ---------------------------------------
-The plain fabrics draw loss/chaos from single shared streams in global
-execution order — an order that does not survive partitioning.  The
-shard fabrics instead draw from **per-destination** streams
-(``shard.loss.<dst>``, ``shard.chaos.<dst>``): for one destination the
-draw order is its shard's execution order (same-segment sends) merged
-with the globally-sorted descriptor order (barrier evaluations), both of
-which are shard-count invariant; draws for different destinations come
-from independent streams, so their interleaving cannot matter.  Chaos
-rule *matching* uses the send time (``t_send``), like the plain fabrics.
+The plain ``Network`` draws loss/chaos from two shared streams
+(``net.loss``, ``net.chaos``) in global execution order — an order that
+does not survive partitioning.  Here a delivery draws from the streams of
+its **destination segment** (``shard.loss.<segment>``,
+``shard.chaos.<segment>``), selected once per send at send time and once
+per destination segment at the barrier.  For one segment the draw order
+is its shard's execution order (same-segment sends) merged with the
+globally-sorted descriptor order (barrier evaluations), both of which are
+shard-count invariant because a segment is never split; draws for
+different segments come from independent streams, so their interleaving
+cannot matter.  Chaos rule *matching* uses the send time (``t_send``) in
+both halves.
 
 Virtual addresses (``bind_address`` / IP takeover) are intentionally
 unsupported: only the two-DC proxy experiment uses them and it is out of
@@ -42,22 +51,26 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.net.bandwidth import BandwidthMeter
-from repro.net.faults import FaultPlan
+from repro.net.multicast import MulticastFabric
+from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.net.topology import UNREACHABLE, Topology
-from repro.obs.wiring import NOOP, Instruments
+from repro.net.transport import UnicastTransport
 from repro.shard.engine import Key, ShardSimulator
 from repro.shard.partition import ShardMap
-from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
 
 __all__ = ["Descriptor", "ShardNetwork", "ShardTrace"]
 
 Handler = Callable[[Packet], None]
+
+#: What the send-time plan sees for a host outside the sender's segment.
+_OUT_OF_SEGMENT = (UNREACHABLE, UNREACHABLE)
+
+#: destination segment -> ``(host, handler, delay)`` in subscription order.
+_RemotePlan = Dict[int, List[Tuple[str, Handler, float]]]
 
 
 class Descriptor:
@@ -65,9 +78,10 @@ class Descriptor:
 
     ``key`` is the send's unique event key (allocated from the sending
     event's context, hence shard-count invariant); barrier-scheduled
-    deliveries extend it with ``(receiver_rank, copy_index)``.  The
-    packet rides along whole — receivers resolve scope, latency, loss
-    and chaos themselves at the barrier, against replica state.
+    deliveries extend it with ``(segment, bucket_index)`` for a multicast
+    and ``(copy_index,)`` for a unicast.  The packet rides along whole —
+    receivers resolve scope, latency, loss and chaos themselves at the
+    barrier, against replica state.
     """
 
     __slots__ = ("key", "t_send", "packet", "port")
@@ -121,163 +135,143 @@ class ShardTrace(Trace):
             self._ctx_idx += 1
 
 
-class _ShardMulticastFabric:
-    """TTL-scoped multicast, split by segment (see module docstring)."""
+class _ShardMulticastFabric(MulticastFabric):
+    """The plain fabric, scoped to the sender's segment at send time.
 
-    def __init__(self, net: "ShardNetwork") -> None:
+    Subscriptions, delivery plans, loss and chaos draws, delay buckets,
+    in-flight revalidation and metering are all inherited; this class
+    only narrows plans to the sender's structural segment, records the
+    :class:`Descriptor` for everything beyond it, and evaluates other
+    shards' descriptors at the barrier.
+    """
+
+    def __init__(self, net: "ShardNetwork", *args: Any) -> None:
+        super().__init__(*args)
         self.net = net
-        # channel -> host -> handler (local hosts only; remote nodes
-        # subscribe in their own shard's replica of this fabric).
-        self._subs: Dict[str, Dict[str, Handler]] = defaultdict(dict)
+        # (channel, src, ttl) -> ((topology version, subscription version),
+        # out-of-segment recipients by destination segment): the barrier
+        # half's twin of the inherited plan cache, validated on read.
+        self._remote: Dict[Tuple[str, str, int], Tuple[Tuple[int, int], _RemotePlan]] = {}
 
-    # -- membership ----------------------------------------------------
-    def subscribe(self, channel: str, host: str, handler: Handler) -> None:
-        self._subs[channel][host] = handler
+    def _plan_route(self) -> Callable[[str, str], Tuple[float, float]]:
+        return self._segment_route
 
-    def unsubscribe(self, channel: str, host: str) -> None:
-        subs = self._subs.get(channel)
-        if subs is not None:
-            subs.pop(host, None)
+    def _segment_route(self, src: str, host: str) -> Tuple[float, float]:
+        """``mc_route`` with every other segment out of scope.
 
-    def unsubscribe_all(self, host: str) -> None:
-        for subs in self._subs.values():
-            subs.pop(host, None)
+        Segments are structural (up/down state never moves a host
+        between them), so barrier-applied topology ops cannot make this
+        half and :meth:`evaluate` overlap or leave a gap.
+        """
+        topo = self.topo
+        if topo.segment_of(host) != topo.segment_of(src):
+            return _OUT_OF_SEGMENT
+        return topo.mc_route(src, host)
 
-    def subscribers(self, channel: str) -> List[str]:
-        return sorted(self._subs.get(channel, {}))
-
-    def is_subscribed(self, channel: str, host: str) -> bool:
-        return host in self._subs.get(channel, {})
-
-    # -- sending -------------------------------------------------------
     def send(self, packet: Packet) -> int:
-        """Send-time half: same-segment deliveries plus one descriptor.
+        """Send-time half: the inherited send, plus one descriptor.
 
         Returns the number of in-scope same-segment receivers (the
         cross-segment fan-out is not known until the barriers evaluate
         it — but the return value is the same for every shard count).
         """
-        if packet.channel is None:
-            raise ValueError("multicast send requires packet.channel")
         net = self.net
-        topo = net.topo
-        if not topo.is_up(packet.src):
-            return 0
-        sim = net.sim
-        now = sim.now
-        net.meter.record(now, packet.src, "tx", packet.kind, packet.size)
-        obs = net.obs
-        obs.mc_tx.inc()
-        src_seg = topo.segment_of(packet.src)
-        segment_of = topo.segment_of
-        delivered = 0
-        dropped = 0
-        subs = self._subs.get(packet.channel)
-        if subs:
-            distance = topo.ttl_distance
-            latency = topo.latency
-            proc_delay = net.proc_delay
-            for host, handler in subs.items():
-                if host == packet.src or segment_of(host) != src_seg:
-                    continue
-                if distance(packet.src, host) > packet.ttl:
-                    continue
-                delivered += 1
-                if not net._loss_ok(host):
-                    dropped += 1
-                    continue
-                delay = latency(packet.src, host) + proc_delay
-                offsets = net._fault_offsets(packet.src, host, now)
-                if offsets is None:
-                    sim.call_after(delay, self._deliver, packet, host, handler)
-                else:
-                    for off in offsets:
-                        sim.call_after(delay + off, self._deliver, packet, host, handler)
-        obs.mc_fanout.observe(delivered)
-        if delivered:
-            obs.mc_deliveries.add(delivered)
-        if dropped:
-            obs.mc_drops.add(dropped)
+        self.loss_rng = net.select_streams(self.topo.segment_of(packet.src))
+        delivered = super().send(packet)
         # Cross-segment scope needs TTL >= 2 (at least one router hop), so
         # local-only sends — the L0 heartbeat bulk — skip the barrier
         # exchange entirely.  The condition depends only on the packet,
         # keeping descriptor keys aligned across shard counts.
-        if packet.ttl >= 2:
-            net.outbox.append(Descriptor(sim.next_key(), now, packet))
+        if packet.ttl >= 2 and self.topo.is_up(packet.src):
+            net.outbox.append(Descriptor(net.sim.next_key(), net.sim.now, packet))
         return delivered
 
-    # -- barrier half --------------------------------------------------
-    def evaluate(self, d: Descriptor) -> None:
-        """Schedule this descriptor's deliveries to *local* receivers."""
-        net = self.net
-        packet = d.packet
-        subs = self._subs.get(packet.channel or "")
-        if not subs:
-            return
-        topo = net.topo
-        src_seg = topo.segment_of(packet.src)
-        segment_of = topo.segment_of
-        distance = topo.ttl_distance
-        latency = topo.latency
-        ranks = net.smap.host_rank
-        sim = net.sim
-        obs = net.obs
-        extra = 0
-        dropped = 0
-        for host, handler in subs.items():
-            if segment_of(host) == src_seg:
+    def _remote_plan(
+        self, channel: str, src: str, ttl: int, stamp: Tuple[int, int]
+    ) -> _RemotePlan:
+        """Local out-of-segment recipients of a send, by destination segment.
+
+        Each segment's ``(host, handler, delay)`` list is in subscription
+        order, like the inherited plans.
+        """
+        key = (channel, src, ttl)
+        cached = self._remote.get(key)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
+        topo = self.topo
+        src_seg = topo.segment_of(src)
+        plan: _RemotePlan = {}
+        for host, handler in self._subs[channel].items():
+            seg = topo.segment_of(host)
+            if seg == src_seg:
                 continue  # covered at send time, in the sender's shard
-            if distance(packet.src, host) > packet.ttl:
-                continue
-            extra += 1
-            if not net._loss_ok(host):
-                dropped += 1
-                continue
-            delay = latency(packet.src, host) + net.proc_delay
-            offsets = net._fault_offsets(packet.src, host, d.t_send)
-            copies = (0.0,) if offsets is None else offsets
-            for ci, off in enumerate(copies):
-                sim.call_at_keyed(
-                    d.t_send + delay + off,
-                    d.key + (ranks[host], ci),
-                    self._deliver,
-                    packet,
-                    host,
-                    handler,
-                )
-        if extra:
-            obs.mc_deliveries.add(extra)
-        if dropped:
-            obs.mc_drops.add(dropped)
+            hops, lat = topo.mc_route(src, host)
+            if hops <= ttl:
+                plan.setdefault(seg, []).append((host, handler, lat + self.proc_delay))
+        self._remote[key] = (stamp, plan)
+        return plan
 
-    def _deliver(self, packet: Packet, host: str, handler: Handler) -> None:
+    def evaluate(self, d: Descriptor) -> None:
+        """Barrier half: schedule ``d`` for local receivers in other segments.
+
+        Receivers are grouped by destination segment (never split across
+        shards) and, inside one, by identical delay; each group is one
+        event keyed ``d.key + (segment, bucket)`` running the inherited
+        :meth:`_deliver_batch`.  Loss, then chaos, is drawn receiver by
+        receiver in subscription order from the destination segment's
+        streams; chaos rules match on the send time, as at send time.
+        """
+        packet = d.packet
+        channel = packet.channel
+        assert channel is not None
+        if not self._subs.get(channel):
+            return
         net = self.net
-        if not net.topo.is_up(host):
-            return
-        if self._subs.get(packet.channel or "", {}).get(host) is not handler:
-            return
-        net.meter.record(net.sim.now, host, "rx", packet.kind, packet.size)
-        net.obs.mc_rx.inc()
-        handler(packet)
+        src = packet.src
+        stamp = (self.topo.version, self._sub_version[channel])
+        fault = self.fault_plan
+        if fault is not None and not fault.rules:
+            fault = None
+        rate = self.loss_rate
+        in_scope = dropped = 0
+        for seg, recipients in self._remote_plan(channel, src, packet.ttl, stamp).items():
+            loss = net.select_streams(seg)
+            in_scope += len(recipients)
+            buckets: Dict[float, List[Tuple[str, Handler]]] = {}
+            for host, handler, delay in recipients:
+                if rate > 0.0 and loss.random() < rate:
+                    dropped += 1
+                    continue
+                offsets = fault.offsets(src, host, d.t_send) if fault is not None else None
+                for off in (0.0,) if offsets is None else offsets:
+                    buckets.setdefault(delay + off, []).append((host, handler))
+            for i, (delay, bucket) in enumerate(buckets.items()):
+                net.sim.call_at_keyed(
+                    d.t_send + delay,
+                    d.key + (seg, i),
+                    self._deliver_batch,
+                    bucket,
+                    packet,
+                    stamp,
+                )
+        if in_scope:
+            self.obs.mc_deliveries.add(in_scope)
+        if dropped:
+            self.obs.mc_drops.add(dropped)
 
 
-class _ShardTransport:
-    """Port-addressed unicast, split by segment (see module docstring)."""
+class _ShardTransport(UnicastTransport):
+    """The plain transport for same-segment datagrams; the rest wait.
 
-    def __init__(self, net: "ShardNetwork") -> None:
+    Ports, routes, loss, chaos and delivery are inherited.  A datagram
+    whose destination lies in another segment becomes a
+    :class:`Descriptor` instead and is evaluated, by the shard that owns
+    the destination, at the next barrier.
+    """
+
+    def __init__(self, net: "ShardNetwork", *args: Any) -> None:
+        super().__init__(*args)
         self.net = net
-        self._ports: Dict[Tuple[str, str], Handler] = {}
-
-    # -- binding -------------------------------------------------------
-    def bind(self, host: str, port: str, handler: Handler) -> None:
-        self._ports[(host, port)] = handler
-
-    def unbind(self, host: str, port: str) -> None:
-        self._ports.pop((host, port), None)
-
-    def unbind_all(self, host: str) -> None:
-        for key in [k for k in self._ports if k[0] == host]:
-            del self._ports[key]
 
     def bind_address(self, address: str, host: str) -> None:
         raise NotImplementedError(
@@ -285,89 +279,68 @@ class _ShardTransport:
             "sharded kernel; run the proxy scenario on the plain Network"
         )
 
-    # -- sending -------------------------------------------------------
     def send(self, packet: Packet, port: str = "membership") -> bool:
-        if packet.dst is None:
-            raise ValueError("unicast send requires packet.dst")
         net = self.net
-        topo = net.topo
-        if not topo.is_up(packet.src):
-            return False
-        sim = net.sim
-        now = sim.now
-        net.meter.record(now, packet.src, "tx", packet.kind, packet.size)
-        obs = net.obs
-        obs.uc_tx.inc()
+        topo = self.topo
+        src = packet.src
         dst = packet.dst
-        if dst not in net.smap.host_rank:
-            obs.uc_unroutable.inc()
+        src_seg = topo.segment_of(src)
+        if dst is None or dst not in net.smap.host_rank or topo.segment_of(dst) == src_seg:
+            # In-segment — or not a host at all, which the inherited send
+            # rejects or counts as unroutable.
+            self.loss_rng = net.select_streams(src_seg)
+            return super().send(packet, port)
+        # Leaves the segment: account for the transmission here; loss,
+        # chaos and delivery are the destination shard's, at the barrier.
+        if not topo.is_up(src):
             return False
-        lat = topo.unicast_latency(packet.src, dst)
-        if lat == UNREACHABLE:
-            obs.uc_unroutable.inc()
+        now = net.sim.now
+        self.meter.record(now, src, "tx", packet.kind, packet.size)
+        self.obs.uc_tx.inc()
+        if self._route(src, dst) is None:
+            self.obs.uc_unroutable.inc()
             return False
-        if topo.segment_of(dst) != topo.segment_of(packet.src):
-            net.outbox.append(Descriptor(sim.next_key(), now, packet, port))
-            return True
-        if not net._loss_ok(dst):
-            obs.uc_drops.inc()
-            return False
-        offsets = net._fault_offsets(packet.src, dst, now)
-        delay = lat + net.proc_delay
-        if offsets is not None:
-            if not offsets:
-                return False
-            for off in offsets:
-                sim.call_after(delay + off, self._deliver, packet, dst, port)
-            return True
-        sim.call_after(delay, self._deliver, packet, dst, port)
+        net.outbox.append(Descriptor(net.sim.next_key(), now, packet, port))
         return True
 
-    # -- barrier half --------------------------------------------------
     def evaluate(self, d: Descriptor) -> None:
+        """Barrier half: deliver ``d`` if this shard owns its destination."""
         net = self.net
         packet = d.packet
-        host = packet.dst
-        assert host is not None
-        if not net.owns(host):
+        assert packet.dst is not None and d.port is not None
+        if not net.owns(packet.dst):
             return
-        topo = net.topo
-        lat = topo.unicast_latency(packet.src, host)
-        if lat == UNREACHABLE:
-            net.obs.uc_unroutable.inc()
+        route = self._route(packet.src, packet.dst)
+        if route is None:
+            self.obs.uc_unroutable.inc()
             return
-        if not net._loss_ok(host):
-            net.obs.uc_drops.inc()
+        host, delay = route
+        loss = net.select_streams(self.topo.segment_of(host))
+        if self.loss_rate > 0.0 and loss.random() < self.loss_rate:
+            self.obs.uc_drops.inc()
             return
-        offsets = net._fault_offsets(packet.src, host, d.t_send)
-        if offsets is not None and not offsets:
-            return
-        copies = (0.0,) if offsets is None else offsets
-        rank = net.smap.host_rank[host]
-        for ci, off in enumerate(copies):
+        fault = self.fault_plan
+        offsets: Optional[Tuple[float, ...]] = None
+        if fault is not None and fault.rules:
+            offsets = fault.offsets(packet.src, host, d.t_send)
+        for copy, off in enumerate((0.0,) if offsets is None else offsets):
             net.sim.call_at_keyed(
-                d.t_send + lat + net.proc_delay + off,
-                d.key + (rank, ci),
+                d.t_send + delay + off,
+                d.key + (copy,),
                 self._deliver,
                 packet,
                 host,
-                d.port or "membership",
+                d.port,
             )
 
-    def _deliver(self, packet: Packet, host: str, port: str) -> None:
-        net = self.net
-        if not net.topo.is_up(host):
-            return
-        handler = self._ports.get((host, port))
-        if handler is None:
-            return
-        net.meter.record(net.sim.now, host, "rx", packet.kind, packet.size)
-        net.obs.uc_rx.inc()
-        handler(packet)
 
+class ShardNetwork(Network):
+    """One shard's :class:`Network` (see module docstring)."""
 
-class ShardNetwork:
-    """One shard's ``Network``-shaped facade (see module docstring)."""
+    sim: ShardSimulator
+    trace: ShardTrace
+    multicast_fabric: _ShardMulticastFabric
+    transport: _ShardTransport
 
     def __init__(
         self,
@@ -376,75 +349,30 @@ class ShardNetwork:
         shard_id: int,
         seed: int = 0,
         loss_rate: float = 0.0,
-        proc_delay: float = 0.0,
-        trace: Optional[ShardTrace] = None,
-        keep_bandwidth_series: bool = False,
         retain_trace: bool = True,
     ) -> None:
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1], got {loss_rate}")
-        self.sim = ShardSimulator()
-        self.topo = topo
         self.smap = smap
         self.shard_id = shard_id
-        self.rng = RngRegistry(seed)
-        self.meter = BandwidthMeter(keep_series=keep_bandwidth_series)
-        self.trace: ShardTrace = (
-            trace if trace is not None else ShardTrace(self.sim, retain=retain_trace)
-        )
-        self.loss_rate = loss_rate
-        self.proc_delay = proc_delay
-        self.fault_plan: Optional[FaultPlan] = None
-        self.obs: Instruments = NOOP
         #: Cross-segment sends of the current window, exchanged at barriers.
         self.outbox: List[Descriptor] = []
-        self.multicast_fabric = _ShardMulticastFabric(self)
-        self.transport = _ShardTransport(self)
-        self._loss_streams: Dict[str, random.Random] = {}
-        self._chaos_streams: Dict[str, random.Random] = {}
         self._uid_counters: Dict[str, "itertools.count[int]"] = {}
-
-    # ------------------------------------------------------------------
-    # Network facade pass-throughs (the SimRuntime surface)
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def subscribe(self, channel: str, host: str, handler: Handler) -> None:
-        self.multicast_fabric.subscribe(channel, host, handler)
-
-    def unsubscribe(self, channel: str, host: str) -> None:
-        self.multicast_fabric.unsubscribe(channel, host)
-
-    def multicast(
-        self, src: str, channel: str, ttl: int, kind: str, payload: object, size: int
-    ) -> int:
-        return self.multicast_fabric.send(
-            Packet(src=src, channel=channel, ttl=ttl, kind=kind, payload=payload, size=size)
+        sim = ShardSimulator()
+        super().__init__(
+            topo,
+            seed=seed,
+            loss_rate=loss_rate,
+            trace=ShardTrace(sim, retain=retain_trace),
+            sim=sim,
         )
 
-    def bind(self, host: str, port: str, handler: Handler) -> None:
-        self.transport.bind(host, port, handler)
-
-    def unicast(
-        self,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: object,
-        size: int,
-        port: str = "membership",
-    ) -> bool:
-        return self.transport.send(
-            Packet(src=src, dst=dst, kind=kind, payload=payload, size=size), port=port
-        )
+    def _make_fabrics(self, *args: object) -> Tuple[_ShardMulticastFabric, _ShardTransport]:
+        return _ShardMulticastFabric(self, *args), _ShardTransport(self, *args)
 
     # ------------------------------------------------------------------
     # Ownership / identity
     # ------------------------------------------------------------------
     def owns(self, host: str) -> bool:
-        return self.smap.host_shard.get(host) == self.shard_id
+        return self.smap.owns(self.shard_id, host)
 
     def uid_alloc(self, node_id: str) -> Callable[[], int]:
         """Per-node update-uid allocator (see ``UpdateManager.new_uid``).
@@ -463,62 +391,49 @@ class ShardNetwork:
         return alloc
 
     # ------------------------------------------------------------------
-    # Stochastic processes (per-destination streams)
+    # Stochastic processes (per-destination-segment streams)
     # ------------------------------------------------------------------
-    def _loss_ok(self, dst: str) -> bool:
-        if self.loss_rate <= 0.0:
-            return True
-        stream = self._loss_streams.get(dst)
-        if stream is None:
-            stream = self._loss_streams[dst] = self.rng.stream(f"shard.loss.{dst}")
-        return stream.random() >= self.loss_rate
+    def select_streams(self, segment: int) -> random.Random:
+        """Draw the next deliveries into ``segment`` from its own streams.
 
-    def _fault_offsets(
-        self, src: str, dst: str, t_send: float
-    ) -> Optional[Tuple[float, ...]]:
-        plan = self.fault_plan
-        if plan is None or not plan.rules:
-            return None
-        stream = self._chaos_streams.get(dst)
-        if stream is None:
-            stream = self._chaos_streams[dst] = self.rng.stream(f"shard.chaos.{dst}")
-        plan.rng = stream
-        return plan.offsets(src, dst, t_send)
-
-    def set_fault_plan(self, plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
-        """Install ``plan`` (replicated identically on every shard)."""
-        self.fault_plan = plan
-        return plan
-
-    def ensure_fault_plan(self) -> FaultPlan:
-        if self.fault_plan is None:
-            self.fault_plan = FaultPlan()
-        return self.fault_plan
+        Returns the loss stream (``shard.loss.<segment>``) and points the
+        fault plan, which draws from its own ``rng``, at the chaos one
+        (``shard.chaos.<segment>``).
+        """
+        if self.fault_plan is not None:
+            self.fault_plan.rng = self.rng.stream(f"shard.chaos.{segment}")
+        return self.rng.stream(f"shard.loss.{segment}")
 
     # ------------------------------------------------------------------
     # Failure injection (applied on every shard by the runner's ops)
     # ------------------------------------------------------------------
+    # Every shard updates its topology replica; only one records the
+    # event, so the merged trace carries it once.  A non-owner holds no
+    # subscriptions or bindings of the host, so the replica flag is all
+    # it has to touch.
     def crash_host(self, host: str) -> None:
-        self.topo.set_up(host, False)
-        self.multicast_fabric.unsubscribe_all(host)
-        self.transport.unbind_all(host)
         if self.owns(host):
-            self.trace.emit(self.sim.now, "host_crashed", node=host)
+            super().crash_host(host)
+        else:
+            self.topo.set_up(host, False)
 
     def recover_host(self, host: str) -> None:
-        self.topo.set_up(host, True)
         if self.owns(host):
-            self.trace.emit(self.sim.now, "host_recovered", node=host)
+            super().recover_host(host)
+        else:
+            self.topo.set_up(host, True)
 
     def fail_device(self, device: str) -> None:
-        self.topo.set_up(device, False)
         if self.shard_id == 0:
-            self.trace.emit(self.sim.now, "device_failed", node=device)
+            super().fail_device(device)
+        else:
+            self.topo.set_up(device, False)
 
     def recover_device(self, device: str) -> None:
-        self.topo.set_up(device, True)
         if self.shard_id == 0:
-            self.trace.emit(self.sim.now, "device_recovered", node=device)
+            super().recover_device(device)
+        else:
+            self.topo.set_up(device, True)
 
     # ------------------------------------------------------------------
     # Barrier hooks used by the runner

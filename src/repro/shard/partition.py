@@ -64,9 +64,6 @@ class ShardMap:
             rank += 1
         return cls(shards, segment_shard, host_shard, host_rank)
 
-    def shard_of(self, host: str) -> int:
-        return self.host_shard[host]
-
     def owns(self, shard_id: int, host: str) -> bool:
         return self.host_shard.get(host) == shard_id
 

@@ -42,7 +42,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.config import HierarchicalConfig
 from repro.metrics.experiment import SCHEMES
 from repro.obs.registry import MetricsRegistry
-from repro.obs.wiring import Instruments
+from repro.obs.wiring import enable_observability
 from repro.protocols.base import MembershipNode
 from repro.shard.netshard import Descriptor, ShardNetwork
 from repro.shard.partition import ShardMap
@@ -157,7 +157,7 @@ class ShardWorld:
             retain_trace=spec.retain_trace,
         )
         if observe:
-            self.net.obs = Instruments(MetricsRegistry())
+            enable_observability(self.net)
         plan = spec.make_plan(hosts)
         if plan is not None:
             self.net.set_fault_plan(plan)

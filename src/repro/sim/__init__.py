@@ -13,11 +13,10 @@ Design notes
   monotonically increasing sequence number, and all randomness flows through
   named, seeded streams (:class:`~repro.sim.rng.RngRegistry`).  A run is fully
   reproducible from ``(topology, scenario, seed)``.
-* **Two programming styles.**  Plain callbacks via
-  :meth:`Simulator.call_at` / :meth:`Simulator.call_after`, and
-  generator-based processes (:class:`~repro.sim.process.Process`) that
-  ``yield`` :class:`~repro.sim.process.Timeout` or
-  :class:`~repro.sim.process.Event` instances, in the style of SimPy.
+* **One programming style.**  Plain callbacks via
+  :meth:`Simulator.call_at` / :meth:`Simulator.call_after`; a request
+  waiting on a reply registers its callback on a one-shot
+  :class:`~repro.sim.process.Event`.
 * **Performance.**  The hot path is a ``heapq`` of tuples; no per-event
   object allocation beyond the scheduled entry itself.  (See the repo's
   profiling notes: the kernel was written simple first and optimised only
@@ -25,7 +24,7 @@ Design notes
 """
 
 from repro.sim.engine import Simulator, ScheduledEvent, SimulationError
-from repro.sim.process import Process, Timeout, Event, Interrupt
+from repro.sim.process import Event
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace, TraceRecord
 
@@ -33,10 +32,7 @@ __all__ = [
     "Simulator",
     "ScheduledEvent",
     "SimulationError",
-    "Process",
-    "Timeout",
     "Event",
-    "Interrupt",
     "RngRegistry",
     "Trace",
     "TraceRecord",

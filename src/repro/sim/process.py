@@ -1,65 +1,39 @@
-"""Generator-based simulation processes.
+"""One-shot completion events.
 
-A :class:`Process` wraps a Python generator.  The generator ``yield``s
-awaitables — :class:`Timeout` for a delay, :class:`Event` for a one-shot
-signal, or another :class:`Process` to join it — and the kernel resumes it
-when the awaitable fires.  This mirrors the thread-per-role structure of the
-paper's C++ daemon (Announcer, Receiver, StatusTracker, Informer, Contender)
-without real threads.
+An :class:`Event` is the completion handle of the request/response code
+(gateways, consumers, the proxy, the search app): the requester registers
+a callback, the responder calls :meth:`Event.succeed`, and the callback
+runs through the event queue at the current virtual time.
 
 Example
 -------
->>> from repro.sim import Simulator, Process, Timeout
+>>> from repro.sim import Event, Simulator
 >>> sim = Simulator()
->>> ticks = []
->>> def clock(sim):
-...     while True:
-...         yield Timeout(1.0)
-...         ticks.append(sim.now)
->>> p = Process(sim, clock(sim), name="clock")
->>> _ = sim.run(until=3.5)
->>> ticks
-[1.0, 2.0, 3.0]
+>>> done = Event(sim)
+>>> seen = []
+>>> done._add_waiter(seen.append)
+>>> _ = sim.call_at(2.0, done.succeed, "reply")
+>>> _ = sim.run()
+>>> seen
+['reply']
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable
 
-from repro.sim.engine import ScheduledEvent, SimulationError, Simulator
+from repro.sim.engine import SimulationError, Simulator
 
-__all__ = ["Process", "Timeout", "Event", "Interrupt"]
-
-
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class Timeout:
-    """Awaitable delay of ``delay`` virtual seconds."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout {delay!r}")
-        self.delay = float(delay)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Timeout({self.delay})"
+__all__ = ["Event"]
 
 
 class Event:
     """One-shot signalling primitive.
 
-    A process yielding a pending :class:`Event` suspends until some other
-    code calls :meth:`succeed`.  The value passed to :meth:`succeed` becomes
-    the value of the ``yield`` expression.  Succeeding twice is an error;
-    yielding an already-succeeded event resumes immediately.
+    A callback registered while the event is pending runs once some other
+    code calls :meth:`succeed`, with the value passed to it.  Succeeding
+    twice is an error; registering on an already-succeeded event resumes
+    immediately.
     """
 
     __slots__ = ("sim", "_value", "_done", "_waiters")
@@ -89,7 +63,7 @@ class Event:
         waiters, self._waiters = self._waiters, []
         for resume in waiters:
             # Resume via the event queue so ordering stays deterministic and
-            # succeed() never recursively re-enters a generator mid-yield.
+            # succeed() never recursively re-enters a waiter mid-callback.
             self.sim.call_at(self.sim.now, resume, value)
 
     def _add_waiter(self, resume: Callable[[Any], None]) -> None:
@@ -97,123 +71,3 @@ class Event:
             self.sim.call_at(self.sim.now, resume, self._value)
         else:
             self._waiters.append(resume)
-
-
-class Process:
-    """Drives a generator as a cooperative simulation process.
-
-    Parameters
-    ----------
-    sim:
-        The owning simulator.
-    gen:
-        A generator whose ``yield`` expressions are :class:`Timeout`,
-        :class:`Event`, or :class:`Process` instances.
-    name:
-        Label used in traces and reprs.
-
-    A process is itself awaitable: yielding a :class:`Process` suspends the
-    yielder until the target generator returns, and evaluates to the
-    generator's return value.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        gen: Generator[Any, Any, Any],
-        name: str = "process",
-    ) -> None:
-        self.sim = sim
-        self.name = name
-        self._gen = gen
-        self._done = False
-        self._result: Any = None
-        self._error: Optional[BaseException] = None
-        self._completion = Event(sim)
-        self._pending_timer: Optional[ScheduledEvent] = None
-        # Start on the event queue, not synchronously: a process created at
-        # t=0 must not run before the simulation does.
-        sim.call_at(sim.now, self._resume, None)
-
-    # ------------------------------------------------------------------
-    @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
-    def result(self) -> Any:
-        if not self._done:
-            raise SimulationError(f"process {self.name!r} still running")
-        if self._error is not None:
-            raise self._error
-        return self._result
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the generator at the current time.
-
-        A process blocked on a timeout has that timer cancelled.  A finished
-        process ignores interrupts.
-        """
-        if self._done:
-            return
-        if self._pending_timer is not None:
-            self._pending_timer.cancel()
-            self._pending_timer = None
-        self.sim.call_at(self.sim.now, self._throw, Interrupt(cause))
-
-    # ------------------------------------------------------------------
-    def _resume(self, value: Any) -> None:
-        if self._done:
-            return
-        self._pending_timer = None
-        try:
-            yielded = self._gen.send(value)
-        except StopIteration as stop:
-            self._finish(result=stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - protocol bugs surface here
-            self._finish(error=exc)
-            return
-        self._wait_on(yielded)
-
-    def _throw(self, exc: BaseException) -> None:
-        if self._done:
-            return
-        try:
-            yielded = self._gen.throw(exc)
-        except StopIteration as stop:
-            self._finish(result=stop.value)
-            return
-        except BaseException as err:  # noqa: BLE001
-            self._finish(error=err)
-            return
-        self._wait_on(yielded)
-
-    def _wait_on(self, yielded: Any) -> None:
-        if isinstance(yielded, Timeout):
-            self._pending_timer = self.sim.call_after(yielded.delay, self._resume, None)
-        elif isinstance(yielded, Event):
-            yielded._add_waiter(self._resume)
-        elif isinstance(yielded, Process):
-            yielded._completion._add_waiter(self._resume)
-        else:
-            self._finish(
-                error=SimulationError(
-                    f"process {self.name!r} yielded unsupported {yielded!r}"
-                )
-            )
-
-    def _finish(self, result: Any = None, error: Optional[BaseException] = None) -> None:
-        self._done = True
-        self._result = result
-        self._error = error
-        if error is not None:
-            # Fail loudly: an unhandled exception inside a protocol process
-            # is a bug in the model, not something to swallow.
-            self._completion.succeed(None)
-            raise error
-        self._completion.succeed(result)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        state = "done" if self._done else "running"
-        return f"<Process {self.name!r} {state}>"

@@ -7,7 +7,9 @@ positives stay inside the per-detector budget, and a real crash is
 detected within twice the advertised bound.  A second pass pins seeded
 determinism: the active detectors draw only from their dedicated RNG
 streams, so re-running a pair must reproduce it measurement-for-
-measurement.
+measurement.  The last test is the CI detector-matrix gate: all nine
+(detector x scheme) pairs on that fabric, count-based, so independent of
+runner speed.
 """
 
 from __future__ import annotations
@@ -57,3 +59,20 @@ def test_seeded_runs_are_deterministic(detector, scheme):
     first = small_lab().run_pair(detector, scheme)
     second = small_lab().run_pair(detector, scheme)
     assert first == second  # frozen dataclass: every measurement equal
+
+
+@pytest.fixture(scope="module")
+def quick_matrix():
+    return {(r.detector, r.scheme): r for r in small_lab().run()}
+
+
+@pytest.mark.parametrize("scheme", ["hierarchical", "all-to-all", "gossip"])
+@pytest.mark.parametrize("detector", ["counter", "swim", "phi-accrual"])
+def test_every_matrix_pair_is_green(quick_matrix, detector, scheme):
+    r = quick_matrix[(detector, scheme)]
+    assert not r.violations
+    assert r.detection is not None, "crash never detected"
+    assert r.detection <= r.detection_gate_s
+    assert r.convergence is not None, "views never converged"
+    assert r.false_failures <= r.false_failure_bound
+    assert r.ok

@@ -1,102 +1,15 @@
-"""Unit tests for generator-based processes."""
+"""Unit tests for the one-shot completion :class:`Event`."""
 
 import pytest
 
-from repro.sim import Event, Interrupt, Process, Simulator, SimulationError, Timeout
-
-
-def test_timeout_advances_clock():
-    sim = Simulator()
-    seen = []
-
-    def proc():
-        yield Timeout(2.5)
-        seen.append(sim.now)
-
-    Process(sim, proc())
-    sim.run()
-    assert seen == [2.5]
-
-
-def test_periodic_process():
-    sim = Simulator()
-    ticks = []
-
-    def clock():
-        while True:
-            yield Timeout(1.0)
-            ticks.append(sim.now)
-
-    Process(sim, clock())
-    sim.run(until=4.5)
-    assert ticks == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_process_does_not_run_before_sim():
-    sim = Simulator()
-    seen = []
-
-    def proc():
-        seen.append(sim.now)
-        yield Timeout(0)
-
-    Process(sim, proc())
-    assert seen == []  # not started synchronously
-    sim.run()
-    assert seen == [0.0]
-
-
-def test_process_result():
-    sim = Simulator()
-
-    def proc():
-        yield Timeout(1.0)
-        return 42
-
-    p = Process(sim, proc())
-    sim.run()
-    assert p.done
-    assert p.result == 42
-
-
-def test_result_before_done_raises():
-    sim = Simulator()
-
-    def proc():
-        yield Timeout(1.0)
-
-    p = Process(sim, proc())
-    with pytest.raises(SimulationError):
-        _ = p.result
-
-
-def test_join_process():
-    sim = Simulator()
-    seen = []
-
-    def child():
-        yield Timeout(3.0)
-        return "payload"
-
-    def parent():
-        value = yield Process(sim, child(), name="child")
-        seen.append((sim.now, value))
-
-    Process(sim, parent(), name="parent")
-    sim.run()
-    assert seen == [(3.0, "payload")]
+from repro.sim import Event, Simulator, SimulationError
 
 
 def test_event_wakes_waiter_with_value():
     sim = Simulator()
     ev = Event(sim)
     seen = []
-
-    def waiter():
-        value = yield ev
-        seen.append((sim.now, value))
-
-    Process(sim, waiter())
+    ev._add_waiter(lambda value: seen.append((sim.now, value)))
     sim.call_at(2.0, ev.succeed, "hello")
     sim.run()
     assert seen == [(2.0, "hello")]
@@ -106,32 +19,33 @@ def test_event_multiple_waiters():
     sim = Simulator()
     ev = Event(sim)
     seen = []
-
-    def waiter(tag):
-        value = yield ev
-        seen.append((tag, value))
-
-    Process(sim, waiter("a"))
-    Process(sim, waiter("b"))
+    ev._add_waiter(lambda value: seen.append(("a", value)))
+    ev._add_waiter(lambda value: seen.append(("b", value)))
     sim.call_at(1.0, ev.succeed, 7)
     sim.run()
-    assert sorted(seen) == [("a", 7), ("b", 7)]
+    assert seen == [("a", 7), ("b", 7)]  # registration order, via the queue
 
 
 def test_yield_already_triggered_event_resumes_immediately():
+    """A waiter that arrives after ``succeed`` still runs — at its own time."""
     sim = Simulator()
     ev = Event(sim)
     seen = []
-
-    def late_waiter():
-        yield Timeout(5.0)
-        value = yield ev
-        seen.append((sim.now, value))
-
-    Process(sim, late_waiter())
     sim.call_at(1.0, ev.succeed, "early")
+    sim.call_at(5.0, ev._add_waiter, lambda value: seen.append((sim.now, value)))
     sim.run()
     assert seen == [(5.0, "early")]
+
+
+def test_succeed_does_not_reenter_waiters_synchronously():
+    sim = Simulator()
+    ev = Event(sim)
+    seen = []
+    ev._add_waiter(seen.append)
+    ev.succeed("queued")
+    assert seen == [] and ev.triggered
+    sim.run()
+    assert seen == ["queued"]
 
 
 def test_event_double_succeed_raises():
@@ -149,98 +63,3 @@ def test_event_value_before_trigger_raises():
         _ = ev.value
     ev.succeed(3)
     assert ev.value == 3
-
-
-def test_interrupt_cancels_timeout():
-    sim = Simulator()
-    seen = []
-
-    def sleeper():
-        try:
-            yield Timeout(100.0)
-            seen.append("woke")
-        except Interrupt as intr:
-            seen.append(("interrupted", sim.now, intr.cause))
-
-    p = Process(sim, sleeper())
-    sim.call_at(2.0, p.interrupt, "die")
-    sim.run()
-    assert seen == [("interrupted", 2.0, "die")]
-    # The 100 s timer must have been cancelled: clock should not jump ahead.
-    assert sim.now == 2.0
-
-
-def test_interrupt_finished_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield Timeout(1.0)
-
-    p = Process(sim, quick())
-    sim.run()
-    p.interrupt()  # must not raise
-    sim.run()
-
-
-def test_interrupted_process_can_continue():
-    sim = Simulator()
-    seen = []
-
-    def resilient():
-        while True:
-            try:
-                yield Timeout(10.0)
-                seen.append("slept")
-                return
-            except Interrupt:
-                seen.append("retry")
-
-    p = Process(sim, resilient())
-    sim.call_at(1.0, p.interrupt)
-    sim.run()
-    assert seen == ["retry", "slept"]
-    assert sim.now == 11.0
-
-
-def test_exception_in_process_propagates():
-    sim = Simulator()
-
-    def bad():
-        yield Timeout(1.0)
-        raise RuntimeError("model bug")
-
-    Process(sim, bad())
-    with pytest.raises(RuntimeError, match="model bug"):
-        sim.run()
-
-
-def test_yield_garbage_fails():
-    sim = Simulator()
-
-    def bad():
-        yield "not awaitable"
-
-    Process(sim, bad())
-    with pytest.raises(SimulationError):
-        sim.run()
-
-
-def test_negative_timeout_rejected():
-    with pytest.raises(SimulationError):
-        Timeout(-1.0)
-
-
-def test_two_processes_interleave():
-    sim = Simulator()
-    log = []
-
-    def proc(tag, period):
-        while sim.now < 3.0:
-            yield Timeout(period)
-            log.append((sim.now, tag))
-
-    Process(sim, proc("fast", 1.0))
-    Process(sim, proc("slow", 1.5))
-    sim.run(until=10.0)
-    assert (1.0, "fast") in log and (1.5, "slow") in log
-    assert log == sorted(log, key=lambda x: x[0])
