@@ -19,9 +19,22 @@ other direction: an incoming heartbeat that matches ``peer.last_hb``
 proves nothing changed and short-circuits straight to a directory
 freshness refresh.  Inside the simulator the match is the O(1) identity
 test ``hb is peer.last_hb``; over a real transport payloads are rebuilt
-from bytes on every receive, so the receive paths fall back to
+from bytes, so the receive paths fall back to
 :meth:`Heartbeat.same_as` — content equality with the cheap scalar flags
 compared first — and MUST NOT rely on object identity for correctness.
+
+The wire twin (:mod:`repro.runtime.wire`, :mod:`repro.runtime.anet`): an
+unchanged heartbeat is also an unchanged *datagram*.
+``AsyncRuntime.publish`` re-sends the previous bytes while the payload
+``is`` the interned instance, and every socket owner keeps a
+``DecodeMemo`` — the last strictly decoded heartbeat datagram per
+``(src, channel)`` — so a byte-identical repeat is decoded once and
+hands the receiver the same ``Heartbeat`` object again: the identity
+test engages over real UDP too, with ``same_as`` behind it whenever the
+memo missed.  Both halves lean on what this class does *not* carry: no
+timestamp, no per-tick counter.  A field that changes every period
+would turn every repeat into a fresh encode and a cold decode
+(``tests/runtime/test_decode_once_guard.py`` fails first).
 """
 
 from __future__ import annotations
@@ -78,7 +91,7 @@ class Heartbeat:
         genuinely unchanged heartbeats — and is skipped entirely when the
         record travelled by reference.  This is what lets the no-change
         short-circuit survive a serialization round-trip, where ``is``
-        can never hold.
+        holds only while the socket's decode memo still has the datagram.
         """
         return (
             self.update_seq == other.update_seq

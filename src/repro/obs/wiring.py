@@ -40,6 +40,8 @@ instrument              owning module (single increment site)
 ``send_errors``         ``runtime.anet`` — send refused/errored
 ``relay_failovers``     ``runtime.anet`` — relay candidate switch
 ``frag_drops``          ``runtime.anet`` — reassembly buffer dropped
+``decode_memo_hits``    ``runtime.anet`` — datagram served by the decode memo
+``decode_memo_misses``  ``runtime.anet`` — datagram strictly decoded
 ======================  ===============================================
 
 The baselines (all-to-all, gossip) go through the shared
@@ -129,6 +131,10 @@ _SPEC = [
      "relay candidate switches after a health-check timeout"),
     ("frag_drops", "repro_fragment_drops_total", "counter",
      "fragment reassembly buffers dropped (missing-fragment timeout or budget eviction)"),
+    ("decode_memo_hits", "repro_decode_memo_hits_total", "counter",
+     "datagrams byte-identical to the sender's last decoded heartbeat (no decode)"),
+    ("decode_memo_misses", "repro_decode_memo_misses_total", "counter",
+     "datagrams that went through the strict decoder (rejected ones included)"),
 ]
 
 _HISTOGRAMS = [

@@ -55,15 +55,16 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core.heartbeat import Heartbeat
 from repro.net.packet import Packet
 from repro.obs.wiring import NOOP, Instruments
 from repro.runtime.ports import NodeRuntime, PacketHandler, TimerHandle
 from repro.runtime.wire import (
     DEFAULT_MAX_DATAGRAM,
     MAX_UDP_PAYLOAD,
+    DecodeMemo,
     Reassembler,
     WireError,
-    decode_packet,
     encode_packet,
     fragment_frame,
     is_fragment,
@@ -358,6 +359,16 @@ class AsyncRuntime(NodeRuntime):
         self._reasm = Reassembler(
             timeout=FRAGMENT_TIMEOUT, on_drop=self._on_frag_drop
         )
+        # -- decode once / encode once --------------------------------
+        #: This socket's heartbeat decode memo (never shared: daemons in
+        #: one process each pay their own cold decode).
+        self._memo = DecodeMemo()
+        #: channel -> (payload, ttl, kind, size, datagram) of the last
+        #: heartbeat published there: the wire twin of
+        #: ``Announcer.hb_cache``.  The announcer re-publishes the same
+        #: frozen instance until its signature moves, so identity of the
+        #: payload proves the datagram would come out byte-identical.
+        self._published: Dict[str, Tuple[Heartbeat, int, str, int, bytes]] = {}
         # -- relay failover -------------------------------------------
         #: Health/backoff knobs; instance attributes so tests can tune
         #: them (before start()) without monkeypatching the module.
@@ -430,6 +441,7 @@ class AsyncRuntime(NodeRuntime):
 
     def deactivate(self) -> None:
         self._active = False
+        self._published.clear()
         for oneshot in list(self._oneshots):
             oneshot.cancel()
         self._oneshots.clear()
@@ -491,11 +503,17 @@ class AsyncRuntime(NodeRuntime):
             if frame is None:
                 return  # frame still incomplete (or a duplicate slice)
             data = frame.payload
-        try:
-            pkt, port = decode_packet(data)
-        except WireError:
-            self._count_wire_error(len(data))
-            return
+        decoded = self._memo.get(data)
+        if decoded is not None:
+            self._obs.decode_memo_hits.inc()
+        else:
+            self._obs.decode_memo_misses.inc()
+            try:
+                decoded = self._memo.decode(data)
+            except WireError:
+                self._count_wire_error(len(data))
+                return
+        pkt, port = decoded
         if pkt.kind == RELAY_ACK:
             self._on_relay_ack()
         elif port is not None:
@@ -677,6 +695,7 @@ class AsyncRuntime(NodeRuntime):
 
     def unsubscribe(self, channel: str) -> None:
         self._subs.pop(channel, None)
+        self._published.pop(channel, None)
         pkt = Packet(
             src=self.node_id,
             kind=RELAY_UNSUB,
@@ -689,15 +708,27 @@ class AsyncRuntime(NodeRuntime):
     def publish(
         self, channel: str, ttl: int, kind: str, payload: object, size: int
     ) -> bool:
-        pkt = Packet(
-            src=self.node_id,
-            kind=kind,
-            payload=payload,
-            size=size,
-            channel=channel,
-            ttl=ttl,
-        )
-        data = encode_packet(pkt)
+        last = self._published.get(channel)
+        if (
+            last is not None
+            and last[0] is payload
+            and last[1] == ttl
+            and last[2] == kind
+            and last[3] == size
+        ):
+            data = last[4]
+        else:
+            pkt = Packet(
+                src=self.node_id,
+                kind=kind,
+                payload=payload,
+                size=size,
+                channel=channel,
+                ttl=ttl,
+            )
+            data = encode_packet(pkt)
+            if isinstance(payload, Heartbeat):
+                self._published[channel] = (payload, ttl, kind, size, data)
         if self._relay_fallback:
             return self._fanout_unicast(data, ttl)
         return self._sendto(data, self._relay_addr())

@@ -56,9 +56,9 @@ from repro.runtime.anet import (
     ClusterSpec,
 )
 from repro.runtime.wire import (
+    DecodeMemo,
     Reassembler,
     WireError,
-    decode_packet,
     encode_packet,
     is_fragment,
 )
@@ -101,6 +101,9 @@ class ChannelRelay(asyncio.DatagramProtocol):
         #: members dropped by soft-state expiry
         self.expired = 0
         self._reasm = Reassembler(clock=clock)
+        #: This socket's heartbeat decode memo: a repeated heartbeat is
+        #: routed off one dict probe instead of a full payload decode.
+        self._memo = DecodeMemo()
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._sweep_handle: Optional[asyncio.TimerHandle] = None
 
@@ -127,11 +130,14 @@ class ChannelRelay(asyncio.DatagramProtocol):
     def _handle_frame(
         self, data: bytes, addr: Tuple[str, int], datagrams: Sequence[bytes]
     ) -> None:
-        try:
-            pkt, _port = decode_packet(data)
-        except WireError:
-            self.wire_errors += 1
-            return
+        decoded = self._memo.get(data)
+        if decoded is None:
+            try:
+                decoded = self._memo.decode(data)
+            except WireError:
+                self.wire_errors += 1
+                return
+        pkt = decoded[0]
         if pkt.kind == RELAY_SUB:
             self._on_sub(pkt.payload, addr)
         elif pkt.kind == RELAY_UNSUB:
@@ -205,6 +211,8 @@ class ChannelRelay(asyncio.DatagramProtocol):
         if not isinstance(node, str) or not isinstance(channels, list):
             return
         for channel in channels:
+            if not isinstance(channel, str):
+                continue  # decoded elements are untrusted, possibly unhashable
             subs = self.channels.get(channel)
             if subs is not None:
                 subs.pop(node, None)

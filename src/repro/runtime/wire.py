@@ -29,12 +29,20 @@ Design constraints:
 * **Canonical** — ``frozenset`` elements are sorted before encoding, so
   identical payloads always produce identical bytes (content-keyed
   deduplication must survive serialization).
-* **Strict** — unknown tags, unknown types, truncated frames and
-  trailing garbage all raise :class:`WireError`; a malformed datagram is
-  dropped by the caller, never half-applied.
+* **Strict** — unknown tags, unknown types, truncated frames, trailing
+  garbage, unhashable keys, nesting beyond :data:`MAX_DEPTH` and routing
+  fields a :class:`~repro.net.packet.Packet` rejects all raise
+  :class:`WireError`, and *nothing else* leaves the decoder: anything
+  else would slip past the callers' ``except WireError`` into the event
+  loop's exception handler, uncounted.  A malformed datagram is counted
+  and dropped by the caller, never half-applied
+  (``tests/runtime/test_wire_properties.py``).
 
 No dependency on asyncio or sockets: the codec is pure functions over
 ``bytes`` and is exercised directly by ``tests/runtime/test_wire.py``.
+Because decoding is pure, the result for a given datagram can be kept:
+:class:`DecodeMemo` (below) lets each socket owner decode a repeated
+heartbeat datagram once.
 
 Fragmentation
 -------------
@@ -74,11 +82,15 @@ __all__ = [
     "WIRE_VERSION",
     "MAX_UDP_PAYLOAD",
     "DEFAULT_MAX_DATAGRAM",
+    "MAX_DEPTH",
+    "MEMO_MAX_ENTRIES",
+    "MEMO_MAX_BYTES",
     "WireError",
     "encode_packet",
     "decode_packet",
     "encode_value",
     "decode_value",
+    "DecodeMemo",
     "fragment_frame",
     "parse_fragment",
     "is_fragment",
@@ -103,6 +115,11 @@ MAX_UDP_PAYLOAD = 65507
 #: Deliberately below :data:`MAX_UDP_PAYLOAD` so the fragment header
 #: and loopback-stack slack never push a slice over the OS limit.
 DEFAULT_MAX_DATAGRAM = 61440
+
+#: Deepest container nesting the decoder accepts.  The deepest value the
+#: protocols emit is an update whose piggyback carries a record (message >
+#: piggyback > entry > ops > op > record > services > partition set: 8).
+MAX_DEPTH = 32
 
 _HEADER = struct.Struct(">2sBI")
 _U32 = struct.Struct(">I")
@@ -255,7 +272,13 @@ class _Cursor:
         raise WireError(f"expected bool tag, got {tag!r}")
 
 
-def _dec(cur: _Cursor) -> Any:
+def _dec(cur: _Cursor, depth: int = 0) -> Any:
+    # Bytes off a socket are untrusted: nesting is capped (a frame of
+    # nothing but list tags must not reach the interpreter's recursion
+    # limit) and unhashable dict keys / set elements are a malformed
+    # frame, not a TypeError.
+    if depth > MAX_DEPTH:
+        raise WireError(f"value nested deeper than {MAX_DEPTH}")
     tag = cur.take(1)
     if tag == b"N":
         return None
@@ -271,37 +294,46 @@ def _dec(cur: _Cursor) -> Any:
         return cur.str_()
     if tag == b"b":
         return cur.take(cur.u32())
+    depth += 1
     if tag == b"t":
-        return tuple(_dec(cur) for _ in range(cur.u32()))
+        return tuple(_dec(cur, depth) for _ in range(cur.u32()))
     if tag == b"l":
-        return [_dec(cur) for _ in range(cur.u32())]
+        return [_dec(cur, depth) for _ in range(cur.u32())]
     if tag == b"d":
         count = cur.u32()
         out: Dict[Any, Any] = {}
         for _ in range(count):
-            key = _dec(cur)
-            out[key] = _dec(cur)
+            key = _dec(cur, depth)
+            val = _dec(cur, depth)
+            try:
+                out[key] = val
+            except TypeError as exc:
+                raise WireError("unhashable dict key") from exc
         return out
     if tag == b"S":
-        return frozenset(_dec(cur) for _ in range(cur.u32()))
+        items = [_dec(cur, depth) for _ in range(cur.u32())]
+        try:
+            return frozenset(items)
+        except TypeError as exc:
+            raise WireError("unhashable frozenset element") from exc
     if tag == b"R":
         node_id = cur.str_()
         incarnation = cur.i64()
-        services = _dec(cur)
-        attrs = _dec(cur)
+        services = _dec(cur, depth)
+        attrs = _dec(cur, depth)
         if not isinstance(services, dict) or not isinstance(attrs, dict):
             raise WireError("malformed NodeRecord")
         return NodeRecord(
             node_id=node_id, incarnation=incarnation, services=services, attrs=attrs
         )
     if tag == b"H":
-        record = _dec(cur)
+        record = _dec(cur, depth)
         if not isinstance(record, NodeRecord):
             raise WireError("heartbeat without a NodeRecord")
         level = cur.i64()
         is_leader = cur.bool_()
         suppressed = cur.bool_()
-        backup = _dec(cur)
+        backup = _dec(cur, depth)
         update_seq = cur.i64()
         if backup is not None and not isinstance(backup, str):
             raise WireError("malformed heartbeat backup")
@@ -317,7 +349,7 @@ def _dec(cur: _Cursor) -> Any:
         op = cur.str_()
         node_id = cur.str_()
         incarnation = cur.i64()
-        record = _dec(cur)
+        record = _dec(cur, depth)
         if record is not None and not isinstance(record, NodeRecord):
             raise WireError("malformed UpdateOp record")
         return UpdateOp(op=op, node_id=node_id, incarnation=incarnation, record=record)
@@ -327,8 +359,8 @@ def _dec(cur: _Cursor) -> Any:
         sender = cur.str_()
         level = cur.i64()
         seq = cur.i64()
-        ops = _dec(cur)
-        piggyback = _dec(cur)
+        ops = _dec(cur, depth)
+        piggyback = _dec(cur, depth)
         if not isinstance(ops, tuple) or not isinstance(piggyback, tuple):
             raise WireError("malformed UpdateMessage")
         return UpdateMessage(
@@ -355,6 +387,10 @@ def decode_value(data: bytes) -> Any:
 # ----------------------------------------------------------------------
 # Packet framing
 # ----------------------------------------------------------------------
+#: What :func:`decode_packet` returns, and what a memo hit hands back.
+Decoded = Tuple[Packet, Optional[str]]
+
+
 def encode_packet(pkt: Packet, port: Optional[str] = None) -> bytes:
     """Frame ``pkt`` for the wire.
 
@@ -374,11 +410,13 @@ def encode_packet(pkt: Packet, port: Optional[str] = None) -> bytes:
     return _HEADER.pack(MAGIC, WIRE_VERSION, len(body)) + bytes(body)
 
 
-def decode_packet(data: bytes) -> Tuple[Packet, Optional[str]]:
+def decode_packet(data: bytes) -> Decoded:
     """Parse one framed datagram into ``(packet, port)``.
 
-    Raises :class:`WireError` on bad magic, version mismatch, truncation
-    or trailing garbage.
+    Raises :class:`WireError` — and nothing else — on any datagram that
+    is not a well-formed frame: bad magic, version mismatch, truncation,
+    trailing garbage, nesting beyond :data:`MAX_DEPTH`, unhashable keys,
+    or routing fields :class:`~repro.net.packet.Packet` rejects.
     """
     if len(data) < _HEADER.size:
         raise WireError("datagram shorter than frame header")
@@ -408,16 +446,103 @@ def decode_packet(data: bytes) -> Tuple[Packet, Optional[str]]:
         raise WireError("malformed channel")
     if port is not None and not isinstance(port, str):
         raise WireError("malformed port")
-    pkt = Packet(
-        src=src,
-        kind=kind,
-        payload=payload,
-        size=size,
-        dst=dst,
-        channel=channel,
-        ttl=ttl,
-    )
+    try:
+        pkt = Packet(
+            src=src,
+            kind=kind,
+            payload=payload,
+            size=size,
+            dst=dst,
+            channel=channel,
+            ttl=ttl,
+        )
+    except ValueError as exc:
+        # Packet's own invariants: size >= 0, exactly one of dst / channel.
+        raise WireError(str(exc)) from exc
     return pkt, port
+
+
+# ----------------------------------------------------------------------
+# Decode once: the per-socket heartbeat memo
+# ----------------------------------------------------------------------
+#: Hard caps of one :class:`DecodeMemo`: senders remembered and datagram
+#: bytes held as keys.  Constants, not configuration — forged sources
+#: must not be able to grow a daemon, and nobody should have to tune it.
+MEMO_MAX_ENTRIES = 1024
+MEMO_MAX_BYTES = 1 << 20
+
+
+class DecodeMemo:
+    """The last strictly decoded heartbeat datagram of every sender.
+
+    A node sends the *same* heartbeat every period until something about
+    it changes (:mod:`repro.core.heartbeat`'s interning contract: no
+    timestamp, no per-tick sequence number), so the receiver of a
+    byte-identical datagram already holds its decode.  :attr:`get` is
+    the hit path — the ``get`` of a dict keyed by the exact datagram
+    bytes, no Python frame; :meth:`decode` is the miss path — the strict
+    :func:`decode_packet`, after which a channel datagram whose payload
+    is a :class:`~repro.core.heartbeat.Heartbeat` *replaces* the one
+    slot of its ``(src, channel)``.  Nothing else is ever retained:
+    updates and sync snapshots are kilobytes of records that never
+    repeat.  A hit is byte-identical to a datagram that passed every
+    check, and returns the very ``(Packet, port)`` it produced — so
+    receivers see the same ``Heartbeat`` object again and the
+    ``hb is peer.last_hb`` arm of the no-change path engages over a real
+    transport (``same_as`` stays the correctness fallback).
+
+    One memo per socket owner, as instance state: daemons sharing a
+    process must each pay their own cold decode, as separate processes
+    would.  Beyond :data:`MEMO_MAX_ENTRIES` senders or
+    :data:`MEMO_MAX_BYTES` of datagrams the oldest slot is evicted; the
+    evicted sender's next heartbeat is one cold decode, the cost every
+    heartbeat had before the memo existed.
+    """
+
+    __slots__ = ("get", "nbytes", "_decoded", "_datagram")
+
+    def __init__(self) -> None:
+        self._decoded: Dict[bytes, Decoded] = {}
+        #: (src, channel) -> its datagram in ``_decoded``, oldest first.
+        self._datagram: Dict[Tuple[str, str], bytes] = {}
+        #: Datagram bytes currently held as keys.
+        self.nbytes = 0
+        #: ``get(datagram)`` -> the retained decode, or ``None``.
+        self.get: Callable[[bytes], Optional[Decoded]] = self._decoded.get
+
+    def __len__(self) -> int:
+        """Senders currently remembered."""
+        return len(self._datagram)
+
+    def decode(self, data: bytes) -> Decoded:
+        """Strictly decode ``data``; remember it if it is a heartbeat.
+
+        Raises :class:`WireError` exactly as :func:`decode_packet` does,
+        in which case nothing is inserted.
+        """
+        decoded = decode_packet(data)
+        pkt = decoded[0]
+        if pkt.channel is not None and type(pkt.payload) is Heartbeat:
+            sender = (pkt.src, pkt.channel)
+            previous = self._datagram.pop(sender, None)
+            if previous is not None:
+                self._evict(previous)
+            # Key on a compact copy, never the caller's object: bytes
+            # fresh off a socket are the transport's 256-KiB receive
+            # buffer shrunk in place, and 600 of those held across the
+            # heap cost 48 daemons 2.8 MB of RSS (0.5 MB as copies).
+            data = bytes(memoryview(data))
+            self._datagram[sender] = data
+            self._decoded[data] = decoded
+            self.nbytes += len(data)
+            while len(self._datagram) > MEMO_MAX_ENTRIES or self.nbytes > MEMO_MAX_BYTES:
+                oldest = next(iter(self._datagram))
+                self._evict(self._datagram.pop(oldest))
+        return decoded
+
+    def _evict(self, datagram: bytes) -> None:
+        del self._decoded[datagram]
+        self.nbytes -= len(datagram)
 
 
 # ----------------------------------------------------------------------

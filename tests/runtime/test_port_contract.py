@@ -17,7 +17,11 @@ over a live asyncio loop — so the contract pinned in
 * ``send`` to a spec-known destination is *accepted for send* (True);
   the asyncio adapter additionally refuses unknown destinations and
   unsendable datagrams instead of lying (the simulator cannot produce
-  either refusal, so those cases are adapter-specific).
+  either refusal, so those cases are adapter-specific);
+* the asyncio adapter encodes an interned heartbeat once: re-publishing
+  the *same* frozen ``Heartbeat`` re-sends the previous datagram, while
+  an equal-but-not-identical or non-heartbeat payload is encoded again
+  (the simulator passes payloads by reference and encodes nothing).
 
 The sim harness asserts exact virtual-time cadence; the asyncio harness
 runs in real time with coarse tolerances (counts and invariants, not
@@ -25,13 +29,18 @@ exact instants).
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
+from repro.cluster.directory import NodeRecord
+from repro.core.heartbeat import Heartbeat
 from repro.net.builders import build_switched_cluster
 from repro.net.network import Network
+from repro.runtime import anet
 from repro.runtime.anet import AsyncRuntime, ClusterSpec, NodeSpec, RelaySpec
 from repro.runtime.sim import SimRuntime
+from repro.runtime.wire import decode_packet
 
 
 class SimHarness:
@@ -261,3 +270,105 @@ class TestSendContract:
         ok = harness.runtime.send(harness.peer, "blob", b"x" * 70_000, size=70_000)
         assert ok is False
         assert harness.runtime.send_errors >= 1
+
+
+class TestEncodeOnce:
+    """The wire twin of ``Announcer.hb_cache`` (asyncio adapter only)."""
+
+    @pytest.fixture
+    def wired(self, monkeypatch):
+        """An AsyncHarness with its sends and its encodes recorded."""
+        harness = AsyncHarness()
+        sent, encoded = [], []
+        monkeypatch.setattr(
+            harness.runtime, "_sendto", lambda data, addr: sent.append(data) or True
+        )
+        real_encode = anet.encode_packet
+
+        def counting_encode(pkt, port=None):
+            encoded.append(pkt.kind)
+            return real_encode(pkt, port)
+
+        monkeypatch.setattr(anet, "encode_packet", counting_encode)
+        yield harness.runtime, sent, encoded
+        harness.close()
+
+    @staticmethod
+    def heartbeat(**changes):
+        hb = Heartbeat(
+            record=NodeRecord("n0", incarnation=1, attrs={"cpus": "2"}),
+            level=0, is_leader=False, suppressed=True,
+        )
+        return dataclasses.replace(hb, **changes) if changes else hb
+
+    def test_same_interned_heartbeat_is_encoded_once(self, wired):
+        runtime, sent, encoded = wired
+        hb = self.heartbeat()
+        for _ in range(5):
+            assert runtime.publish("chan/L0", 1, "heartbeat", hb, 256) is True
+        assert encoded == ["heartbeat"]
+        assert len(sent) == 5 and len(set(sent)) == 1
+        assert all(data is sent[0] for data in sent)
+        assert decode_packet(sent[0])[0].payload == hb
+
+    def test_equal_but_not_identical_heartbeat_encodes_again(self, wired):
+        runtime, sent, encoded = wired
+        runtime.publish("chan/L0", 1, "heartbeat", self.heartbeat(), 256)
+        runtime.publish("chan/L0", 1, "heartbeat", self.heartbeat(), 256)
+        assert encoded == ["heartbeat", "heartbeat"]
+        assert sent[0] == sent[1]  # canonical bytes, earned the slow way
+
+    def test_changed_heartbeat_replaces_the_channels_datagram(self, wired):
+        runtime, sent, encoded = wired
+        old, new = self.heartbeat(), self.heartbeat(update_seq=3)
+        for hb in (old, old, new, new, old):
+            runtime.publish("chan/L0", 1, "heartbeat", hb, 256)
+        assert len(encoded) == 3  # old, new, old again: one slot per channel
+        assert sent[0] is sent[1] and sent[2] is sent[3] and sent[0] != sent[2]
+        assert sent[4] == sent[0]
+
+    def test_ttl_kind_and_size_are_part_of_the_match(self, wired):
+        runtime, sent, encoded = wired
+        hb = self.heartbeat()
+        runtime.publish("chan/L0", 1, "heartbeat", hb, 256)
+        runtime.publish("chan/L0", 2, "heartbeat", hb, 256)
+        runtime.publish("chan/L0", 2, "hb2", hb, 256)
+        runtime.publish("chan/L0", 2, "hb2", hb, 300)
+        assert len(encoded) == 4 and len(set(sent)) == 4
+
+    def test_channels_do_not_share_a_datagram(self, wired):
+        runtime, sent, encoded = wired
+        hb = self.heartbeat()
+        for channel in ("chan/L0", "chan/L1", "chan/L0", "chan/L1"):
+            runtime.publish(channel, 1, "heartbeat", hb, 256)
+        assert len(encoded) == 2
+        assert [decode_packet(data)[0].channel for data in sent] == [
+            "chan/L0", "chan/L1", "chan/L0", "chan/L1",
+        ]
+
+    def test_other_payloads_are_encoded_every_time(self, wired):
+        runtime, sent, encoded = wired
+        update = {"ops": (1, 2, 3)}
+        hb = self.heartbeat()
+        runtime.publish("chan/L0", 1, "heartbeat", hb, 256)
+        for _ in range(3):
+            runtime.publish("chan/L0", 1, "update", update, 64)
+        runtime.publish("chan/L0", 1, "heartbeat", hb, 256)
+        # An update in between neither is remembered nor costs the
+        # heartbeat its slot.
+        assert encoded == ["heartbeat", "update", "update", "update"]
+        assert sent[4] is sent[0]
+
+    def test_deactivate_and_unsubscribe_drop_the_encode_side(self, wired):
+        runtime, sent, encoded = wired
+        hb = self.heartbeat()
+        runtime.publish("chan/L0", 1, "heartbeat", hb, 256)
+        runtime.publish("chan/L1", 2, "heartbeat", hb, 256)
+        assert set(runtime._published) == {"chan/L0", "chan/L1"}
+        runtime.unsubscribe("chan/L1")
+        assert set(runtime._published) == {"chan/L0"}
+        runtime.deactivate()
+        assert runtime._published == {}
+        runtime.activate()
+        runtime.publish("chan/L0", 1, "heartbeat", hb, 256)
+        assert encoded.count("heartbeat") == 3
