@@ -30,10 +30,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, Optional, Type
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, Dict, Optional, Type
 
 from repro.detect.bounds import detection_bound
+
+if TYPE_CHECKING:
+    from repro.protocols.base import ProtocolConfig
 
 __all__ = [
     "AnalysisParams",
@@ -69,6 +72,18 @@ class AnalysisParams:
     probe_timeout: float = 0.5
     probe_period: Optional[float] = None  # None: the heartbeat period
     indirect_probes: int = 3
+
+    @classmethod
+    def from_config(cls, config: "ProtocolConfig", *, group_size: int) -> "AnalysisParams":
+        """The analysis symbols of a protocol config.
+
+        Every field the two dataclasses share by name is read off
+        ``config``; ``freq`` is the reciprocal of its heartbeat period.
+        """
+        shared = {
+            f.name: getattr(config, f.name) for f in fields(cls) if hasattr(config, f.name)
+        }
+        return cls(**shared, freq=1.0 / config.heartbeat_period, group_size=group_size)
 
 
 class SchemeModel(ABC):

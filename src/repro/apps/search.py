@@ -31,7 +31,7 @@ from repro.core.proxy import MembershipProxy, install_proxy_forwarding
 from repro.net.builders import build_two_datacenters
 from repro.net.network import Network
 from repro.protocols.base import deploy
-from repro.sim.process import Event
+from repro.sim import Event
 
 __all__ = ["SearchWorkload", "SearchCluster", "SearchDeployment", "QueryResult"]
 

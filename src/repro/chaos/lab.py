@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis.models import MODELS, AnalysisParams
 from repro.chaos.invariants import InvariantChecker, false_failure_bound
 from repro.core.config import HierarchicalConfig
-from repro.detect.bounds import detection_bound
+from repro.detect.bounds import config_detection_bound
 from repro.metrics.collectors import (
     bandwidth_stats,
     convergence_time,
@@ -110,22 +110,6 @@ class DetectorMatrixLab:
             return HierarchicalConfig(**kwargs)  # type: ignore[arg-type]
         return ProtocolConfig(**kwargs)  # type: ignore[arg-type]
 
-    def _model_params(self, config: ProtocolConfig) -> AnalysisParams:
-        return AnalysisParams(
-            member_size=config.member_size,
-            freq=1.0 / config.heartbeat_period,
-            max_loss=config.max_loss,
-            group_size=self.hosts_per_network,
-            gossip_fanout=config.gossip_fanout,
-            gossip_mistake_prob=config.gossip_mistake_prob,
-            detector=config.detector,
-            phi_threshold=config.phi_threshold,
-            suspicion_timeout=config.suspicion_timeout,
-            probe_timeout=config.probe_timeout,
-            probe_period=config.probe_period,
-            indirect_probes=config.indirect_probes,
-        )
-
     # ------------------------------------------------------------------
     def run_pair(self, detector: str, scheme: str) -> DetectorPairResult:
         """One seeded chaos run of ``scheme`` under ``detector``."""
@@ -139,18 +123,7 @@ class DetectorMatrixLab:
             config=config,
         )
         n = len(hosts)
-        bound = detection_bound(
-            detector,
-            period=config.heartbeat_period,
-            max_loss=config.max_loss,
-            n=n,
-            scheme=scheme,
-            phi_threshold=config.phi_threshold,
-            suspicion_timeout=config.suspicion_timeout,
-            probe_timeout=config.probe_timeout,
-            probe_period=config.probe_period,
-            gossip_mistake_prob=config.gossip_mistake_prob,
-        )
+        bound = config_detection_bound(config, n, scheme)
         # Twice the advertised bound plus trace-granularity slack: loss
         # can eat the first declaration-enabling observation, adaptive
         # detectors stretch with the observed cadence under chaos.
@@ -201,8 +174,9 @@ class DetectorMatrixLab:
             net.trace, victim, kill_time, expected_observers=survivors
         )
 
-        params = self._model_params(config)
-        model = MODELS[scheme](params)
+        model = MODELS[scheme](
+            AnalysisParams.from_config(config, group_size=self.hosts_per_network)
+        )
         bw = stats.aggregate_rate
         detected_in_time = detection is not None and detection <= gate
         ok = checker.ok and detected_in_time and convergence is not None

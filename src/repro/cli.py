@@ -24,6 +24,7 @@ from repro.analysis import MODELS, AnalysisParams
 from repro.apps import SearchDeployment
 from repro.cluster.gateway import Gateway
 from repro.core import HierarchicalNode
+from repro.core.config import KNOBS, HierarchicalConfig
 from repro.metrics import SCHEMES, FailureExperiment, make_scheme_cluster
 from repro.obs import (
     JsonlTraceSink,
@@ -159,10 +160,8 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
     import asyncio
     import dataclasses
     import json
-    import os
     import signal
 
-    from repro.core.config import HierarchicalConfig, detector_overrides_from_env
     from repro.obs.wiring import Instruments
     from repro.runtime.anet import AsyncRuntime, ClusterSpec
 
@@ -170,13 +169,12 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
     config = HierarchicalConfig()
     if spec.config:
         config = dataclasses.replace(config, **spec.config)
-    # Detector overrides, lowest to highest precedence: spec < env < flags.
-    overrides = detector_overrides_from_env(os.environ)
-    for attr in ("detector", "probe_period", "probe_timeout", "indirect_probes",
-                 "suspicion_timeout", "phi_threshold", "phi_window"):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[attr] = value
+    # Per-daemon flags win over the spec's per-cluster ``config`` block.
+    overrides = {
+        knob.attr: getattr(args, knob.attr)
+        for knob in KNOBS
+        if knob.flag and getattr(args, knob.attr) is not None
+    }
     if overrides:
         config = dataclasses.replace(config, **overrides)
 
@@ -407,21 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=None, metavar="SEC",
                    help="exit after SEC seconds (default: run until SIGTERM)")
-    p.add_argument("--detector", choices=["counter", "swim", "phi-accrual"],
-                   default=None,
-                   help="failure-detection strategy (default: spec/env/counter)")
-    p.add_argument("--probe-period", type=float, default=None, metavar="SEC",
-                   help="swim: probe round period")
-    p.add_argument("--probe-timeout", type=float, default=None, metavar="SEC",
-                   help="swim: per-probe ack timeout")
-    p.add_argument("--indirect-probes", type=int, default=None, metavar="K",
-                   help="swim: number of indirect ping-req relays")
-    p.add_argument("--suspicion-timeout", type=float, default=None, metavar="SEC",
-                   help="swim: suspicion-to-declaration delay")
-    p.add_argument("--phi-threshold", type=float, default=None,
-                   help="phi-accrual: declaration threshold")
-    p.add_argument("--phi-window", type=int, default=None,
-                   help="phi-accrual: inter-arrival window length")
+    for knob in KNOBS:
+        if knob.flag:
+            p.add_argument(knob.flag_name, type=knob.parse, choices=knob.choices,
+                           default=None, help=knob.help)
     p.set_defaults(fn=_cmd_daemon)
 
     p = sub.add_parser("analysis", help="Section 4 closed forms")

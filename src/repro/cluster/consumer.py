@@ -22,7 +22,7 @@ from repro.cluster.loadbalance import LoadBalancer, RandomChoice
 from repro.cluster.provider import POLL_SIZE, REQUEST_SIZE, SERVICE_PORT
 from repro.net.network import Network
 from repro.net.packet import Packet
-from repro.sim.process import Event
+from repro.sim import Event
 
 __all__ = ["ConsumerModule", "InvocationResult"]
 

@@ -13,8 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.engine import Simulator
-from repro.sim.process import Event
+from repro.sim import Event, Simulator
 
 __all__ = ["Gateway", "RequestStats"]
 

@@ -27,17 +27,19 @@ service parameters published as key-value pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.cluster.service import ServiceSpec
+from repro.detect import DETECTORS
 from repro.protocols.base import ProtocolConfig
 
 __all__ = [
     "HierarchicalConfig",
+    "Knob",
+    "KNOBS",
     "parse_config_text",
     "render_config_text",
-    "detector_overrides_from_env",
 ]
 
 
@@ -142,6 +144,87 @@ class HierarchicalConfig(ProtocolConfig):
         return self.fail_timeout * self.tombstone_quarantine_factor
 
 
+class Knob(NamedTuple):
+    """One configurable field and every surface that can set it.
+
+    The Fig. 7 file parser and renderer, ``MService.control``, the
+    ``repro.cli daemon`` flags and the surfaces table of
+    ``docs/DETECTORS.md`` are all derived from :data:`KNOBS`.
+    """
+
+    #: :class:`HierarchicalConfig` field
+    attr: str
+    #: text -> field value; raises ``ValueError`` on a bad value
+    parse: Callable[[str], Any]
+    #: ``*SYSTEM`` key
+    key: str
+    #: field value -> ``*SYSTEM`` text
+    render: Callable[[Any], str]
+    help: str
+    #: rendered even at its default (the Fig. 7 header keys)
+    always: bool = False
+    #: ``MService.control`` accepts it
+    control: bool = False
+    #: ``repro.cli daemon`` exposes it as ``--<attr, dashed>``
+    flag: bool = False
+    #: ``*SYSTEM`` text -> field value where the file's unit differs
+    file_parse: Optional[Callable[[str], Any]] = None
+    #: the values ``parse`` accepts, when it is a closed set
+    choices: Optional[Tuple[str, ...]] = None
+
+    @property
+    def flag_name(self) -> str:
+        return "--" + self.attr.replace("_", "-")
+
+
+def detector_name(text: str) -> str:
+    """Normalise a detector name, rejecting unknown ones at parse time."""
+    name = text.strip().lower()
+    if name not in DETECTORS:
+        raise ValueError(f"unknown DETECTOR {name!r}; pick one of {sorted(DETECTORS)}")
+    return name
+
+
+#: shortest float text (``1.0`` -> ``"1"``), the file's number style
+_g = "{:g}".format
+
+#: Every knob, in ``*SYSTEM`` rendering order.  ``MCAST_ADDR`` /
+#: ``MCAST_PORT`` / ``CHANNEL_L<k>`` compose ``base_channel`` and
+#: ``channel_overrides`` and are handled by hand in the parser and renderer.
+KNOBS: Tuple[Knob, ...] = (
+    Knob("shm_key", int, "SHM_KEY", str,
+         "key of the shared-memory yellow page", always=True),
+    Knob("max_ttl", int, "MAX_TTL", str,
+         "TTL bound at which group formation stops", always=True, control=True),
+    Knob("heartbeat_period", float, "MCAST_FREQ", lambda period: _g(1.0 / period),
+         "seconds between heartbeats (the file holds the frequency)",
+         always=True, control=True, file_parse=lambda v: 1.0 / float(v)),
+    Knob("max_loss", int, "MAX_LOSS", str,
+         "missed heartbeats before a peer is declared dead", always=True, control=True),
+    Knob("member_size", int, "MEMBER_SIZE", str,
+         "modelled bytes of one member description"),
+    Knob("piggyback_depth", int, "PIGGYBACK", str,
+         "previous updates carried by each update message"),
+    Knob("detector", detector_name, "DETECTOR", str,
+         "failure-detection strategy (default: spec/counter)",
+         control=True, flag=True, choices=tuple(sorted(DETECTORS))),
+    Knob("probe_period", float, "PROBE_PERIOD", _g,
+         "swim: probe round period, seconds", control=True, flag=True),
+    Knob("probe_timeout", float, "PROBE_TIMEOUT", _g,
+         "swim: per-probe ack timeout, seconds", control=True, flag=True),
+    Knob("indirect_probes", int, "INDIRECT_PROBES", str,
+         "swim: number of indirect ping-req relays", control=True, flag=True),
+    Knob("suspicion_timeout", float, "SUSPICION_TIMEOUT", _g,
+         "swim: suspicion-to-declaration delay, seconds", control=True, flag=True),
+    Knob("phi_threshold", float, "PHI_THRESHOLD", _g,
+         "phi-accrual: declaration threshold", control=True, flag=True),
+    Knob("phi_window", int, "PHI_WINDOW", str,
+         "phi-accrual: inter-arrival window length", control=True, flag=True),
+)
+
+_BY_KEY: Dict[str, Knob] = {knob.key: knob for knob in KNOBS}
+
+
 def parse_config_text(text: str) -> Tuple[HierarchicalConfig, List[ServiceSpec]]:
     """Parse the Fig. 7 configuration format.
 
@@ -180,22 +263,6 @@ def parse_config_text(text: str) -> Tuple[HierarchicalConfig, List[ServiceSpec]]
             raise ValueError(f"config line before any section: {raw_line!r}")
 
     config = HierarchicalConfig()
-    mapping = {
-        "SHM_KEY": ("shm_key", int),
-        "MAX_TTL": ("max_ttl", int),
-        "MCAST_FREQ": ("heartbeat_period", lambda v: 1.0 / float(v)),
-        "MAX_LOSS": ("max_loss", int),
-        "MEMBER_SIZE": ("member_size", int),
-        "PIGGYBACK": ("piggyback_depth", int),
-        # Failure-detection strategy selection and knobs (repro.detect).
-        "DETECTOR": ("detector", lambda v: v.strip().lower()),
-        "PROBE_PERIOD": ("probe_period", float),
-        "PROBE_TIMEOUT": ("probe_timeout", float),
-        "INDIRECT_PROBES": ("indirect_probes", int),
-        "SUSPICION_TIMEOUT": ("suspicion_timeout", float),
-        "PHI_THRESHOLD": ("phi_threshold", float),
-        "PHI_WINDOW": ("phi_window", int),
-    }
     addr = system.pop("MCAST_ADDR", None)
     port = system.pop("MCAST_PORT", None)
     if addr is not None or port is not None:
@@ -211,11 +278,10 @@ def parse_config_text(text: str) -> Tuple[HierarchicalConfig, List[ServiceSpec]]
     if overrides:
         config = replace(config, channel_overrides=tuple(overrides))
     for key, value in system.items():
-        if key not in mapping:
+        knob = _BY_KEY.get(key)
+        if knob is None:
             raise ValueError(f"unknown *SYSTEM key {key!r}")
-        attr, conv = mapping[key]
-        config = replace(config, **{attr: conv(value)})
-    _validate_detector(config.detector)
+        config = replace(config, **{knob.attr: (knob.file_parse or knob.parse)(value)})
 
     specs: List[ServiceSpec] = []
     for name, params in services:
@@ -225,73 +291,20 @@ def parse_config_text(text: str) -> Tuple[HierarchicalConfig, List[ServiceSpec]]
     return config, specs
 
 
-def _validate_detector(name: str) -> None:
-    """Reject unknown detector names at parse time, not at node start."""
-    from repro.detect import DETECTORS
-
-    if name not in DETECTORS:
-        raise ValueError(f"unknown DETECTOR {name!r}; pick one of {sorted(DETECTORS)}")
-
-
-#: environment variables overriding the detector knobs (daemon runners);
-#: variable -> (config attribute, converter).
-_ENV_DETECTOR_KEYS: Dict[str, Tuple[str, object]] = {
-    "REPRO_DETECTOR": ("detector", lambda v: v.strip().lower()),
-    "REPRO_PROBE_PERIOD": ("probe_period", float),
-    "REPRO_PROBE_TIMEOUT": ("probe_timeout", float),
-    "REPRO_INDIRECT_PROBES": ("indirect_probes", int),
-    "REPRO_SUSPICION_TIMEOUT": ("suspicion_timeout", float),
-    "REPRO_PHI_THRESHOLD": ("phi_threshold", float),
-    "REPRO_PHI_WINDOW": ("phi_window", int),
-}
-
-
-def detector_overrides_from_env(environ: Mapping[str, str]) -> Dict[str, object]:
-    """Detector config overrides from ``REPRO_*`` environment variables.
-
-    Returns ``{attribute: value}`` suitable for ``dataclasses.replace``;
-    unknown detector names fail loudly here (same rule as the file parser).
-    """
-    overrides: Dict[str, object] = {}
-    for var, (attr, conv) in _ENV_DETECTOR_KEYS.items():
-        raw = environ.get(var)
-        if raw is None or raw == "":
-            continue
-        overrides[attr] = conv(raw)  # type: ignore[operator]
-    if "detector" in overrides:
-        _validate_detector(str(overrides["detector"]))
-    return overrides
-
-
 def render_config_text(config: HierarchicalConfig, services: List[ServiceSpec]) -> str:
     """Inverse of :func:`parse_config_text` (round-trips the Fig. 7 format)."""
-    addr, _, port = config.base_channel.partition(":")
-    lines = [
-        "*SYSTEM",
-        f"SHM_KEY = {config.shm_key}",
-        f"MAX_TTL = {config.max_ttl}",
-        f"MCAST_ADDR = {addr}",
-        f"MCAST_PORT = {port}",
-        f"MCAST_FREQ = {1.0 / config.heartbeat_period:g}",
-        f"MAX_LOSS = {config.max_loss}",
-    ]
-    # Detector block: emitted only when something differs from the default
-    # strategy, so pre-existing configs round-trip to identical text.
+    # Non-``always`` rows are emitted only when they differ from the
+    # default, so pre-existing configs round-trip to identical text.
     defaults = HierarchicalConfig()
-    if config.detector != defaults.detector:
-        lines.append(f"DETECTOR = {config.detector}")
-    if config.probe_period != defaults.probe_period:
-        lines.append(f"PROBE_PERIOD = {config.probe_period:g}")
-    if config.probe_timeout != defaults.probe_timeout:
-        lines.append(f"PROBE_TIMEOUT = {config.probe_timeout:g}")
-    if config.indirect_probes != defaults.indirect_probes:
-        lines.append(f"INDIRECT_PROBES = {config.indirect_probes}")
-    if config.suspicion_timeout != defaults.suspicion_timeout:
-        lines.append(f"SUSPICION_TIMEOUT = {config.suspicion_timeout:g}")
-    if config.phi_threshold != defaults.phi_threshold:
-        lines.append(f"PHI_THRESHOLD = {config.phi_threshold:g}")
-    if config.phi_window != defaults.phi_window:
-        lines.append(f"PHI_WINDOW = {config.phi_window}")
+    lines = ["*SYSTEM"]
+    for knob in KNOBS:
+        value = getattr(config, knob.attr)
+        if knob.always or value != getattr(defaults, knob.attr):
+            lines.append(f"{knob.key} = {knob.render(value)}")
+    # Fig. 7 order: the base channel follows SHM_KEY and MAX_TTL, the
+    # first two (always rendered) rows.
+    addr, _, port = config.base_channel.partition(":")
+    lines[3:3] = [f"MCAST_ADDR = {addr}", f"MCAST_PORT = {port}"]
     for level, name in sorted(config.channel_overrides):
         lines.append(f"CHANNEL_L{level} = {name}")
     lines += ["", "*SERVICE"]

@@ -35,7 +35,7 @@ from repro.core.heartbeat import Heartbeat
 from repro.core.node import HierarchicalNode
 from repro.net.network import Network
 from repro.net.packet import Packet
-from repro.sim.process import Event
+from repro.sim import Event
 
 __all__ = ["ServiceSummary", "MembershipProxy", "ProxyConfig", "install_proxy_forwarding"]
 

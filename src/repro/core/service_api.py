@@ -15,13 +15,13 @@ like real shared memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.directory import Directory
 from repro.cluster.machine import MachineInfo
 from repro.cluster.service import ServiceSpec
-from repro.core.config import HierarchicalConfig, parse_config_text
+from repro.core.config import KNOBS, HierarchicalConfig, parse_config_text
 from repro.core.node import HierarchicalNode
 from repro.net.network import Network
 
@@ -41,6 +41,8 @@ class Machine:
 
 
 MachineList = List[Machine]
+
+_CONTROL_KNOBS = {knob.attr: knob for knob in KNOBS if knob.control}
 
 
 def _shm_registry(network: Network) -> Dict[Tuple[str, int], Directory]:
@@ -65,20 +67,9 @@ class MService:
         Hardware description published in heartbeats.
     """
 
-    #: commands accepted by :meth:`control`
-    CONTROL_COMMANDS = (
-        "heartbeat_period",
-        "max_loss",
-        "max_ttl",
-        # failure-detection strategy selection and knobs
-        "detector",
-        "probe_period",
-        "probe_timeout",
-        "indirect_probes",
-        "suspicion_timeout",
-        "phi_threshold",
-        "phi_window",
-    )
+    #: commands accepted by :meth:`control` (the ``control`` rows of
+    #: :data:`repro.core.config.KNOBS`)
+    CONTROL_COMMANDS = tuple(_CONTROL_KNOBS)
 
     def __init__(
         self,
@@ -111,18 +102,11 @@ class MService:
         detector (switching strategies mid-run is supported) and keeps
         the role context's config reference in lockstep.
         """
-        if cmd not in self.CONTROL_COMMANDS:
+        knob = _CONTROL_KNOBS.get(cmd)
+        if knob is None:
             raise ValueError(f"unknown control command {cmd!r}")
-        if cmd == "detector":
-            from repro.detect import DETECTORS
-
-            arg = str(arg).strip().lower()
-            if arg not in DETECTORS:
-                raise ValueError(
-                    f"unknown detector {arg!r}; pick one of {sorted(DETECTORS)}"
-                )
-        from dataclasses import replace
-
+        if isinstance(arg, str):
+            arg = knob.parse(arg)
         self.node.apply_config(replace(self.node.config, **{cmd: arg}))
 
     def run(self) -> None:

@@ -16,8 +16,8 @@ production deployment of the protocol would actually expose:
   by the fabrics and protocol nodes, plus
   :func:`enable_observability`.
 
-See docs/OBSERVABILITY.md for the design, the overhead benchmark
-(``benchmarks/bench_obs_overhead.py``) and the determinism contract.
+See docs/OBSERVABILITY.md for the design, the count-based overhead gate
+(``tests/obs/test_wiring.py``) and the determinism contract.
 """
 
 from repro.obs.exporters import to_json, to_json_str, to_prometheus

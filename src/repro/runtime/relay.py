@@ -94,7 +94,9 @@ class ChannelRelay(asyncio.DatagramProtocol):
         self.expiry = expiry
         #: node -> soft state (last seen address, segment, last announce)
         self.members: Dict[str, _Member] = {}
-        #: channel -> subscriber node ids (insertion-ordered)
+        #: channel -> subscriber node ids (insertion-ordered); a channel
+        #: is dropped with its last subscriber, so the dict is bounded by
+        #: the live subscriptions, not by every name ever announced
         self.channels: Dict[str, Dict[str, None]] = {}
         #: datagrams dropped because they failed to decode
         self.wire_errors = 0
@@ -159,6 +161,8 @@ class ChannelRelay(asyncio.DatagramProtocol):
             del self.members[node]
             for subs in self.channels.values():
                 subs.pop(node, None)
+        if stale:
+            self.channels = {c: subs for c, subs in self.channels.items() if subs}
         self.expired += len(stale)
         self._reasm.expire(now)
         return len(stale)
@@ -216,6 +220,8 @@ class ChannelRelay(asyncio.DatagramProtocol):
             subs = self.channels.get(channel)
             if subs is not None:
                 subs.pop(node, None)
+                if not subs:
+                    del self.channels[channel]
 
     # -- fan-out -------------------------------------------------------
     def _forward(

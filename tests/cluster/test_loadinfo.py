@@ -111,7 +111,7 @@ class TestLoadReporter:
 
 class _DummyEvent:
     def __init__(self, net):
-        from repro.sim.process import Event
+        from repro.sim import Event
 
         self._ev = Event(net.sim)
 

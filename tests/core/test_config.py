@@ -170,3 +170,85 @@ class TestConfigParsing:
         text = render_config_text(cfg, services)
         cfg2, _ = parse_config_text(text)
         assert cfg2.channel(1) == "239.9.9.9:1234"
+
+
+class TestKnobTable:
+    """``KNOBS`` is the contract every configuration surface derives from."""
+
+    def test_rows_name_config_fields_once(self):
+        from dataclasses import fields
+
+        from repro.core.config import KNOBS
+
+        names = {f.name for f in fields(HierarchicalConfig)}
+        assert all(k.attr in names for k in KNOBS)
+        for column in ("attr", "key", "flag_name"):
+            values = [getattr(k, column) for k in KNOBS]
+            assert len(set(values)) == len(values), column
+        assert all(k.help for k in KNOBS)
+
+    def test_every_row_round_trips_through_the_file(self):
+        from dataclasses import replace
+
+        from repro.core.config import KNOBS
+
+        cfg = HierarchicalConfig()
+        for k in KNOBS:
+            default = getattr(cfg, k.attr)
+            other = "swim" if k.attr == "detector" else default * 2
+            cfg = replace(cfg, **{k.attr: other})
+        cfg = cfg.with_channel_override(1, "239.9.9.9:1234")
+        text = render_config_text(cfg, [])
+        assert all(f"{k.key} = " in text for k in KNOBS)
+        assert parse_config_text(text) == (cfg, [])
+
+    def test_parsers_reject_bad_values(self):
+        from repro.core.config import KNOBS
+
+        for k in KNOBS:
+            with pytest.raises(ValueError):
+                k.parse("not-a-value")
+
+    # Literals captured from render_config_text before the table existed.
+    RENDERED = {
+        "default": (
+            "*SYSTEM\nSHM_KEY = 999\nMAX_TTL = 4\nMCAST_ADDR = 239.255.0.2\n"
+            "MCAST_PORT = 10050\nMCAST_FREQ = 1\nMAX_LOSS = 5\n\n*SERVICE\n"
+        ),
+        "fig7": (
+            "*SYSTEM\nSHM_KEY = 999\nMAX_TTL = 4\nMCAST_ADDR = 239.255.0.2\n"
+            "MCAST_PORT = 10050\nMCAST_FREQ = 1\nMAX_LOSS = 5\n\n*SERVICE\n"
+            "[HTTP]\n    PARTITION = 0\n    Port = 8080\n[Cache]\n    PARTITION = 2\n"
+        ),
+        "detector": (
+            "*SYSTEM\nSHM_KEY = 999\nMAX_TTL = 4\nMCAST_ADDR = 239.255.0.2\n"
+            "MCAST_PORT = 10050\nMCAST_FREQ = 1\nMAX_LOSS = 5\nDETECTOR = swim\n"
+            "PROBE_PERIOD = 0.5\nPROBE_TIMEOUT = 0.25\nINDIRECT_PROBES = 2\n"
+            "SUSPICION_TIMEOUT = 1.5\nPHI_THRESHOLD = 6\nPHI_WINDOW = 16\n\n*SERVICE\n"
+        ),
+        "channels": (
+            "*SYSTEM\nSHM_KEY = 7\nMAX_TTL = 3\nMCAST_ADDR = 239.1.2.3\n"
+            "MCAST_PORT = 777\nMCAST_FREQ = 2.5\nMAX_LOSS = 3\n"
+            "CHANNEL_L0 = 239.1.1.1:9000\nCHANNEL_L2 = 239.1.1.2:9000\n\n*SERVICE\n"
+        ),
+    }
+
+    def test_render_is_byte_identical(self):
+        assert render_config_text(HierarchicalConfig(), []) == self.RENDERED["default"]
+        assert render_config_text(*parse_config_text(FIG7)) == self.RENDERED["fig7"]
+        detector = HierarchicalConfig(
+            detector="swim", probe_period=0.5, probe_timeout=0.25, indirect_probes=2,
+            suspicion_timeout=1.5, phi_threshold=6.0, phi_window=16,
+        )
+        assert render_config_text(detector, []) == self.RENDERED["detector"]
+        channels = (
+            HierarchicalConfig(
+                heartbeat_period=0.4, max_loss=3, shm_key=7, max_ttl=3,
+                base_channel="239.1.2.3:777",
+            )
+            .with_channel_override(2, "239.1.1.2:9000")
+            .with_channel_override(0, "239.1.1.1:9000")
+        )
+        assert render_config_text(channels, []) == self.RENDERED["channels"]
+        for text in self.RENDERED.values():
+            assert render_config_text(*parse_config_text(text)) == text

@@ -64,6 +64,28 @@ class TestMService:
         assert ms.config.max_loss == 3
         assert ms.config.fail_timeout == 3.0
 
+    def test_control_converts_text_arguments(self):
+        # control("max_loss", "3") used to store the string, and the next
+        # tracker tick died multiplying it by the heartbeat period.
+        net, hosts, services = make_deployment(2)
+        ms = services[hosts[0]]
+        ms.control("max_loss", "3")
+        ms.control("heartbeat_period", "0.5")
+        ms.control("detector", " Phi-Accrual ")
+        assert ms.config.max_loss == 3 and isinstance(ms.config.max_loss, int)
+        assert ms.config.heartbeat_period == 0.5
+        assert ms.config.detector == "phi-accrual"
+        net.run(until=10.0)
+        assert len(ms.node.view()) == 2
+
+    def test_control_rejects_unconvertible_text_before_applying(self):
+        net, hosts, services = make_deployment(2)
+        ms = services[hosts[0]]
+        before = ms.config
+        with pytest.raises(ValueError):
+            ms.control("max_loss", "three")
+        assert ms.config is before
+
     def test_control_rejects_unknown_command(self):
         topo, hosts = build_switched_cluster(1, 2)
         net = Network(topo, seed=1)

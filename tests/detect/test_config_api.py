@@ -2,9 +2,9 @@
 
 The strategy is a deployment knob, so it must be reachable the same
 three ways every other knob is: the ``*SYSTEM`` config file, the
-``REPRO_*`` environment overrides the daemon command honours, and the
-live ``control()`` call of the service API — and a non-default choice
-must survive a render/parse round trip.
+``repro.cli daemon`` flags, and the live ``control()`` call of the
+service API — all derived from ``repro.core.config.KNOBS`` — and a
+non-default choice must survive a render/parse round trip.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import pytest
 
 from repro.analysis.models import MODELS, AnalysisParams
 from repro.core import HierarchicalConfig, parse_config_text, render_config_text
-from repro.core.config import detector_overrides_from_env
+from repro.core.config import KNOBS
+from repro.detect import DETECTORS
 from repro.detect.bounds import LN10
 
 
@@ -59,34 +60,6 @@ class TestConfigFile:
         assert "PHI_" not in text
 
 
-class TestEnvOverrides:
-    def test_env_overrides_parse_and_convert(self):
-        overrides = detector_overrides_from_env(
-            {
-                "REPRO_DETECTOR": " SWIM ",
-                "REPRO_PROBE_PERIOD": "0.5",
-                "REPRO_INDIRECT_PROBES": "2",
-                "REPRO_PHI_THRESHOLD": "6.5",
-                "REPRO_PHI_WINDOW": "16",
-                "UNRELATED": "ignored",
-            }
-        )
-        assert overrides == {
-            "detector": "swim",
-            "probe_period": 0.5,
-            "indirect_probes": 2,
-            "phi_threshold": 6.5,
-            "phi_window": 16,
-        }
-
-    def test_empty_values_are_skipped(self):
-        assert detector_overrides_from_env({"REPRO_DETECTOR": ""}) == {}
-
-    def test_unknown_detector_rejected(self):
-        with pytest.raises(ValueError):
-            detector_overrides_from_env({"REPRO_DETECTOR": "psychic"})
-
-
 class TestDaemonFlags:
     def test_daemon_parser_accepts_detector_knobs(self):
         from repro.cli import build_parser
@@ -115,6 +88,23 @@ class TestDaemonFlags:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["daemon", "--detector", "psychic"])
+
+    def test_daemon_flags_are_the_tables_flag_rows(self):
+        from repro.cli import build_parser
+
+        subparsers = next(
+            a for a in build_parser()._actions if isinstance(a.choices, dict)
+        )
+        actions = {
+            a.option_strings[0]: a for a in subparsers.choices["daemon"]._actions
+        }
+        own = {"-h", "--spec", "--node", "--seed", "--duration"}
+        assert [f for f in actions if f not in own] == [
+            k.flag_name for k in KNOBS if k.flag
+        ]
+        assert list(actions["--detector"].choices) == sorted(DETECTORS)
+        # every derived flag lands on the attribute the collection loop reads
+        assert all(actions[k.flag_name].dest == k.attr for k in KNOBS if k.flag)
 
 
 class TestServiceControl:
@@ -153,8 +143,77 @@ class TestServiceControl:
         with pytest.raises(ValueError, match="psychic"):
             ms.control("detector", "psychic")
 
+    def test_control_commands_are_the_tables_control_rows(self):
+        from repro.core import MService
+
+        assert MService.CONTROL_COMMANDS == tuple(k.attr for k in KNOBS if k.control)
+        # same ten members as before the table existed
+        assert sorted(MService.CONTROL_COMMANDS) == sorted(
+            [
+                "heartbeat_period",
+                "max_loss",
+                "max_ttl",
+                "detector",
+                "probe_period",
+                "probe_timeout",
+                "indirect_probes",
+                "suspicion_timeout",
+                "phi_threshold",
+                "phi_window",
+            ]
+        )
+
+
+class TestSurfacesDoc:
+    """docs/DETECTORS.md's surfaces table is checked, not typed."""
+
+    def rows(self):
+        import re
+        from pathlib import Path
+
+        doc = Path(__file__).resolve().parents[2] / "docs" / "DETECTORS.md"
+        section = doc.read_text().split("## Configuration surfaces")[1].split("\n## ")[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("|") and len(cells) == 2:
+                rows[cells[0]] = re.findall(r"`([^`]+)`", cells[1])
+        return rows
+
+    def test_doc_lists_exactly_the_tables_spellings(self):
+        rows = self.rows()
+        assert set(rows) >= {"config file", "daemon CLI", "service API"}
+        assert len(rows) == 3 + 2  # plus the header and its |---| rule
+        keys = [t for t in rows["config file"] if t.isupper() and not t.startswith("*")]
+        assert keys == [k.key for k in KNOBS]
+        flags = [t for t in rows["daemon CLI"] if t.startswith("--")]
+        assert flags == [k.flag_name for k in KNOBS if k.flag]
+        commands = [t.strip('"') for t in rows["service API"] if t.startswith('"')]
+        assert commands == [k.attr for k in KNOBS if k.control]
+
 
 class TestAnalysisModels:
+    def test_from_config_reads_every_shared_field(self):
+        from dataclasses import fields
+
+        cfg = HierarchicalConfig(
+            heartbeat_period=0.5, max_loss=3, member_size=100, gossip_fanout=2,
+            gossip_mistake_prob=0.01, detector="swim", phi_threshold=6.0,
+            suspicion_timeout=1.5, probe_timeout=0.25, probe_period=0.75,
+            indirect_probes=2,
+        )
+        params = AnalysisParams.from_config(cfg, group_size=8)
+        assert params == AnalysisParams(
+            member_size=100, freq=2.0, max_loss=3, group_size=8, gossip_fanout=2,
+            gossip_mistake_prob=0.01, detector="swim", phi_threshold=6.0,
+            suspicion_timeout=1.5, probe_timeout=0.25, probe_period=0.75,
+            indirect_probes=2,
+        )
+        # only the analysis-only symbols are left at their defaults
+        assert {f.name for f in fields(AnalysisParams) if not hasattr(cfg, f.name)} == {
+            "freq", "group_size", "hop_latency",
+        }
+
     def test_detection_time_follows_the_detector(self):
         counter = MODELS["hierarchical"](AnalysisParams())
         phi = MODELS["hierarchical"](AnalysisParams(detector="phi-accrual"))

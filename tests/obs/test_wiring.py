@@ -1,5 +1,8 @@
 """Integration tests: instruments wired into a live cluster."""
 
+import functools
+from collections import Counter
+
 from repro.metrics.experiment import make_scheme_cluster
 from repro.obs import (
     MetricsRegistry,
@@ -93,6 +96,90 @@ class TestWiring:
         assert "# TYPE repro_multicast_fanout histogram" in text
         names = {fam["name"] for fam in handle.to_json()}
         assert "repro_sim_now_seconds" in names
+
+
+class _CountingInstrument:
+    """Stands in for any counter / histogram / gauge / family: counts calls."""
+
+    def __init__(self, calls, name):
+        self._calls, self._name = calls, name
+
+    def _call(self, *_args, **_kwargs):
+        self._calls[self._name] += 1
+        return self
+
+    inc = add = observe = set = labels = _call
+
+
+class _CountingBundle:
+    """An ``Instruments`` look-alike whose every attribute counts its calls."""
+
+    enabled = True
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        instrument = _CountingInstrument(self.calls, name)
+        setattr(self, name, instrument)
+        return instrument
+
+
+class TestSteadyStateCost:
+    """The obs-overhead gate, in instrument calls instead of wall clock.
+
+    What enabling observability adds to a steady-state run is one real
+    method call per instrument site reached; this pins how many sites a
+    kernel event reaches, so a new hot-path increment fails here (on any
+    machine) instead of nudging a timing ratio.
+    """
+
+    COUNTERS = ("mc_tx", "mc_deliveries", "mc_rx", "hb_tx", "hb_rx", "hb_rx_fast")
+
+    @staticmethod
+    @functools.cache
+    def window(mode):
+        """Steady window t=20..40 of a formed 3x10 cluster under ``mode``."""
+        net, _, _ = make_scheme_cluster("hierarchical", 3, 10, seed=47)
+        net.run(until=20.0)
+        before = net.sim.events_executed
+        bundle = None
+        if mode == "counting":
+            bundle = _CountingBundle()
+            net.obs = net.multicast_fabric.obs = net.transport.obs = bundle
+        elif mode == "real":
+            bundle = enable_observability(net, MetricsRegistry()).instruments
+        net.run(until=40.0)
+        return net.sim.events_executed - before, bundle, _trace_signature(net)
+
+    def test_instrument_calls_per_kernel_event_are_pinned(self):
+        events, bundle, _ = self.window("counting")
+        assert events == 1860
+        # Per heartbeat sent (700): announcer hb_tx, fabric mc_tx and the
+        # mc_fanout histogram; 660 of them reach a subscriber and add one
+        # mc_deliveries at send and one mc_rx per delivered batch (the 40
+        # others are the root's beats on its two one-member upper channels).  Per
+        # heartbeat received (5,520): receiver hb_rx + hb_rx_fast.
+        assert dict(bundle.calls) == {
+            "hb_tx": 700, "mc_tx": 700, "mc_fanout": 700,
+            "mc_deliveries": 660, "mc_rx": 660,
+            "hb_rx": 5520, "hb_rx_fast": 5520,
+        }
+        assert sum(bundle.calls.values()) == 14460  # 7.77 calls per kernel event
+
+    def test_only_the_steady_state_instruments_fire(self):
+        _, bundle, _ = self.window("counting")
+        assert set(bundle.calls) == set(self.COUNTERS) | {"mc_fanout"}
+        _, real, _ = self.window("real")
+        assert [getattr(real, name).get() for name in self.COUNTERS] == [
+            700, 5520, 5520, 700, 5520, 5520,
+        ]
+
+    def test_every_bundle_runs_the_same_events(self):
+        noop = self.window("noop")
+        for mode in ("counting", "real"):
+            events, _, trace = self.window(mode)
+            assert (events, trace) == (noop[0], noop[2]), mode
 
 
 class TestChaosRunnerRegistry:

@@ -241,8 +241,25 @@ class TestRelayExpiry:
         assert relay.expire() == 1
         assert "a" not in relay.members
         assert set(relay.channels["c1"]) == {"b"}
-        assert "a" not in relay.channels["c2"]
+        assert "c2" not in relay.channels  # dropped with its last subscriber
         assert relay.expired == 1
+
+    def test_channel_table_holds_only_live_subscriptions(self):
+        clock = {"now": 0.0}
+        relay = ChannelRelay(self.spec(), clock=lambda: clock["now"], expiry=6.0)
+        addr_a, addr_b = ("127.0.0.1", 5000), ("127.0.0.1", 5001)
+        relay._on_sub({"node": "b", "segment": "s0", "channels": ["keep", "only-b"]}, addr_b)
+        for i in range(1000):
+            relay._on_sub({"node": "a", "segment": "s0", "channels": ["keep", f"c{i}"]}, addr_a)
+            relay._on_unsub({"node": "a", "channels": [f"c{i}"]})
+        assert set(relay.channels) == {"keep", "only-b"}
+        assert set(relay.channels["keep"]) == {"b", "a"}
+        # b falls silent: its private channel goes with it, the shared one stays.
+        clock["now"] = 5.0
+        relay._on_sub({"node": "a", "segment": "s0", "channels": ["keep"]}, addr_a)
+        clock["now"] = 8.0
+        assert relay.expire() == 1
+        assert relay.channels == {"keep": {"a": None}}
 
     def test_reannounce_refreshes_lease(self):
         clock = {"now": 0.0}
