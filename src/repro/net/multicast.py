@@ -15,12 +15,25 @@ congestion or overloading senders or receivers").
 Delivery plans
 --------------
 ``send()`` resolves its recipients through a **delivery plan** cached per
-``(channel, src, ttl)``: the ordered tuple of ``(host, handler, delay)``
-triples a send from that key fans out to.  Plans are validated against
-``Topology.version`` plus a per-channel subscription version, so topology
-churn and subscribe/unsubscribe invalidate exactly the plans they affect
-instead of forcing a rebuild on every send.  Recipients are then grouped
-by identical delay and each group is scheduled as **one** kernel event
+``(channel, src, ttl)``: the ordered list of ``(host, handler, delay)``
+triples a send from that key fans out to.  The whole cache is dropped
+only when ``Topology.route_version`` moves (a switch, router, link or
+multi-homed host changed, so any route may have).  Everything else is
+patched into the cached plans of the one channel it touches:
+
+* a removal — ``unsubscribe``, ``unsubscribe_all``, or a subscribed
+  leaf host going down (``Topology.watch_leaf_hosts``) — deletes the
+  host from each plan;
+* a handler replacement swaps the handler in place;
+* a new subscription is picked up lazily: a plan behind the channel's
+  subscription version evaluates only the subscriptions that joined
+  after it (the tail of the subscription dict, which is in join order);
+* a subscribed leaf host coming back up drops the plans that already
+  went past its join, so they are rebuilt with it in place.
+
+A patch builds fresh bucket objects, so in-flight deliveries holding the
+old ones never see a change.  Recipients are grouped by identical delay
+and each group is scheduled as **one** kernel event
 (:meth:`Simulator.call_at_batch`) that loops over the receivers, cutting
 heap traffic from O(receivers) to O(distinct delays) per send.
 
@@ -41,7 +54,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.bandwidth import BandwidthMeter
 from repro.net.faults import FaultPlan
@@ -61,13 +74,41 @@ Handler = Callable[[Packet], None]
 #: handle for this bucket's receiver cells).
 _Bucket = Tuple[float, List[Tuple[str, Handler]], List[str], List[Handler], list]
 
-#: One cached fan-out: (subscription version it was built against,
-#: ordered (host, handler, delay) recipients, recipients grouped by delay).
-# (sub_version, sub_reset, log_idx, recipients, buckets).  ``recipients``
-# is a plan-private mutable list so subscription growth extends it in
-# place; ``buckets`` are rebuilt (fresh objects) on every extension so
-# in-flight deliveries holding old buckets never observe the change.
-_Plan = Tuple[int, int, int, List[Tuple[str, Handler, float]], Tuple[_Bucket, ...]]
+#: Ordered ``(host, handler, delay)`` recipients of one cached fan-out.
+_Recipients = List[Tuple[str, Handler, float]]
+
+
+class _Plan:
+    """One cached fan-out, rewritten in place by the patches.
+
+    ``sub_version`` is the channel subscription version the plan
+    reflects: every subscription that joined at or before it has been
+    evaluated, and removals and handler swaps are patched in as they
+    happen.  ``recipients`` is plan-private; ``buckets`` (the recipients
+    grouped by delay) is replaced whole, never mutated, whenever its
+    content changes.
+    """
+
+    __slots__ = ("sub_version", "recipients", "buckets")
+
+    def __init__(self, sub_version: int, recipients: _Recipients) -> None:
+        self.sub_version = sub_version
+        self.recipients = recipients
+        self.buckets = _bucketize(recipients)
+
+
+def _bucketize(recipients: _Recipients) -> Tuple[_Bucket, ...]:
+    """Fresh delay buckets for ``recipients``, in first-seen delay order."""
+    by_delay: Dict[float, _Bucket] = {}
+    for host, handler, delay in recipients:
+        bucket = by_delay.get(delay)
+        if bucket is None:
+            by_delay[delay] = (delay, [(host, handler)], [host], [handler], [])
+        else:
+            bucket[1].append((host, handler))
+            bucket[2].append(host)
+            bucket[3].append(handler)
+    return tuple(by_delay.values())
 
 
 class MulticastFabric:
@@ -120,18 +161,16 @@ class MulticastFabric:
         self._subs: Dict[str, Dict[str, Handler]] = defaultdict(dict)
         # channel -> version, bumped on any subscription change to that channel
         self._sub_version: Dict[str, int] = defaultdict(int)
-        # channel -> append-only log of *new* subscriptions since the last
-        # reset; lets stale plans extend with the delta instead of
-        # re-querying a distance per already-planned recipient (the
-        # formation-time mass-join cost).  Removals and handler
-        # replacements bump _sub_reset, which forces a full rebuild and
-        # clears the log (dict insertion order then restarts aligned).
-        self._sub_log: Dict[str, List[Tuple[str, Handler]]] = defaultdict(list)
-        self._sub_reset: Dict[str, int] = defaultdict(int)
-        # (channel, src, ttl) -> plan; valid only while _plans_topo_version
-        # matches the live topology and the plan's own sub version matches.
+        # channel -> host -> subscription version at which it joined.  The
+        # subs dict is in join order, so the subscriptions a plan has not
+        # evaluated yet are exactly the dict's tail that joined after it.
+        self._joined: Dict[str, Dict[str, int]] = defaultdict(dict)
+        # (channel, src, ttl) -> plan, and the same plans by channel (what
+        # a patch walks).  Valid while _plans_route_version holds.
         self._plans: Dict[Tuple[str, str, int], _Plan] = {}
-        self._plans_topo_version = topo.version
+        self._channel_plans: Dict[str, Dict[Tuple[str, int], _Plan]] = defaultdict(dict)
+        self._plans_route_version = topo.route_version
+        topo.watch_leaf_hosts(self._leaf_flipped)
 
     # ------------------------------------------------------------------
     # Membership of channels
@@ -139,29 +178,32 @@ class MulticastFabric:
     def subscribe(self, channel: str, host: str, handler: Handler) -> None:
         """Join ``host`` to ``channel``; replaces any previous handler."""
         subs = self._subs[channel]
-        if host in subs:
-            self._bump_reset(channel)  # replacement: position/handler moved
+        before = self._sub_version[channel]
+        self._sub_version[channel] = before + 1
+        replacing = host in subs
+        subs[host] = handler  # a replacement keeps its place in the dict
+        if replacing:
+            self._patch(channel, host, handler, before)
         else:
-            self._sub_log[channel].append((host, handler))
-        subs[host] = handler
-        self._sub_version[channel] += 1
+            self._joined[channel][host] = before + 1
 
     def unsubscribe(self, channel: str, host: str) -> None:
         subs = self._subs.get(channel)
-        if subs is not None and subs.pop(host, None) is not None:
-            self._bump_reset(channel)
-            self._sub_version[channel] += 1
+        if subs is not None and host in subs:
+            self._remove(channel, subs, host)
 
     def unsubscribe_all(self, host: str) -> None:
         """Used when a host crashes: it stops hearing everything."""
         for channel, subs in self._subs.items():
-            if subs.pop(host, None) is not None:
-                self._bump_reset(channel)
-                self._sub_version[channel] += 1
+            if host in subs:
+                self._remove(channel, subs, host)
 
-    def _bump_reset(self, channel: str) -> None:
-        self._sub_reset[channel] += 1
-        self._sub_log[channel].clear()
+    def _remove(self, channel: str, subs: Dict[str, Handler], host: str) -> None:
+        del subs[host]
+        del self._joined[channel][host]
+        before = self._sub_version[channel]
+        self._sub_version[channel] = before + 1
+        self._patch(channel, host, None, before)
 
     def subscribers(self, channel: str) -> list[str]:
         return sorted(self._subs.get(channel, {}))
@@ -171,69 +213,116 @@ class MulticastFabric:
     # ------------------------------------------------------------------
     def _plan(
         self, channel: str, src: str, ttl: int
-    ) -> Tuple[List[Tuple[str, Handler, float]], Tuple[_Bucket, ...]]:
+    ) -> Tuple[_Recipients, Tuple[_Bucket, ...]]:
         """Recipients of a (channel, src, ttl) send, in subscription order.
 
-        Returns the flat recipient tuple plus the same recipients grouped
+        Returns the flat recipient list plus the same recipients grouped
         by identical delay (the shape a lossless send schedules
-        directly).  Cached until the topology mutates or the channel's
-        subscriptions change; both are validated on read so invalidation
-        is O(1) at the mutation site.
+        directly).  Only a live ``src`` has a plan (``send`` asks for no
+        other); a cached one is kept while its sender is down, patched
+        like any other, and is exact again when the sender returns.
         """
         topo = self.topo
-        if topo.version != self._plans_topo_version:
-            # Any device/link/up-down change may move TTL distances for
+        if topo.route_version != self._plans_route_version:
+            # A switch/router/link change may move TTL distances for
             # every cached key, so the whole plan cache is stale at once.
             self._plans.clear()
-            self._plans_topo_version = topo.version
+            self._channel_plans.clear()
+            self._plans_route_version = topo.route_version
         key = (channel, src, ttl)
         sub_version = self._sub_version[channel]
         plan = self._plans.get(key)
-        if plan is not None and plan[0] == sub_version:
-            return plan[3], plan[4]
-        reset = self._sub_reset[channel]
-        log = self._sub_log[channel]
+        if plan is not None and plan.sub_version == sub_version:
+            return plan.recipients, plan.buckets
+        if not topo.is_up(src):
+            return [], ()
+        subs = self._subs.get(channel, {})
+        if plan is None:
+            candidates: Iterable[Tuple[str, Handler]] = subs.items()
+        else:
+            # Only subscriptions that joined after the plan: the dict's tail.
+            joined = self._joined[channel]
+            newer: List[Tuple[str, Handler]] = []
+            for host in reversed(subs):
+                if joined[host] <= plan.sub_version:
+                    break
+                newer.append((host, subs[host]))
+            candidates = reversed(newer)
         # One fused (ttl, latency) query per candidate: plan building is
         # n^2-scale on cluster-wide channels during a mass join, and the
         # two quantities come out of the same routing cell anyway.
         route = self._plan_route()
         proc_delay = self.proc_delay
-        if plan is not None and plan[1] == reset:
-            # Pure additions since this plan was built: evaluate only the
-            # log suffix.  Equivalent to a full rebuild because the subs
-            # dict's insertion order is exactly the log order until the
-            # next reset (removal/replacement) forces the rebuild path.
-            recipients = plan[3]
-            for host, handler in log[plan[2] :]:
-                if host == src:
-                    continue
-                hops, lat = route(src, host)
-                if hops > ttl:
-                    continue
-                recipients.append((host, handler, lat + proc_delay))
+        added: _Recipients = []
+        for host, handler in candidates:
+            if host == src:
+                continue
+            hops, lat = route(src, host)
+            if hops > ttl:
+                continue
+            added.append((host, handler, lat + proc_delay))
+        if plan is None:
+            plan = self._plans[key] = _Plan(sub_version, added)
+            self._channel_plans[channel][(src, ttl)] = plan
         else:
-            recipients = []
-            subs = self._subs.get(channel)
-            if subs:
-                for host, handler in subs.items():
-                    if host == src:
-                        continue
-                    hops, lat = route(src, host)
-                    if hops > ttl:
-                        continue
-                    recipients.append((host, handler, lat + proc_delay))
-        by_delay: Dict[float, _Bucket] = {}
-        for host, handler, delay in recipients:
-            bucket = by_delay.get(delay)
-            if bucket is None:
-                by_delay[delay] = (delay, [(host, handler)], [host], [handler], [])
-            else:
-                bucket[1].append((host, handler))
-                bucket[2].append(host)
-                bucket[3].append(handler)
-        buckets = tuple(by_delay.values())
-        self._plans[key] = (sub_version, reset, len(log), recipients, buckets)
-        return recipients, buckets
+            plan.sub_version = sub_version
+            if added:
+                plan.recipients.extend(added)
+                plan.buckets = _bucketize(plan.recipients)
+        return plan.recipients, plan.buckets
+
+    def _patch(
+        self, channel: str, host: str, handler: Optional[Handler], before: int
+    ) -> None:
+        """Remove ``host`` (``handler=None``) or swap in its new handler.
+
+        Applied to every cached plan of ``channel``; a plan that was
+        current at subscription version ``before`` stays current.
+        """
+        after = self._sub_version[channel]
+        for plan in self._channel_plans.get(channel, {}).values():
+            recipients = plan.recipients
+            for i, entry in enumerate(recipients):
+                if entry[0] != host:
+                    continue
+                if handler is None:
+                    patched = recipients[:i] + recipients[i + 1 :]
+                elif entry[1] is handler:
+                    break
+                else:
+                    patched = recipients[:]
+                    patched[i] = (host, handler, entry[2])
+                plan.recipients = patched
+                plan.buckets = _bucketize(patched)
+                break
+            if plan.sub_version == before:
+                plan.sub_version = after
+
+    def _leaf_flipped(self, host: str) -> None:
+        """Topology callback: simple-leaf ``host`` went down or came up.
+
+        Routes between other hosts are untouched, so only ``host`` as a
+        recipient of the channels it is still subscribed to changes.
+        """
+        up = self.topo.is_up(host)
+        for channel, subs in self._subs.items():
+            if host not in subs:
+                continue
+            if not up:
+                self._patch(channel, host, None, self._sub_version[channel])
+                continue
+            # Back up: plans that evaluated it while it was down left it
+            # out; rebuild those (the rest reach it in their tail).
+            joined = self._joined[channel][host]
+            plans = self._channel_plans.get(channel, {})
+            stale = [
+                (src, ttl)
+                for (src, ttl), plan in plans.items()
+                if plan.sub_version >= joined and src != host
+            ]
+            for src, ttl in stale:
+                del plans[(src, ttl)]
+                del self._plans[(channel, src, ttl)]
 
     def _plan_route(self) -> Callable[[str, str], Tuple[float, float]]:
         """The ``(ttl distance, latency)`` query one plan build scopes with.
@@ -271,7 +360,7 @@ class MulticastFabric:
         # the topology nor the channel's subscriptions moved while the
         # packet was in flight, every planned receiver is provably still up
         # and still holds the same handler.
-        stamp = (self._plans_topo_version, self._sub_version[packet.channel])
+        stamp = (self.topo.version, self._sub_version[packet.channel])
         now = self.sim.now
         if self.loss_rng is not None and self.loss_rate > 0.0:
             # Group survivors by identical delay; loss is drawn in plan
@@ -328,7 +417,7 @@ class MulticastFabric:
         lossy = self.loss_rng is not None and self.loss_rate > 0.0
         rand = self.loss_rng.random if lossy else None
         rate = self.loss_rate
-        stamp = (self._plans_topo_version, self._sub_version[packet.channel])
+        stamp = (self.topo.version, self._sub_version[packet.channel])
         buckets: Dict[float, List[Tuple[str, Handler]]] = {}
         dropped = 0
         for host, handler, delay in recipients:

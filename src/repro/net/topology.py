@@ -29,8 +29,9 @@ as the paper's "network partition failures (e.g., switch failures)".
 from __future__ import annotations
 
 import heapq
+import weakref
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["NodeKind", "Topology", "UNREACHABLE"]
 
@@ -57,9 +58,14 @@ class Topology:
     Edges carry a one-way ``latency`` in seconds.  Distance queries run a
     Dijkstra minimising ``(routers crossed, latency)`` lexicographically so
     TTL scoping is exact and ties are broken by the fastest path.  Results
-    are cached per source host and invalidated on any mutation (device
-    up/down, link add/remove), which is cheap because failures are rare
-    events in every experiment.
+    are cached per attachment point and kept under two counters:
+    :attr:`version` moves on every mutation; :attr:`route_version` moves
+    on every mutation *except* the up/down flip of a simple-leaf host (a
+    host with one link to a switch or router — every host of the paper's
+    testbeds).  No path runs through such a host, so its flip changes only
+    whether it is reached, which every pair query reads live; the only
+    cache entries it drops are its own.  Callers that key a cache on
+    ``route_version`` learn of those flips from :meth:`watch_leaf_hosts`.
     """
 
     def __init__(self) -> None:
@@ -68,10 +74,11 @@ class Topology:
         self._dc: Dict[str, str] = {}
         self._adj: Dict[str, Dict[str, float]] = {}
         self._wan_edges: set[Tuple[str, str]] = set()
-        # source host -> {dest host -> (ttl_distance, latency)}
-        self._cache: Dict[str, Dict[str, Tuple[float, float]]] = {}
         self._version = 0
-        # --- segment-compressed distance engine (see _leaf_map) ---
+        self._route_version = 0
+        # Bound methods called with the host after each leaf flip.
+        self._leaf_watchers: List[weakref.WeakMethod[Callable[[str], None]]] = []
+        # --- segment-compressed distance engine (see _rebuild_structure) ---
         # Structural layout (who is a simple leaf, the infra adjacency,
         # segment partition) changes only on add/remove, not on up/down.
         self._struct_version = -1
@@ -151,9 +158,33 @@ class Topology:
         """Mark a device up/down.  Downed devices forward nothing."""
         if name not in self._kind:
             raise ValueError(f"unknown device {name!r}")
-        if self._up[name] != up:
-            self._up[name] = up
+        if self._up[name] == up:
+            return
+        self._up[name] = up
+        if self._struct_version != self._route_version:
+            self._rebuild_structure()
+        if name not in self._leaf:
             self._invalidate()
+            return
+        # Only the maps *from* a simple leaf depend on its liveness.
+        self._mc_base.pop(name, None)
+        self._uc_base.pop(name, None)
+        self._version += 1
+        for ref in list(self._leaf_watchers):
+            watcher = ref()
+            if watcher is None:
+                self._leaf_watchers.remove(ref)
+            else:
+                watcher(name)
+
+    def watch_leaf_hosts(self, watcher: Callable[[str], None]) -> None:
+        """Call ``watcher(host)`` after each up/down flip of a simple-leaf host.
+
+        Those are the flips that move :attr:`version` but not
+        :attr:`route_version`.  ``watcher`` must be a bound method; it is
+        held weakly, so a dead owner drops out instead of being kept alive.
+        """
+        self._leaf_watchers.append(weakref.WeakMethod(watcher))
 
     def hosts(self, dc: Optional[str] = None) -> List[str]:
         """All host names, optionally restricted to one data center."""
@@ -184,6 +215,15 @@ class Topology:
     def version(self) -> int:
         """Monotone counter bumped on every mutation (for cache layering)."""
         return self._version
+
+    @property
+    def route_version(self) -> int:
+        """Monotone counter bumped on every mutation but a simple-leaf flip.
+
+        While it holds, the answer of every pair query between two hosts
+        that stayed up is unchanged.
+        """
+        return self._route_version
 
     # ------------------------------------------------------------------
     # Distance queries
@@ -222,30 +262,32 @@ class Topology:
 
     def hosts_within(self, src: str, ttl: int) -> List[str]:
         """Hosts (other than ``src``) within ``ttl`` of ``src``; live paths only."""
-        dist = self._distances(src)
-        return [h for h, (d, _lat) in dist.items() if h != src and d <= ttl]
+        return [h for h in self.hosts() if h != src and self._mc_pair(src, h)[0] <= ttl]
 
     def max_ttl_diameter(self, dc: Optional[str] = None) -> int:
         """Largest finite TTL distance between any two live hosts (per DC)."""
         best = 0
+        hosts = self.hosts()
         for h in self.hosts(dc):
             if not self._up[h]:
                 continue
-            for other, (d, _lat) in self._distances(h).items():
-                if other != h and d != UNREACHABLE:
-                    best = max(best, int(d))
+            for other in hosts:
+                if other != h:
+                    d = self._mc_pair(h, other)[0]
+                    if d != UNREACHABLE:
+                        best = max(best, int(d))
         return best
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _invalidate(self) -> None:
-        self._cache.clear()
         self._mc_seeded.clear()
         self._uc_seeded.clear()
         self._mc_base.clear()
         self._uc_base.clear()
         self._version += 1
+        self._route_version += 1
 
     # ------------------------------------------------------------------
     # Segment-compressed pair queries
@@ -286,7 +328,7 @@ class Topology:
         self._leaf = leaf
         self._infra_adj = infra
         self._segments_cache = None
-        self._struct_version = self._version
+        self._struct_version = self._route_version
 
     def _mc_from(self, seed: str, r0: float, l0: float) -> Dict[str, Tuple[float, float]]:
         """Seeded (routers, latency) Dijkstra over the infra graph, WAN excluded."""
@@ -362,7 +404,7 @@ class Topology:
     def _mc_pair(self, src: str, dst: str) -> Tuple[float, float]:
         if src == dst:
             return (0.0, 0.0) if self._up.get(src, False) else _NOPE
-        if self._struct_version != self._version:
+        if self._struct_version != self._route_version:
             self._rebuild_structure()
         base = self._mc_base.get(src)
         if base is None:
@@ -378,14 +420,15 @@ class Topology:
                 return _NOPE
             return (cell[0] + 1.0, cell[1] + l_exit)
         cell = base.get(dst)
-        # Infra cells were computed against current up state (caches are
-        # cleared on any mutation), so only the host-kind filter remains.
+        # Infra cells were computed against current up state (a non-leaf
+        # flip moves route_version and clears them), so only the
+        # host-kind filter remains.
         if cell is None or self._kind[dst] is not NodeKind.HOST:
             return _NOPE
         return (cell[0] + 1.0, cell[1])
 
     def _uc_pair(self, src: str, dst: str) -> float:
-        if self._struct_version != self._version:
+        if self._struct_version != self._route_version:
             self._rebuild_structure()
         base = self._uc_base.get(src)
         if base is None:
@@ -413,7 +456,7 @@ class Topology:
         state is ignored: the partition is structural, so a shard map
         derived from it stays valid across failures.
         """
-        if self._struct_version != self._version:
+        if self._struct_version != self._route_version:
             self._rebuild_structure()
         if self._segments_cache is not None:
             return self._segments_cache
@@ -481,33 +524,3 @@ class Topology:
         for (a, b) in self._wan_edges:
             best = min(best, self._adj[a][b])
         return best
-
-    def _distances(self, src: str) -> Dict[str, Tuple[float, float]]:
-        """(ttl, latency) to every reachable host, excluding WAN edges."""
-        cached = self._cache.get(src)
-        if cached is not None:
-            return cached
-        result: Dict[str, Tuple[float, float]] = {}
-        if not self._up.get(src, False):
-            self._cache[src] = result
-            return result
-        # Dijkstra on (routers_crossed, latency).
-        seen: Dict[str, Tuple[float, float]] = {}
-        pq: List[Tuple[float, float, str]] = [(0.0, 0.0, src)]
-        while pq:
-            routers, lat, node = heapq.heappop(pq)
-            if node in seen:
-                continue
-            seen[node] = (routers, lat)
-            for nxt, edge_lat in self._adj[node].items():
-                if nxt in seen or not self._up[nxt]:
-                    continue
-                if (node, nxt) in self._wan_edges:
-                    continue  # multicast never crosses WAN
-                cost = routers + (1.0 if self._kind[nxt] is NodeKind.ROUTER else 0.0)
-                heapq.heappush(pq, (cost, lat + edge_lat, nxt))
-        for node, (routers, lat) in seen.items():
-            if self._kind[node] is NodeKind.HOST:
-                result[node] = (routers + 1.0 if node != src else 0.0, lat)
-        self._cache[src] = result
-        return result

@@ -1,11 +1,13 @@
-"""Delivery-plan cache invalidation under churn.
+"""Delivery-plan cache upkeep under churn.
 
-The multicast fabric caches per-(channel, src, ttl) recipient plans keyed
-on the topology version and a per-channel subscription version.  Every
-mutation that can change who hears a send — subscribe, unsubscribe,
-crash-driven unsubscribe_all, handler replacement, device up/down — must
-invalidate exactly the affected plans, and in-flight packets must respect
-state changes that land before delivery.
+The multicast fabric caches per-(channel, src, ttl) recipient plans.  A
+route change (``Topology.route_version``: a switch, router, link or
+multi-homed host) drops them all; every other mutation that can change
+who hears a send — subscribe, unsubscribe, crash-driven
+unsubscribe_all, handler replacement, a leaf host going down or up — is
+patched into the affected channel's plans, and in-flight packets must
+respect state changes that land before delivery.  The randomized
+version of these cases is ``test_plan_patching.py``.
 """
 
 import pytest
@@ -184,6 +186,55 @@ class TestTopologyChurn:
         net.run()
         assert s1.received == []
         assert len(s2.received) == 1
+
+
+class TestPatching:
+    def send_from_everyone(self, net, hosts, ttl=1):
+        return [
+            net.multicast(h, "ch", ttl=ttl, kind="x", payload=None, size=1) for h in hosts
+        ]
+
+    def test_each_new_subscriber_is_added_once(self):
+        net, hosts = make_net(1, 4)
+        fabric = net.multicast_fabric
+        for h in hosts[1:]:
+            net.subscribe("ch", h, Collector(net))
+            net.multicast(hosts[0], "ch", ttl=1, kind="x", payload=None, size=1)
+        recipients, _ = fabric._plan("ch", hosts[0], 1)
+        assert [r[0] for r in recipients] == hosts[1:]
+
+    def test_rejoin_moves_the_host_to_the_end(self):
+        net, hosts = make_net(1, 4)
+        for h in hosts:
+            net.subscribe("ch", h, Collector(net))
+        net.multicast(hosts[0], "ch", ttl=1, kind="x", payload=None, size=1)
+        net.unsubscribe("ch", hosts[1])
+        net.subscribe("ch", hosts[1], Collector(net))
+        recipients, _ = net.multicast_fabric._plan("ch", hosts[0], 1)
+        assert [r[0] for r in recipients] == [hosts[2], hosts[3], hosts[1]]
+
+    def test_leaf_crash_and_recovery_keep_every_plan(self):
+        net, hosts = make_net(2, 3)
+        for h in hosts:
+            net.subscribe("ch", h, Collector(net))
+        assert self.send_from_everyone(net, hosts) == [2] * 6
+        plans = dict(net.multicast_fabric._plans)
+        net.crash_host(hosts[1])
+        assert self.send_from_everyone(net, hosts) == [1, 0, 1, 2, 2, 2]
+        net.recover_host(hosts[1])
+        net.subscribe("ch", hosts[1], Collector(net))
+        assert self.send_from_everyone(net, hosts) == [2] * 6
+        # Same plan objects throughout, patched in place.
+        assert net.multicast_fabric._plans == plans
+
+    def test_route_change_drops_every_plan(self):
+        net, hosts = make_net(2, 3)
+        for h in hosts:
+            net.subscribe("ch", h, Collector(net))
+        self.send_from_everyone(net, hosts)
+        net.fail_device("dc0-sw1")
+        net.multicast(hosts[0], "ch", ttl=1, kind="x", payload=None, size=1)
+        assert list(net.multicast_fabric._plans) == [("ch", hosts[0], 1)]
 
 
 class TestFastSlowEquivalence:

@@ -70,6 +70,87 @@ class TestBasics:
         assert t.version > v0
 
 
+class TestRouteVersion:
+    """``version`` moves on every mutation; ``route_version`` on all but one kind.
+
+    A simple-leaf host (one link, to a switch or router) carries no path
+    between other hosts, so its up/down flip leaves ``route_version``
+    alone; every other mutation can move a route and moves both.
+    """
+
+    @staticmethod
+    def moved(t, mutate):
+        before = (t.version, t.route_version)
+        mutate()
+        return (t.version != before[0], t.route_version != before[1])
+
+    def test_leaf_host_flip_moves_version_only(self):
+        t = simple_two_segment()
+        assert self.moved(t, lambda: t.set_up("a0", False)) == (True, False)
+        assert self.moved(t, lambda: t.set_up("a0", True)) == (True, False)
+
+    def test_no_op_flip_moves_nothing(self):
+        t = simple_two_segment()
+        assert self.moved(t, lambda: t.set_up("a0", True)) == (False, False)
+
+    def test_switch_router_and_non_leaf_host_flips_move_both(self):
+        t = simple_two_segment()
+        t.add_link("a1", "sb")  # a1 is multi-homed: not a leaf any more
+        for device in ("sa", "r", "a1"):
+            assert self.moved(t, lambda: t.set_up(device, False)) == (True, True), device
+            assert self.moved(t, lambda: t.set_up(device, True)) == (True, True), device
+
+    def test_host_to_host_link_makes_both_ends_non_leaf(self):
+        t = simple_two_segment()
+        t.add_link("a0", "b0")
+        assert self.moved(t, lambda: t.set_up("a0", False)) == (True, True)
+        assert self.moved(t, lambda: t.set_up("b1", False)) == (True, False)
+
+    def test_link_add_and_remove_move_both(self):
+        t = simple_two_segment()
+        assert self.moved(t, lambda: t.add_link("sa", "sb")) == (True, True)
+        assert self.moved(t, lambda: t.remove_link("sa", "sb")) == (True, True)
+
+    def test_leaf_flip_is_seen_by_the_pair_queries(self):
+        t = simple_two_segment()
+        up = (t.mc_route("b0", "a0"), t.unicast_latency("b0", "a0"))
+        assert up[0][0] == 2.0
+        t.set_up("b0", False)
+        assert t.mc_route("a0", "b0") == (UNREACHABLE, UNREACHABLE)
+        assert t.mc_route("b0", "a0") == (UNREACHABLE, UNREACHABLE)
+        assert t.unicast_latency("b0", "a0") == UNREACHABLE
+        t.set_up("b0", True)
+        assert (t.mc_route("b0", "a0"), t.unicast_latency("b0", "a0")) == up
+
+    def test_watchers_hear_leaf_flips_only(self):
+        t = simple_two_segment()
+        t.add_link("a1", "sb")
+
+        class Watcher:
+            def __init__(self):
+                self.heard = []
+
+            def flipped(self, host):
+                self.heard.append((host, t.is_up(host)))
+
+        w = Watcher()
+        t.watch_leaf_hosts(w.flipped)
+        for device in ("a0", "a1", "sa", "r", "a0"):
+            t.set_up(device, not t.is_up(device))
+        assert w.heard == [("a0", False), ("a0", True)]
+
+    def test_a_dead_watcher_drops_out(self):
+        t = simple_two_segment()
+
+        class Watcher:
+            def flipped(self, host):
+                raise AssertionError("a collected watcher was called")
+
+        t.watch_leaf_hosts(Watcher().flipped)
+        t.set_up("a0", False)
+        assert t._leaf_watchers == []
+
+
 class TestTtlDistance:
     def test_same_segment_is_one(self):
         t = simple_two_segment()

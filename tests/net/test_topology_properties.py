@@ -1,4 +1,5 @@
-"""Property-based tests for topology distances and the analysis models."""
+"""Property-based tests for topology distances (also across up/down flips)
+and the analysis models."""
 
 import math
 
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.analysis import AllToAllModel, AnalysisParams, GossipModel, HierarchicalModel
 from repro.net import Topology, UNREACHABLE
-from repro.net.builders import build_router_tree, build_switched_cluster
 
 
 @st.composite
@@ -81,6 +81,77 @@ class TestTtlDistanceProperties:
             within = set(t.hosts_within(src, ttl))
             expected = {h for h in hosts if h != src and t.ttl_distance(src, h) <= ttl}
             assert within == expected
+
+
+@st.composite
+def topology_recipes(draw):
+    """A random graph as a replayable build list, with non-leaf hosts.
+
+    Hosts hang off switches under a router tree; a few extra links make
+    some hosts multi-homed or host-to-host (so they stop being simple
+    leaves) and may add a WAN edge between two switches.
+    """
+    steps = []
+    n_routers = draw(st.integers(min_value=1, max_value=3))
+    for i in range(n_routers):
+        steps.append(("add_router", f"r{i}"))
+        if i > 0:
+            parent = draw(st.integers(min_value=0, max_value=i - 1))
+            steps.append(("add_link", f"r{i}", f"r{parent}", 0.0002, False))
+    n_switches = draw(st.integers(min_value=1, max_value=3))
+    for i in range(n_switches):
+        steps.append(("add_switch", f"s{i}"))
+        r = draw(st.integers(min_value=0, max_value=n_routers - 1))
+        steps.append(("add_link", f"s{i}", f"r{r}", 0.0003, False))
+    n_hosts = draw(st.integers(min_value=2, max_value=6))
+    for i in range(n_hosts):
+        steps.append(("add_host", f"h{i}"))
+        s = draw(st.integers(min_value=0, max_value=n_switches - 1))
+        steps.append(("add_link", f"h{i}", f"s{s}", 0.0001, False))
+    devices = [f"r{i}" for i in range(n_routers)] + [f"s{i}" for i in range(n_switches)]
+    hosts = [f"h{i}" for i in range(n_hosts)]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a = draw(st.sampled_from(hosts + devices))
+        b = draw(st.sampled_from(hosts + devices))
+        wan = draw(st.booleans()) and a.startswith("s") and b.startswith("s")
+        if a != b:
+            steps.append(("add_link", a, b, draw(st.sampled_from((0.00005, 0.0004))), wan))
+    return steps
+
+
+def build(steps, down=()):
+    t = Topology()
+    for step in steps:
+        if step[0] == "add_link":
+            _, a, b, lat, wan = step
+            t.add_link(a, b, latency=lat, wan=wan)
+        else:
+            getattr(t, step[0])(step[1])
+    for device in down:
+        t.set_up(device, False)
+    return t
+
+
+def answers(t):
+    hosts = t.hosts()
+    return {
+        (a, b): (t.mc_route(a, b), t.unicast_latency(a, b)) for a in hosts for b in hosts
+    }
+
+
+class TestLeafFlips:
+    @given(topology_recipes(), st.lists(st.integers(min_value=0, max_value=20), max_size=12))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_answers_match_a_fresh_topology_after_every_flip(self, steps, flips):
+        """Flip devices with warm caches; every answer stays bit-identical."""
+        t = build(steps)
+        devices = t.devices()
+        answers(t)
+        for i in flips:
+            device = devices[i % len(devices)]
+            t.set_up(device, not t.is_up(device))
+            down = [d for d in devices if not t.is_up(d)]
+            assert answers(t) == answers(build(steps, down))
 
 
 class TestModelProperties:
