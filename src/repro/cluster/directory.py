@@ -7,6 +7,10 @@ state**: they exist only while refreshed by heartbeats or relayed updates,
 and carry enough bookkeeping for the hierarchical protocol's timeout rules
 (entries relayed by a group leader share the leader's lifetime).
 
+N nodes therefore hold N² entries, so an entry is no object of its own
+(see :class:`Directory`): a dict slot and four list cells, none of which
+the cyclic garbage collector tracks.
+
 The lookup API mirrors the paper's ``MClient::lookup_service`` (Fig. 9):
 regular expressions are accepted in both the service name and the partition
 list, and matches return the per-machine attribute lists.
@@ -17,9 +21,9 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-__all__ = ["NodeRecord", "Directory", "parse_partitions"]
+__all__ = ["NodeRecord", "Directory", "parse_partitions", "RECORD", "FRESH", "RELAYER"]
 
 
 def parse_partitions(spec: str) -> FrozenSet[int]:
@@ -100,23 +104,16 @@ class NodeRecord:
         return replace(self, attrs=attrs)
 
 
-@dataclass(slots=True)
-class _Entry:
-    record: NodeRecord
-    last_refresh: float
-    relayed_by: Optional[str]  # leader that vouches for this entry, None = heard directly
-    #: token of this entry's one live deadline-heap record (lazy deletion)
-    stamp: int = 0
-    #: dict-insertion rank: purges report dead entries in insertion
-    #: order, whatever order the heap or the groups yield them in (trace
-    #: determinism)
-    order: int = 0
-    #: False once this entry left the directory.  Receivers cache entry
-    #: references (see ``entry_view``) to skip the full-table probe on
-    #: no-change heartbeats; the flag is how a cached reference learns
-    #: it went stale.  A re-added node gets a *new* entry, so a live
-    #: entry is always the directory's current one for its node id.
-    live: bool = True
+#: An entry's cells, as displacements from its offset, which indexes the
+#: entry's key cell (its node id).  RELAYER is None for a direct entry.
+RECORD, FRESH, RELAYER = 1, 2, 3
+_WIDTH = 4
+_BLANK = (None,) * _WIDTH
+
+#: Process-wide intern table of offsets: one int object per offset value,
+#: where N² index values would otherwise each hold a fresh 28-byte int.
+#: It maps every key to an equal value, so sharing it is unobservable.
+_OFFSETS: Dict[int, int] = {}
 
 
 class Directory:
@@ -127,24 +124,30 @@ class Directory:
     duplicate updates ("because the operation caused by an update message at
     each node is idempotent, redundant messages will not cause confusion").
 
+    Storage is a flat table.  ``_index`` maps node id → offset and, being
+    a dict, iterates in insertion order — the order every purge reports
+    the dead in (seeded simulation traces depend on it).  ``_cells`` holds
+    each entry's ``(node id, record, last_refresh, relayed_by)`` at its
+    offset; a removal blanks the four cells and frees them for the next
+    insert, and the list never shrinks (:meth:`clear` blanks it).
+
     Hot-path engine (mirrors the net layer's version-validated caches):
 
     * **Deadline-driven expiry (direct entries)** — every direct entry
       keeps a ``(freshness, stamp, node_id)`` record on a min-heap and the
       periodic ``purge_stale`` is heap pops: amortised O(1) per refresh
-      instead of O(members) per tick.  Stale heap records (an entry
-      refreshed since the push, reclassified, or removed) are invalidated
-      by ``stamp`` mismatch and discarded when they surface — lazy
-      deletion, as in the simulator's event queue.
-    * **Vouch-gated expiry (relayed entries)** — relayed entries are
-      indexed per relayer.  A relayed entry's effective freshness is
+      instead of O(members) per tick.  ``_stamps`` holds each direct
+      entry's live stamp; a record whose stamp is not live (re-keyed,
+      reclassified or removed since the push) is discarded when it
+      surfaces — lazy deletion, as in the simulator's event queue.
+    * **Vouch-gated expiry (relayed entries)** — relayed entries are only
+      *counted* per relayer.  A relayed entry's effective freshness is
       ``max(last_refresh, relayer's vouch time)``, and an alive relayer
       re-vouches every heartbeat period — so in steady state
-      ``purge_stale_relayed`` is one clock comparison per *relayer*
-      (typically 1–3 per node) that skips the whole group, instead of any
-      per-entry work.  Only when a relayer's vouch lapses is its group
-      scanned entry-by-entry.  This is what keeps the purge tick flat in
-      directory size at 10k-node scale.
+      ``purge_stale_relayed`` is one clock comparison per relayer
+      (typically 1–3 per node).  A lapsed vouch walks the table for that
+      relayer's entries, as do ``purge_relayed_by``, ``reattribute`` and
+      ``relayed_entries``: rare events, O(directory) each.
     * **Versioned views** — :attr:`version` counts structural changes (key
       set or record payloads); :meth:`members`, :meth:`records` and
       :meth:`snapshot` serve cached tuples rebuilt only when the version
@@ -152,29 +155,26 @@ class Directory:
 
     Staleness predicates: a direct entry is dead iff
     ``now - last_refresh > timeout``; a relayed entry is dead iff
-    ``now - max(last_refresh, relayer's vouch time) > timeout``.  Both
-    purges report the dead in insertion order, which seeded simulation
-    traces depend on.
+    ``now - max(last_refresh, relayer's vouch time) > timeout``.
     """
 
     def __init__(self, owner: str) -> None:
         self.owner = owner
-        self._entries: Dict[str, _Entry] = {}
+        self._index: Dict[str, int] = {}
+        self._cells: List[Any] = []  # typed by position: see RECORD etc.
+        self._free: List[int] = []
+        self._relayed_counts: Dict[str, int] = {}
         # relayer -> last time its liveness re-vouched for its entries.
         # An alive leader's heartbeat keeps everything it relayed fresh in
         # O(1) ("the membership information relayed by a group leader has
         # the same life time as the leader itself").
         self._vouch_times: Dict[str, float] = {}
         # Deadline heap for direct entries: (freshness key, stamp, node_id).
-        # A record is live iff its stamp equals the entry's current stamp;
-        # every freshness/classification change bumps the stamp and pushes
-        # a new record, orphaning the old one.
+        # A key is a lower bound on the entry's freshness: freshness bumps
+        # leave the heap alone, and the purge re-keys on surfacing.
         self._direct_heap: List[Tuple[float, int, str]] = []
-        # relayer -> insertion-ordered set (dict keyed by node id) of the
-        # entries it currently vouches for.
-        self._relayed_groups: Dict[str, Dict[str, None]] = {}
+        self._stamps: Dict[str, int] = {}
         self._stamp = 0
-        self._order = 0
         self._version = 0
         self._members_cache: Tuple[int, Tuple[str, ...]] = (-1, ())
         self._records_cache: Tuple[int, Tuple[NodeRecord, ...]] = (-1, ())
@@ -192,28 +192,72 @@ class Directory:
         """
         return self._version
 
-    def _note_deadline(self, nid: str, entry: _Entry, key: float) -> None:
-        """Push a *direct* ``entry``'s current freshness onto the heap."""
+    def cell_access(self) -> Tuple[Callable[[str], Optional[int]], List[object]]:
+        """``(offset_of, cells)``: the table itself, for the hot paths.
+
+        ``offset_of(node_id)`` is the entry's offset or None; its cells are
+        ``cells[offset]`` (the node id) and ``cells[offset + RECORD]`` /
+        ``FRESH`` / ``RELAYER``.  Callers write only ``FRESH``, forward in
+        time.  Both objects live as long as the directory.  A cached offset
+        names the node's current entry while ``cells[offset]`` equals its
+        id: removal blanks the key cell, and a stale offset still indexes
+        the never-shrinking list.
+        """
+        return self._index.get, self._cells
+
+    def _note_deadline(self, nid: str, key: float) -> None:
+        """File a heap record for *direct* entry ``nid`` at ``key``."""
         if nid == self.owner:
             return  # the owner never expires; keep it out of the heap
         self._stamp += 1
-        entry.stamp = self._stamp
-        heapq.heappush(self._direct_heap, (key, entry.stamp, nid))
+        self._stamps[nid] = self._stamp
+        heapq.heappush(self._direct_heap, (key, self._stamp, nid))
 
-    def _group_add(self, nid: str, relayer: str) -> None:
-        groups = self._relayed_groups
-        group = groups.get(relayer)
-        if group is None:
-            groups[relayer] = {nid: None}
+    def _attach(self, nid: str, relayer: Optional[str], now: float) -> None:
+        """Count ``nid`` under ``relayer``, or file its deadline if direct."""
+        if relayer is None:
+            self._note_deadline(nid, now)
         else:
-            group[nid] = None
+            self._relayed_counts[relayer] = self._relayed_counts.get(relayer, 0) + 1
 
-    def _group_discard(self, nid: str, relayer: str) -> None:
-        group = self._relayed_groups.get(relayer)
-        if group is not None:
-            group.pop(nid, None)
-            if not group:
-                del self._relayed_groups[relayer]
+    def _detach(self, nid: str, relayer: Optional[str]) -> None:
+        if relayer is None:
+            self._stamps.pop(nid, None)  # orphans its heap record
+        else:
+            counts = self._relayed_counts
+            counts[relayer] -= 1
+            if not counts[relayer]:
+                del counts[relayer]
+
+    def _touch(
+        self, nid: str, off: int, now: float, relayed_by: Optional[str]
+    ) -> bool:
+        """Bump freshness and set the relayer; True if the relayer moved."""
+        cells = self._cells
+        cells[off + FRESH] = now
+        old = cells[off + RELAYER]
+        if old == relayed_by:
+            return False
+        cells[off + RELAYER] = relayed_by
+        self._detach(nid, old)
+        self._attach(nid, relayed_by, now)
+        return True
+
+    def _attributed(self, relayer: str) -> List[Tuple[str, int]]:
+        """``(node id, offset)`` of ``relayer``'s entries, in insertion order."""
+        cells = self._cells
+        return [(nid, off) for nid, off in self._index.items() if cells[off + RELAYER] == relayer]
+
+    def _drop(self, dead: List[Tuple[str, int]]) -> List[str]:
+        """Remove the ``(node id, offset)`` entries in ``dead``; their ids."""
+        index, cells, free = self._index, self._cells, self._free
+        for nid, off in dead:
+            del index[nid]
+            self._detach(nid, cells[off + RELAYER])
+            cells[off : off + _WIDTH] = _BLANK
+            free.append(off)
+        self._version += 1
+        return [nid for nid, _off in dead]
 
     # ------------------------------------------------------------------
     # Mutation
@@ -230,57 +274,34 @@ class Directory:
         Equal-incarnation records refresh the timestamp (and may update the
         payload, e.g. a changed service value at the same boot epoch).
         """
-        nid = record.node_id
-        cur = self._entries.get(nid)
-        if cur is not None and cur.record.incarnation > record.incarnation:
+        off = self._index.get(record.node_id)
+        if off is None:
+            self._insert(record, now, relayed_by)
+            return True
+        cells = self._cells
+        cur = cells[off + RECORD]
+        if cur.incarnation > record.incarnation:
             return False
-        if cur is not None and cur.record is record:
+        if cur is record:
             # Same payload object (records travel by reference in the
             # simulator, and senders intern unchanged heartbeats): a pure
-            # freshness/attribution bump, no deep equality, no new entry.
-            cur.last_refresh = now
-            old = cur.relayed_by
-            if old != relayed_by:
-                cur.relayed_by = relayed_by
-                if old is not None:
-                    self._group_discard(nid, old)
-                if relayed_by is not None:
-                    self._group_add(nid, relayed_by)
-                else:
-                    # Became direct: its old heap record (if any) was
-                    # orphaned by the reclass, so file a live one.  Pure
-                    # freshness bumps leave the heap alone — the purge
-                    # loop re-keys stale-keyed records on surfacing.
-                    self._note_deadline(nid, cur, now)
+            # freshness/attribution bump, no deep equality.
+            self._touch(record.node_id, off, now, relayed_by)
             return False
-        changed = cur is None or cur.record != record
-        if cur is None:
-            self._order += 1
-            entry = _Entry(record, now, relayed_by, order=self._order)
-            self._entries[nid] = entry
-            if relayed_by is not None:
-                self._group_add(nid, relayed_by)
+        changed = cur != record
+        cells[off + RECORD] = record
+        if self._touch(record.node_id, off, now, relayed_by):
             self._version += 1
-        else:
-            entry = cur
-            old = entry.relayed_by
-            entry.record = record
-            entry.last_refresh = now
-            entry.relayed_by = relayed_by
-            if old != relayed_by:
-                if old is not None:
-                    self._group_discard(nid, old)
-                if relayed_by is not None:
-                    self._group_add(nid, relayed_by)
-            if changed or old != relayed_by:
-                # A content-equal re-upsert with an unchanged relayer is a
-                # pure freshness bump and must not invalidate the cached
-                # views — a real transport rebuilds every payload from
-                # bytes, so the identity early-out above never fires there
-                # and this path runs once per received heartbeat.
-                self._version += 1
+            return changed
+        # A content-equal re-upsert with an unchanged relayer is a pure
+        # freshness bump and must not invalidate the cached views — a real
+        # transport rebuilds every payload from bytes, so the identity
+        # early-out above never fires there and this path runs once per
+        # received heartbeat.
+        if changed:
+            self._version += 1
         if relayed_by is None:
-            self._note_deadline(nid, entry, now)
+            self._note_deadline(record.node_id, now)
         return changed
 
     def insert_new(
@@ -291,54 +312,41 @@ class Directory:
     ) -> None:
         """Insert a record known to be absent (the absorb first-sight path).
 
-        Exactly :meth:`upsert`'s ``cur is None`` branch without re-probing
-        the entries table — the caller just did the lookup.  Formation
-        runs this once per node pair, which makes the saved probe and
-        incarnation branches measurable at the 10k scale.
+        Exactly :meth:`upsert`'s new-entry branch without re-probing the
+        index — the caller just did the lookup.  Formation runs this once
+        per node pair.
         """
+        self._insert(record, now, relayed_by)
+
+    def _insert(self, record: NodeRecord, now: float, relayed_by: Optional[str]) -> None:
+        # Private, so a traced run counts an upsert as one directory call.
         nid = record.node_id
-        self._order += 1
-        entry = _Entry(record, now, relayed_by, order=self._order)
-        self._entries[nid] = entry
-        if relayed_by is not None:
-            # _group_add, inlined: one insert per node pair at formation.
-            groups = self._relayed_groups
-            group = groups.get(relayed_by)
-            if group is None:
-                groups[relayed_by] = {nid: None}
-            else:
-                group[nid] = None
+        cells = self._cells
+        if self._free:
+            off = self._free.pop()
+            cells[off : off + _WIDTH] = (nid, record, now, relayed_by)
+        else:
+            off = _OFFSETS.setdefault(len(cells), len(cells))
+            cells += (nid, record, now, relayed_by)
+        self._index[nid] = off
+        self._attach(nid, relayed_by, now)
         self._version += 1
-        if relayed_by is None:
-            self._note_deadline(nid, entry, now)
 
     def refresh(self, node_id: str, now: float, relayed_by: Optional[str] = None) -> bool:
         """Bump the freshness of an existing entry (heartbeat w/o changes)."""
-        entry = self._entries.get(node_id)
-        if entry is None:
+        off = self._index.get(node_id)
+        if off is None:
             return False
-        entry.last_refresh = now
-        old = entry.relayed_by
-        if (relayed_by is not None or old is not None) and old != relayed_by:
-            entry.relayed_by = relayed_by
-            if old is not None:
-                self._group_discard(node_id, old)
-            if relayed_by is not None:
-                self._group_add(node_id, relayed_by)
-            else:
-                self._note_deadline(node_id, entry, now)  # became direct
+        self._touch(node_id, off, now, relayed_by)
         return True
 
     def remove(self, node_id: str) -> bool:
         """Drop an entry (failure detected or departure announced)."""
-        entry = self._entries.pop(node_id, None)
-        if entry is None:
+        off = self._index.get(node_id)
+        if off is None:
             return False
-        entry.live = False
-        if entry.relayed_by is not None:
-            self._group_discard(node_id, entry.relayed_by)
-        self._version += 1
-        return True  # heap records orphaned; discarded lazily on surfacing
+        self._drop([(node_id, off)])
+        return True
 
     def purge_stale(
         self,
@@ -353,42 +361,38 @@ class Directory:
         is given it is filled with the purged entries' incarnations, so
         callers can build guarded remove-updates after the fact.
 
-        Each live direct entry has exactly one heap record whose key is a
-        *lower bound* on ``last_refresh`` (freshness bumps do not touch the
-        heap).  When a stale-keyed record surfaces but the entry was
-        refreshed since, it is re-keyed at the current ``last_refresh`` and
-        pushed back — at most once per timeout window per entry, so a quiet
-        period costs O(live entries / timeout periods), not O(refreshes).
+        When a stale-keyed heap record surfaces but its entry was refreshed
+        since, it is re-keyed at the current freshness and pushed back — at
+        most once per timeout window per entry, so a quiet period costs
+        O(live entries / timeout periods), not O(refreshes).
         """
         heap = self._direct_heap
-        entries = self._entries
-        dead: List[Tuple[int, str]] = []
+        stamps = self._stamps
+        index = self._index
+        cells = self._cells
+        dead: List[Tuple[str, int]] = []
         while heap:
             key, stamp, nid = heap[0]
-            entry = entries.get(nid)
-            if entry is None or entry.stamp != stamp or entry.relayed_by is not None:
-                heapq.heappop(heap)  # orphaned by remove/reclass
+            if stamps.get(nid) != stamp:
+                heapq.heappop(heap)  # orphaned by remove/reclass/re-key
                 continue
             if not now - key > timeout:
-                break  # key <= last_refresh, so the rest is fresh too
-            fresh = entry.last_refresh
-            if not now - fresh > timeout:
-                # Refreshed since the record was pushed: re-key, move on.
-                heapq.heappop(heap)
-                self._stamp += 1
-                entry.stamp = self._stamp
-                heapq.heappush(heap, (fresh, entry.stamp, nid))
-                continue
+                break  # key <= freshness, so the rest is fresh too
             heapq.heappop(heap)
+            off = index[nid]
+            fresh = cells[off + FRESH]
+            if not now - fresh > timeout:
+                self._note_deadline(nid, fresh)  # refreshed since: re-key
+                continue
             if incarnations is not None:
-                incarnations[nid] = entry.record.incarnation
-            del entries[nid]
-            entry.live = False
-            dead.append((entry.order, nid))
-        if dead:
-            self._version += 1
-            dead.sort()
-        return [nid for _order, nid in dead]
+                incarnations[nid] = cells[off + RECORD].incarnation
+            dead.append((nid, off))
+        if not dead:
+            return []
+        if len(dead) > 1:  # heap order -> insertion order
+            doomed = dict(dead)
+            dead = [(nid, off) for nid, off in index.items() if nid in doomed]
+        return self._drop(dead)
 
     def purge_relayed_by(self, leader: str) -> List[str]:
         """Drop every entry vouched for by ``leader`` (leader died).
@@ -397,16 +401,9 @@ class Directory:
         relayed by a group leader has the same life time as the leader
         itself".
         """
-        group = self._relayed_groups.pop(leader, None)
-        if not group:
+        if leader not in self._relayed_counts:
             return []
-        entries = self._entries
-        # Reported in insertion-rank order (trace determinism).
-        dead = sorted(group, key=lambda nid: entries[nid].order)
-        for nid in dead:
-            entries.pop(nid).live = False
-        self._version += 1
-        return dead
+        return self._drop(self._attributed(leader))
 
     def purge_stale_relayed(
         self,
@@ -421,45 +418,34 @@ class Directory:
         ``incarnations`` is given it is filled with the purged entries'
         incarnations for after-the-fact remove-update guards.
 
-        A whole group is provably fresh when its relayer vouched within the
-        window (``effective >= vouch time``), so the steady-state cost is
-        one comparison per relayer.  A group whose vouch lapsed is scanned
-        entry-by-entry — that only happens while a relayer is dying, and
-        ``purge_relayed_by`` usually empties the group before this backstop
-        ever sees it.
+        A relayer that vouched within the window covers all its entries, so
+        the steady-state cost is one comparison per relayer.  Only a lapsed
+        vouch walks the table — that happens while a relayer is dying, and
+        ``purge_relayed_by`` usually drops its entries first.
         """
-        entries = self._entries
         vouch = self._vouch_times
         neg_inf = float("-inf")
-        doomed: List[Tuple[int, str, _Entry]] = []
-        for relayer, group in self._relayed_groups.items():
-            vouched = vouch.get(relayer, neg_inf)
-            if now - vouched <= timeout:
-                continue  # fresh vouch covers every entry in the group
-            for nid in group:
-                if nid == self.owner:
-                    continue  # the owner never expires
-                entry = entries[nid]
-                effective = entry.last_refresh
-                if effective < vouched:
-                    effective = vouched
-                if now - effective > timeout:
-                    doomed.append((entry.order, nid, entry))
-        if not doomed:
+        lapsed = {
+            relayer: vouched
+            for relayer in self._relayed_counts
+            if now - (vouched := vouch.get(relayer, neg_inf)) > timeout
+        }
+        if not lapsed:
             return []
-        # Reported in insertion-rank order (orders are unique, so the
-        # sort never compares entries).
-        doomed.sort(key=lambda item: item[0])
-        dead: List[str] = []
-        for _order, nid, entry in doomed:
-            if incarnations is not None:
-                incarnations[nid] = entry.record.incarnation
-            del entries[nid]
-            entry.live = False
-            self._group_discard(nid, entry.relayed_by)
-            dead.append(nid)
-        self._version += 1
-        return dead
+        cells = self._cells
+        dead: List[Tuple[str, int]] = []
+        for nid, off in self._index.items():
+            vouched = lapsed.get(cells[off + RELAYER])
+            if vouched is None or nid == self.owner:
+                continue  # direct, vouched, or the owner (never expires)
+            effective = cells[off + FRESH]
+            if effective < vouched:
+                effective = vouched
+            if now - effective > timeout:
+                if incarnations is not None:
+                    incarnations[nid] = cells[off + RECORD].incarnation
+                dead.append((nid, off))
+        return self._drop(dead) if dead else []
 
     def vouch(self, relayer: str, now: float) -> None:
         """Record that ``relayer`` is alive, keeping its relayed entries fresh."""
@@ -472,18 +458,14 @@ class Directory:
         vouched entries so they survive until it re-syncs.  Returns the
         number of entries moved.
         """
-        group = self._relayed_groups.pop(old_relayer, None)
-        if not group:
+        counts = self._relayed_counts
+        moved = counts.pop(old_relayer, 0)
+        if not moved:
             return 0
-        entries = self._entries
-        for nid in group:
-            entries[nid].relayed_by = new_relayer
-        dst = self._relayed_groups.get(new_relayer)
-        if dst is None:
-            self._relayed_groups[new_relayer] = group
-        else:
-            dst.update(group)
-        moved = len(group)
+        cells = self._cells
+        for _nid, off in self._attributed(old_relayer):
+            cells[off + RELAYER] = new_relayer
+        counts[new_relayer] = counts.get(new_relayer, 0) + moved
         if old_relayer in self._vouch_times:
             prev = self._vouch_times[old_relayer]
             self._vouch_times[new_relayer] = max(prev, self._vouch_times.get(new_relayer, prev))
@@ -491,49 +473,40 @@ class Directory:
 
     def relayed_entries(self, relayer: str) -> List[str]:
         """Node ids currently vouched for by ``relayer`` (sorted)."""
-        return sorted(self._relayed_groups.get(relayer, ()))
+        if relayer not in self._relayed_counts:
+            return []
+        return sorted(nid for nid, _off in self._attributed(relayer))
 
     def clear(self) -> None:
-        for entry in self._entries.values():
-            entry.live = False
-        self._entries.clear()
+        self._free += self._index.values()
+        self._cells[:] = _BLANK * (len(self._cells) // _WIDTH)
+        self._index.clear()
+        self._relayed_counts.clear()
         self._vouch_times.clear()
         self._direct_heap.clear()
-        self._relayed_groups.clear()
+        self._stamps.clear()
         self._version += 1
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._entries
+        return node_id in self._index
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._index)
 
     def get(self, node_id: str) -> Optional[NodeRecord]:
-        entry = self._entries.get(node_id)
-        return entry.record if entry else None
+        off = self._index.get(node_id)
+        return None if off is None else self._cells[off + RECORD]
 
     def last_refresh(self, node_id: str) -> Optional[float]:
-        entry = self._entries.get(node_id)
-        return entry.last_refresh if entry else None
+        off = self._index.get(node_id)
+        return None if off is None else self._cells[off + FRESH]
 
     def relayed_by(self, node_id: str) -> Optional[str]:
-        entry = self._entries.get(node_id)
-        return entry.relayed_by if entry else None
-
-    def entry_view(self, node_id: str) -> Optional[_Entry]:
-        """The live entry for ``node_id``, or None — single-lookup peek.
-
-        Serves the informer's absorb hot path, which needs the stored
-        record *and* its relayer for every op of every update message.
-        Callers may retain the reference as a cache, but must check
-        ``entry.live`` before every use and re-probe when it is False —
-        removal is the only event that invalidates a cached entry (a
-        re-added node always gets a fresh entry object).
-        """
-        return self._entries.get(node_id)
+        off = self._index.get(node_id)
+        return None if off is None else self._cells[off + RELAYER]
 
     def members(self) -> Tuple[str, ...]:
         """All known node ids, sorted (deterministic iteration).
@@ -543,7 +516,7 @@ class Directory:
         """
         ver, cached = self._members_cache
         if ver != self._version:
-            cached = tuple(sorted(self._entries))
+            cached = tuple(sorted(self._index))
             self._members_cache = (self._version, cached)
         return cached
 
@@ -551,8 +524,8 @@ class Directory:
         """All records in ``members()`` order, cached like :meth:`members`."""
         ver, cached = self._records_cache
         if ver != self._version:
-            entries = self._entries
-            cached = tuple(entries[nid].record for nid in self.members())
+            index, cells = self._index, self._cells
+            cached = tuple(cells[index[nid] + RECORD] for nid in self.members())
             self._records_cache = (self._version, cached)
         return cached
 
@@ -564,7 +537,8 @@ class Directory:
         """
         ver, cached = self._snapshot_cache
         if ver != self._version:
-            cached = {nid: e.record for nid, e in self._entries.items()}
+            cells = self._cells
+            cached = {nid: cells[off + RECORD] for nid, off in self._index.items()}
             self._snapshot_cache = (self._version, cached)
         return dict(cached)
 

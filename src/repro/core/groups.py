@@ -11,12 +11,9 @@ Fig. 4, where *group* is a per-observer notion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.heartbeat import Heartbeat
-
-if TYPE_CHECKING:
-    from repro.cluster.directory import _Entry
 
 __all__ = ["PeerState", "GroupState"]
 
@@ -35,12 +32,13 @@ class PeerState:
     #: unchanged heartbeats, so ``hb is last_hb`` identifies a no-change
     #: heartbeat in O(1) — the receive fast path's precondition.
     last_hb: Optional[Heartbeat] = None
-    #: cached reference to this peer's entry in the owner's directory.
-    #: The directory's main table spans the whole cluster, so at 10k
-    #: nodes the per-heartbeat freshness probe is a random walk through
-    #: megabytes of hash table; the cache turns it into one object
-    #: touch.  Valid only while ``dir_entry.live`` — re-probe otherwise.
-    dir_entry: "Optional[_Entry]" = None
+    #: cached offset of this peer's entry in the owner's directory (see
+    #: ``Directory.cell_access``).  The directory's index spans the whole
+    #: cluster, so at 10k nodes the per-heartbeat freshness probe is a
+    #: random walk through megabytes of hash table; the cache turns it
+    #: into one touch of the entry's cells.  Valid only while the key
+    #: cell at the offset holds this peer's id — re-probe otherwise.
+    dir_offset: Optional[int] = None
 
 
 @dataclass(slots=True)

@@ -14,8 +14,9 @@ here and nowhere else.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, cast
 
+from repro.cluster.directory import FRESH, RECORD, RELAYER
 from repro.core.roles.receiver import HMEMBER_PORT
 from repro.core.updates import UpdateOp
 
@@ -130,7 +131,7 @@ class Informer:
         # absorb_record the general path.  The hoisted aliases are all
         # stable objects mutated in place, never rebound.
         directory = ctx.directory
-        probe = directory._entries.get
+        probe, cells = directory.cell_access()
         tombstones = ctx.tombstones
         runtime = ctx.runtime
         member_up = runtime.obs.member_up
@@ -155,8 +156,8 @@ class Informer:
                 if rec is None:
                     continue
                 if not tombstones:
-                    entry = probe(rec.node_id)
-                    if entry is None:
+                    off = probe(rec.node_id)
+                    if off is None:
                         # absorb_record's insert branch, inlined (same
                         # memoised anchor, same insert, same emits).
                         relayed_by = vouch_memo.get(via)
@@ -166,7 +167,7 @@ class Informer:
                         member_up.inc()
                         runtime.emit_view_event("member_up", rec.node_id)
                         continue
-                    stored = entry.record
+                    stored: object = cells[off + RECORD]
                     if stored is rec or stored == rec:
                         # Identical stored payload — by identity when the
                         # record travelled by reference inside the
@@ -178,9 +179,9 @@ class Informer:
                         # (takeover analysis provably keeps ``relayed_by``
                         # when it equals ``via``; direct knowledge always
                         # outranks).
-                        rb = entry.relayed_by
+                        rb: object = cells[off + RELAYER]
                         if rb is None or rb == via:
-                            entry.last_refresh = now
+                            cells[off + FRESH] = now
                             continue
                 self.absorb_record(rec, via, now, vouch_memo)
             elif op.op == "leave":
@@ -422,8 +423,9 @@ class Informer:
             )
             return False
         memo = _vouch_memo
-        entry = ctx.directory.entry_view(record.node_id)
-        if entry is None:
+        offset_of, cells = ctx.directory.cell_access()
+        off = offset_of(record.node_id)
+        if off is None:
             if memo is None:
                 relayed_by: Optional[str] = self.vouch_anchor(via)
             else:
@@ -433,10 +435,10 @@ class Informer:
             ctx.directory.insert_new(record, now, relayed_by=relayed_by)
             ctx.emit_member_up(record.node_id)
             return True
-        existing = entry.record
+        existing = cast("NodeRecord", cells[off + RECORD])
         if existing.incarnation > record.incarnation:
             return False
-        current = entry.relayed_by
+        current = cast("Optional[str]", cells[off + RELAYER])
         if current is None:
             relayed_by = None  # direct knowledge outranks relays
         else:
@@ -477,7 +479,7 @@ class Informer:
             # overwhelmingly common sub-case) is a bare timestamp bump on
             # the entry we already hold.
             if relayed_by == current:
-                entry.last_refresh = now
+                cells[off + FRESH] = now
             else:
                 ctx.directory.refresh(record.node_id, now, relayed_by=relayed_by)
             return False

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.cluster.directory import FRESH, RELAYER
 from repro.core.updates import UpdateOp
 from repro.detect import handle_probe_packet
 
@@ -54,7 +55,7 @@ class Receiver:
         on_heartbeat = self.on_heartbeat
         runtime = ctx.runtime
         directory = ctx.directory
-        entry_view = directory.entry_view
+        offset_of, cells = directory.cell_access()
         refresh = directory.refresh
         vouch = directory.vouch
         tombstones = ctx.tombstones
@@ -85,16 +86,17 @@ class Receiver:
                     hb is peer.last_hb
                     or (peer.last_hb is not None and hb.same_as(peer.last_hb))
                 ):
-                    # The directory's main table spans the whole cluster,
-                    # so its per-heartbeat probe is the one cache-hostile
-                    # lookup left on this path at 10k nodes: use the entry
-                    # reference cached on the peer, re-probing only after
-                    # a removal.
-                    entry = peer.dir_entry
-                    if entry is None or not entry.live:
-                        entry = entry_view(nid)
-                        peer.dir_entry = entry
-                    if entry is not None:
+                    # The directory's index spans the whole cluster, so
+                    # its per-heartbeat probe is the one cache-hostile
+                    # lookup left on this path at 10k nodes: use the
+                    # offset cached on the peer, re-probing only when the
+                    # key cell no longer names this peer (removed, or the
+                    # cells reused for another node).
+                    off = peer.dir_offset
+                    if off is None or cells[off] != nid:
+                        off = offset_of(nid)
+                        peer.dir_offset = off
+                    if off is not None:
                         # The sender interned this payload, so nothing
                         # about the peer moved since its last heartbeat.
                         # Freshness is bumped (peer + directory + vouch),
@@ -102,11 +104,11 @@ class Receiver:
                         # depend on *our* state, not the sender's), and
                         # record absorption is skipped entirely.
                         now = runtime.now
-                        if entry.relayed_by is None:
-                            entry.last_refresh = now
+                        if cells[off + RELAYER] is None:
+                            cells[off + FRESH] = now
                         else:
                             # Heard directly: reclassify via the full
-                            # refresh so the relayer-group and
+                            # refresh so the relayer-count and
                             # deadline-heap bookkeeping run.
                             refresh(nid, now, relayed_by=None)
                         obs = runtime.obs

@@ -54,6 +54,7 @@ from repro.runtime.anet import (
     RELAY_SUB,
     RELAY_UNSUB,
     ClusterSpec,
+    size_receive_buffer,
 )
 from repro.runtime.wire import (
     DecodeMemo,
@@ -114,6 +115,7 @@ class ChannelRelay(asyncio.DatagramProtocol):
         # Not isinstance-checked: CPython's selector event loop hands a
         # _SelectorDatagramTransport that does not subclass
         # asyncio.DatagramTransport (bpo-46756 lineage).
+        size_receive_buffer(transport)
         self._transport = cast(asyncio.DatagramTransport, transport)
 
     def datagram_received(self, data: bytes, addr: Tuple[str, int]) -> None:

@@ -13,7 +13,7 @@ import socket
 import pytest
 
 from repro.cluster.directory import NodeRecord
-from repro.runtime.anet import AsyncRuntime, ClusterSpec, NodeSpec, RelaySpec
+from repro.runtime.anet import RECV_BUFFER, AsyncRuntime, ClusterSpec, NodeSpec, RelaySpec
 from repro.runtime.wire import (
     DEFAULT_MAX_DATAGRAM,
     Reassembler,
@@ -196,8 +196,20 @@ def _free_ports(count):
             s.close()
 
 
-def test_oversize_view_payload_over_real_loopback_udp():
-    """A view snapshot far beyond one UDP datagram arrives intact."""
+# A sync-snapshot-shaped payload: a few thousand NodeRecords, well over
+# the 65,507 B UDP limit once encoded.
+SNAPSHOT = {
+    "kind": "sync_snapshot",
+    "records": [
+        NodeRecord(node_id=f"node-{i:05d}", incarnation=i,
+                   services={"svc": f"range-{i}"}, attrs={})
+        for i in range(3000)
+    ],
+}
+
+
+def _send_snapshot_over_loopback(max_datagram):
+    """Send SNAPSHOT from a to b; (the packet b received, b's receive buffer)."""
     pa, pb = _free_ports(2)
     spec = ClusterSpec(
         relay=RelaySpec(host="127.0.0.1", port=1),  # never contacted
@@ -205,17 +217,8 @@ def test_oversize_view_payload_over_real_loopback_udp():
             "a": NodeSpec(host="127.0.0.1", port=pa),
             "b": NodeSpec(host="127.0.0.1", port=pb),
         },
+        max_datagram=max_datagram,
     )
-    # A sync-snapshot-shaped payload: a few thousand NodeRecords, well
-    # over the 65,507 B UDP limit once encoded.
-    snapshot = {
-        "kind": "sync_snapshot",
-        "records": [
-            NodeRecord(node_id=f"node-{i:05d}", incarnation=i,
-                       services={"svc": f"range-{i}"}, attrs={})
-            for i in range(3000)
-        ],
-    }
 
     async def scenario():
         a = AsyncRuntime(spec, "a")
@@ -227,20 +230,33 @@ def test_oversize_view_payload_over_real_loopback_udp():
         received = []
         b.bind("membership", received.append)
         try:
-            assert a.send("b", "sync_resp", snapshot, size=70000) is True
+            assert a.send("b", "sync_resp", SNAPSHOT, size=70000) is True
             deadline = asyncio.get_running_loop().time() + 10.0
             while not received:
                 assert asyncio.get_running_loop().time() < deadline
                 await asyncio.sleep(0.02)
+            return received[0], b._transport.max_size
         finally:
             a.close()
             b.close()
-        return received[0]
 
-    pkt = asyncio.run(scenario())
+    return asyncio.run(scenario())
+
+
+def test_oversize_view_payload_over_real_loopback_udp():
+    """A view snapshot far beyond one UDP datagram arrives intact."""
+    pkt, _buffer = _send_snapshot_over_loopback(DEFAULT_MAX_DATAGRAM)
     assert pkt.kind == "sync_resp"
-    assert pkt.payload["records"] == snapshot["records"]
+    assert pkt.payload["records"] == SNAPSHOT["records"]
     assert len(pkt.payload["records"]) == 3000
+
+
+def test_datagrams_at_the_udp_ceiling_fit_the_receive_buffer():
+    """Fragments of 65,507 B, the most IPv4 UDP carries, arrive whole."""
+    assert len(fragment_frame(b"z" * 70000, "a", 1, 65507)[0]) == 65507
+    pkt, buffer = _send_snapshot_over_loopback(65507)
+    assert buffer == RECV_BUFFER
+    assert pkt.payload["records"] == SNAPSHOT["records"]
 
 
 def test_encoded_oversize_frame_actually_fragments():
