@@ -3,7 +3,8 @@
 
 Runs all-to-all, gossip and the hierarchical protocol on the same cluster
 and failure scenario, printing bandwidth, detection and convergence side by
-side.  A compressed version of the benchmarks in ``benchmarks/``.
+side.  One cell of the full Figs. 11-13 sweeps that
+``python -m repro.cli reproduce fig11 fig12_13`` regenerates.
 
 Run:  python examples/scheme_comparison.py [nodes-per-network] [networks]
 """

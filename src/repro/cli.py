@@ -4,11 +4,10 @@ Examples
 --------
 ::
 
-    python -m repro.cli compare --networks 3 --hosts 20
+    python -m repro.cli reproduce --out EXPERIMENTS.json
+    python -m repro.cli reproduce fig02 fig14
     python -m repro.cli detect --scheme gossip --networks 5 --hosts 20
     python -m repro.cli formation --networks 2 --hosts 5
-    python -m repro.cli failover --rate 10
-    python -m repro.cli analysis --sizes 100 1000 4000
     python -m repro.cli obs --networks 3 --hosts 8 --format prometheus
     python -m repro.cli shard --shards 4 --networks 3 --hosts 10 --check-invariance
     python -m repro.cli daemon --spec cluster.json --node n0
@@ -17,15 +16,14 @@ Examples
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis import MODELS, AnalysisParams
-from repro.apps import SearchDeployment
-from repro.cluster.gateway import Gateway
 from repro.core import HierarchicalNode
 from repro.core.config import KNOBS, HierarchicalConfig
 from repro.metrics import SCHEMES, FailureExperiment, make_scheme_cluster
+from repro.metrics.figures import FIGURES, render
 from repro.obs import (
     JsonlTraceSink,
     MetricsRegistry,
@@ -36,25 +34,23 @@ from repro.obs import (
 __all__ = ["main"]
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    print(f"{'scheme':<14} {'agg KB/s':>10} {'per-node':>9} {'detect':>8} {'converge':>9}")
-    print("-" * 56)
-    for scheme in sorted(SCHEMES):
-        res = FailureExperiment(
-            scheme,
-            args.networks,
-            args.hosts,
-            seed=args.seed,
-            warmup=25.0,
-            bandwidth_window=10.0,
-            observe=args.observe,
-        ).run()
-        print(
-            f"{scheme:<14} {res.bandwidth.aggregate_rate / 1e3:>10.1f} "
-            f"{res.bandwidth.per_node_rate / 1e3:>8.2f}K "
-            f"{res.detection:>7.2f}s {res.convergence:>8.2f}s"
-        )
+def _cmd_reproduce(args: argparse.Namespace) -> int:
+    """Regenerate the named figures (all by default), print them, write the JSON."""
+    names = [name for name in FIGURES if not args.names or name in args.names]
+    results = {}
+    for name in names:
+        results[name] = FIGURES[name]()
+        print(f"## {name}\n\n{render(results[name])}", flush=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(json.dumps(results, indent=1) + "\n")
     return 0
+
+
+def _figure_name(name: str) -> str:
+    if name not in FIGURES:
+        raise argparse.ArgumentTypeError(f"unknown figure {name!r}; pick from {', '.join(FIGURES)}")
+    return name
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -95,33 +91,6 @@ def _cmd_formation(args: argparse.Namespace) -> int:
                 f"L{level}:{'leader' if node.is_leader(level) else node.leader_of(level)}"
             )
         print(f"{host:<18} view={len(node.view()):>4}  {'  '.join(roles)}")
-    return 0
-
-
-def _cmd_failover(args: argparse.Namespace) -> int:
-    warmup = 15.0
-    dep = SearchDeployment(networks=3, hosts_per_network=6, seed=args.seed)
-    net = dep.network
-    dep.warm_up(warmup)
-    engine = dep.engines["dcA"]
-    gw = Gateway(
-        net.sim,
-        executor=lambda query: engine.query(query),
-        workload=lambda seq: {"query": f"q{seq}"},
-        rate=args.rate,
-    )
-    gw.start()
-    net.sim.call_at(warmup + 20.0, dep.fail_doc_service, "dcA")
-    net.sim.call_at(warmup + 40.0, dep.recover_doc_service, "dcA")
-    net.run(until=warmup + 60.0)
-    gw.stop()
-    rt = {int(s - warmup): v for s, v in gw.stats.response_time_series()}
-    thr = {int(s - warmup): v for s, v in gw.stats.throughput_series()}
-    print(" sec | resp (ms) | req/s")
-    for sec in range(0, 60, 2):
-        ms = f"{1000 * rt[sec]:8.1f}" if sec in rt else "       -"
-        print(f" {sec:3d} | {ms}  | {thr.get(sec, 0):3.0f}")
-    print(f"issued={gw.stats.issued} completed={gw.stats.completed} failed={gw.stats.failed}")
     return 0
 
 
@@ -269,26 +238,6 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analysis(args: argparse.Namespace) -> int:
-    params = AnalysisParams(group_size=args.group_size)
-    models = {name: cls(params) for name, cls in MODELS.items()}
-    header = f"{'nodes':>7}"
-    for name in sorted(models):
-        header += f" | {name + ' MB/s':>17} {name + ' det':>16} {name + ' BDT(MB)':>20}"
-    print(header)
-    for n in args.sizes:
-        row = f"{n:>7}"
-        for name in sorted(models):
-            m = models[name]
-            row += (
-                f" | {m.aggregate_bandwidth(n) / 1e6:>17.2f}"
-                f" {m.detection_time(n):>15.1f}s"
-                f" {m.bdt(n) / 1e6:>20.1f}"
-            )
-        print(row)
-    return 0
-
-
 def _cmd_shard(args: argparse.Namespace) -> int:
     import time
 
@@ -345,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compare", help="all three schemes on one scenario (mini Figs. 11-13)")
-    p.add_argument("--networks", type=int, default=3)
-    p.add_argument("--hosts", type=int, default=20)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--observe", type=float, default=80.0)
-    p.set_defaults(fn=_cmd_compare)
+    p = sub.add_parser("reproduce", help="regenerate the paper's evaluation (EXPERIMENTS.json)")
+    p.add_argument("names", nargs="*", type=_figure_name, metavar="NAME",
+                   help="figures to run, in table order (default: all)")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="write the figures' data as JSON to PATH")
+    p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("detect", help="single failure-detection run")
     p.add_argument("--scheme", choices=sorted(SCHEMES), default="hierarchical")
@@ -367,11 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--warmup", type=float, default=14.0)
     p.set_defaults(fn=_cmd_formation)
-
-    p = sub.add_parser("failover", help="the Fig. 14 two-data-center scenario")
-    p.add_argument("--rate", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=4)
-    p.set_defaults(fn=_cmd_failover)
 
     p = sub.add_parser("obs", help="instrumented run: export protocol metrics")
     p.add_argument("--scheme", choices=sorted(SCHEMES), default="hierarchical")
@@ -411,10 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=None, help=knob.help)
     p.set_defaults(fn=_cmd_daemon)
 
-    p = sub.add_parser("analysis", help="Section 4 closed forms")
-    p.add_argument("--sizes", type=int, nargs="+", default=[20, 100, 1000, 4000])
-    p.add_argument("--group-size", type=int, default=20)
-    p.set_defaults(fn=_cmd_analysis)
     return parser
 
 

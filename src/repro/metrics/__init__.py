@@ -9,6 +9,10 @@ truth) used by the extended analyses.
 :mod:`repro.metrics.experiment` runs scripted scenarios (warm-up, kill,
 observe) for any of the three membership schemes, producing the data
 behind Figs. 11, 12 and 13.
+
+:mod:`repro.metrics.figures` is the whole evaluation as one table of
+figures behind ``python -m repro.cli reproduce``; it is imported on its
+own because it builds on :mod:`repro.chaos`, which imports this package.
 """
 
 from repro.metrics.collectors import (

@@ -4,7 +4,7 @@ The paper measures bandwidth "on each node by counting the incoming
 heartbeat packets", then sums over nodes for the aggregated curves of
 Fig. 11, and counts received multicast packets per second for Fig. 2.  The
 meter mirrors that: every delivery (and send) is recorded with its byte
-size, and queries aggregate by host, direction, packet kind, or time bucket.
+size, and queries aggregate by host, direction or packet kind.
 
 Counter layout: ``record()`` sits on the per-packet hot path of both
 fabrics, so counters are nested small objects (host -> direction ->
@@ -16,8 +16,7 @@ bucket through :meth:`BandwidthMeter.record_many` in one call.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 __all__ = ["BandwidthMeter"]
 
@@ -55,18 +54,15 @@ class _Pending:
 
 
 class BandwidthMeter:
-    """Accumulates (time, host, direction, kind, bytes) samples.
+    """Accumulates (time, host, direction, kind, bytes) samples as totals.
 
-    ``direction`` is ``"rx"`` or ``"tx"``.  For long sweeps the meter can be
-    switched to *totals-only* mode (``keep_series=False``) where it keeps
-    only aggregate counters, which is what the Fig. 11 bandwidth bench uses.
+    ``direction`` is ``"rx"`` or ``"tx"``.  Only aggregate counters and the
+    first/last sample time are kept, never the samples themselves.
     """
 
-    def __init__(self, keep_series: bool = False) -> None:
-        self.keep_series = keep_series
+    def __init__(self) -> None:
         # host -> direction -> counters
         self._hosts: Dict[str, Dict[str, _Counters]] = {}
-        self._series: List[Tuple[float, str, str, str, int]] = []
         self._t0: Optional[float] = None
         self._t1: Optional[float] = None
         #: Bumped on :meth:`reset`; invalidates cell lists handed out by
@@ -99,8 +95,6 @@ class BandwidthMeter:
         kb = cell.kind_bytes
         kb[kind] = kb.get(kind, 0) + size
         self._touch(time)
-        if self.keep_series:
-            self._series.append((time, host, direction, kind, size))
 
     def record_many(
         self, time: float, hosts: Iterable[str], direction: str, kind: str, size: int
@@ -109,7 +103,7 @@ class BandwidthMeter:
 
         Batch twin of :meth:`record` for the multicast fast path, where a
         whole delay bucket of receivers is accounted in one call: the
-        min/max-time bookkeeping and series branch run once per batch, and
+        min/max-time bookkeeping runs once per batch, and
         the cell lookup is inlined (this loop runs once per receiver per
         delivery, the hottest accounting path in the simulator).
         """
@@ -126,9 +120,6 @@ class BandwidthMeter:
             kb = cell.kind_bytes
             kb[kind] = kb.get(kind, 0) + size
         self._touch(time)
-        if self.keep_series:
-            for host in hosts:
-                self._series.append((time, host, direction, kind, size))
 
     def batch_cells(self, hosts: Iterable[str], direction: str) -> List[_Counters]:
         """Resolve (and create as needed) the counter cells for ``hosts``.
@@ -269,26 +260,10 @@ class BandwidthMeter:
                 out[host] = cell.bytes / span
         return out
 
-    # ------------------------------------------------------------------
-    # Time series (only when keep_series=True)
-    # ------------------------------------------------------------------
-    def bucketed(
-        self, bucket: float = 1.0, direction: str = "rx"
-    ) -> List[Tuple[float, int]]:
-        """(bucket_start, total_bytes) series across all hosts."""
-        if not self.keep_series:
-            raise RuntimeError("meter was created with keep_series=False")
-        acc: Dict[int, int] = defaultdict(int)
-        for time, _host, d, _kind, size in self._series:
-            if d == direction:
-                acc[int(time // bucket)] += size
-        return [(idx * bucket, total) for idx, total in sorted(acc.items())]
-
     def reset(self) -> None:
         if self._dirty:
             self._flush()
         self._hosts.clear()
-        self._series.clear()
         self._pending.clear()
         self._t0 = self._t1 = None
         self.epoch += 1

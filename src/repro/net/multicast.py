@@ -503,14 +503,10 @@ class MulticastFabric:
             return
         _delay, pairs, hosts, handlers, box = bucket
         meter = self.meter
-        if meter.keep_series:
-            # Series samples need host names, so take the generic path.
-            meter.record_many(self.sim.now, hosts, "rx", packet.kind, packet.size)
-        else:
-            if not box or box[0] != meter.epoch:
-                cells = meter.batch_cells(hosts, "rx")
-                box[:] = (meter.epoch, meter.open_pending(cells))
-            meter.record_pending(box[1], self.sim.now, packet.kind, packet.size)
+        if not box or box[0] != meter.epoch:
+            cells = meter.batch_cells(hosts, "rx")
+            box[:] = (meter.epoch, meter.open_pending(cells))
+        meter.record_pending(box[1], self.sim.now, packet.kind, packet.size)
         self.obs.mc_rx.add(len(pairs))
         for handler in handlers:
             handler(packet)

@@ -41,9 +41,6 @@ class Network:
         and unicast (0 disables the loss process entirely).
     proc_delay:
         Fixed per-packet processing delay at the receiver.
-    keep_bandwidth_series:
-        Keep the full per-packet time series (needed for bucketed bandwidth
-        plots; off by default to keep big sweeps lean).
     fault_plan:
         Optional chaos :class:`~repro.net.faults.FaultPlan` to install at
         construction (see :meth:`set_fault_plan`).
@@ -59,7 +56,6 @@ class Network:
         seed: int = 0,
         loss_rate: float = 0.0,
         proc_delay: float = 0.0,
-        keep_bandwidth_series: bool = False,
         trace: Optional[Trace] = None,
         fault_plan: Optional[FaultPlan] = None,
         sim: Optional[Simulator] = None,
@@ -67,7 +63,7 @@ class Network:
         self.sim = sim if sim is not None else Simulator()
         self.topo = topo
         self.rng = RngRegistry(seed)
-        self.meter = BandwidthMeter(keep_series=keep_bandwidth_series)
+        self.meter = BandwidthMeter()
         self.trace = trace if trace is not None else Trace()
         loss_rng = self.rng.stream("net.loss") if loss_rate > 0 else None
         self.multicast_fabric, self.transport = self._make_fabrics(

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from tests.metrics.test_figures import COMMITTED
 
 
 class TestParser:
@@ -44,19 +47,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "(leader)" in out
 
-    def test_analysis_output(self, capsys):
-        assert main(["analysis", "--sizes", "100", "1000"]) == 0
-        out = capsys.readouterr().out
-        assert "hierarchical" in out
-        assert "    100" in out and "   1000" in out
+    def test_reproduce_writes_the_committed_entry(self, capsys, tmp_path):
+        assert main(["reproduce", "fig02", "--out", str(tmp_path / "f.json")]) == 0
+        assert "**Fig. 2 validation: simulated vs model packet rate**" in capsys.readouterr().out
+        assert json.loads((tmp_path / "f.json").read_text()) == {"fig02": COMMITTED["fig02"]}
 
-    def test_compare_small(self, capsys):
-        assert main(
-            ["compare", "--networks", "1", "--hosts", "4", "--observe", "40"]
-        ) == 0
-        out = capsys.readouterr().out
-        for scheme in ("all-to-all", "gossip", "hierarchical"):
-            assert scheme in out
+    def test_reproduce_rejects_unknown_figure(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "fig99"])
+        assert exc.value.code != 0
+        assert "unknown figure 'fig99'" in capsys.readouterr().err
 
     def test_obs_prometheus_output(self, capsys):
         code = main(
@@ -69,8 +69,6 @@ class TestCommands:
         assert "repro_sim_now_seconds 20" in out
 
     def test_obs_json_output(self, capsys):
-        import json
-
         code = main(
             ["obs", "--networks", "1", "--hosts", "4", "--observe", "20",
              "--format", "json"]

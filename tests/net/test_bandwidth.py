@@ -40,17 +40,16 @@ class TestRecord:
         assert m.per_host_rates("rx") == {"h1": pytest.approx(50.0)}
 
     def test_reset_clears_everything(self):
-        m = BandwidthMeter(keep_series=True)
+        m = BandwidthMeter()
         m.record(1.0, "h1", "rx", "hb", 100)
         m.reset()
         assert m.bytes(direction="rx") == 0
         assert m.duration == 0.0
-        assert m.bucketed() == []
 
 
 class TestRecordMany:
     def test_equivalent_to_individual_records(self):
-        batch, single = BandwidthMeter(keep_series=True), BandwidthMeter(keep_series=True)
+        batch, single = BandwidthMeter(), BandwidthMeter()
         hosts = ["h1", "h2", "h3"]
         batch.record_many(5.0, hosts, "rx", "hb", 228)
         for h in hosts:
@@ -60,7 +59,6 @@ class TestRecordMany:
             assert batch.packets(h, "rx") == single.packets(h, "rx") == 1
         assert batch.bytes_by_kind("hb") == single.bytes_by_kind("hb")
         assert batch.duration == single.duration
-        assert batch.bucketed() == single.bucketed()
 
     def test_empty_batch_is_noop_except_time(self):
         m = BandwidthMeter()
@@ -75,8 +73,3 @@ class TestRecordMany:
         m.record_many(0.0, ["h1", "h1"], "rx", "hb", 10)
         assert m.packets("h1", "rx") == 2
         assert m.bytes("h1", "rx") == 20
-
-    def test_series_entries_per_host(self):
-        m = BandwidthMeter(keep_series=True)
-        m.record_many(1.5, ["a", "b"], "rx", "hb", 4)
-        assert m.bucketed(bucket=1.0) == [(1.0, 8)]

@@ -66,10 +66,3 @@ class TestRunHelpers:
         net1, _ = make(seed=9)
         net2, _ = make(seed=9)
         assert net1.rng.stream("x").random() == net2.rng.stream("x").random()
-
-    def test_keep_bandwidth_series_flag(self):
-        net, hosts = make(keep_bandwidth_series=True)
-        net.subscribe("ch", hosts[1], lambda p: None)
-        net.multicast(hosts[0], "ch", ttl=1, kind="hb", payload=None, size=10)
-        net.run()
-        assert net.meter.bucketed(bucket=1.0)  # does not raise

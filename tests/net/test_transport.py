@@ -210,18 +210,6 @@ class TestBandwidthMeter:
         rates = m.per_host_rates(duration=10.0)
         assert rates == {"h1": 10.0, "h2": 30.0}
 
-    def test_bucketed_requires_series(self):
-        m = BandwidthMeter(keep_series=False)
-        with pytest.raises(RuntimeError):
-            m.bucketed()
-
-    def test_bucketed_series(self):
-        m = BandwidthMeter(keep_series=True)
-        m.record(0.2, "h", "rx", "hb", 10)
-        m.record(0.7, "h", "rx", "hb", 10)
-        m.record(1.5, "h", "rx", "hb", 30)
-        assert m.bucketed(bucket=1.0) == [(0.0, 20), (1.0, 30)]
-
     def test_reset(self):
         m = BandwidthMeter()
         m.record(0.0, "h", "rx", "hb", 10)
