@@ -9,6 +9,7 @@ exact shape of Fig. 14's response-time and throughput panels.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -48,9 +49,11 @@ class RequestStats:
         return [(s, len(self._by_second.get(s, []))) for s in sorted(seconds)]
 
     def response_time_series(self) -> List[Tuple[int, float]]:
-        """(second, mean latency of requests completing that second)."""
+        """(second, mean latency of requests completing that second).
+
+        Means use ``math.fsum``, correctly rounded on every CPython version."""
         return [
-            (s, sum(lats) / len(lats))
+            (s, math.fsum(lats) / len(lats))
             for s, lats in sorted(self._by_second.items())
             if lats
         ]
@@ -65,7 +68,7 @@ class RequestStats:
             for lat in ls
             if since <= s < until
         ]
-        return sum(lats) / len(lats) if lats else 0.0
+        return math.fsum(lats) / len(lats) if lats else 0.0
 
     def throughput(self, since: float, until: float) -> float:
         total = sum(

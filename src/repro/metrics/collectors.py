@@ -9,6 +9,7 @@ log files, with exact virtual timestamps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -180,6 +181,8 @@ def accuracy_timeseries(
             view = views[host] | {host}
             union = view | truth
             scores.append(len(view & truth) / len(union) if union else 1.0)
-        out.append((t, sum(scores) / len(scores) if scores else 1.0))
+        # fsum is correctly rounded, so the mean is the same on every CPython
+        # (3.12's sum() of floats is compensated, earlier versions' is not).
+        out.append((t, math.fsum(scores) / len(scores) if scores else 1.0))
         t += step
     return out
