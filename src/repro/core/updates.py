@@ -60,6 +60,10 @@ class UpdateOp:
         return member_size if self.op == "add" else REMOVE_OP_SIZE
 
 
+#: One piggyback entry: ``(seq, uid, origin, ops)`` of an earlier update.
+_PiggyEntry = Tuple[int, int, str, Tuple[UpdateOp, ...]]
+
+
 @dataclass(frozen=True, slots=True)
 class UpdateMessage:
     """One update datagram on one channel.
@@ -80,9 +84,15 @@ class UpdateMessage:
     level: int
     seq: int
     ops: Tuple[UpdateOp, ...]
-    piggyback: Tuple[Tuple[int, int, str, Tuple[UpdateOp, ...]], ...] = ()
+    piggyback: Tuple[_PiggyEntry, ...] = ()
 
     def size(self, member_size: int, header_size: int) -> int:
+        """Wire size: the header plus every op, piggybacked ones included.
+
+        The send path prices a message it built through
+        :meth:`UpdateManager.last_size` instead, which gives the same
+        number without walking the ops.
+        """
         total = header_size + sum(op.size(member_size) for op in self.ops)
         for _seq, _uid, _origin, ops in self.piggyback:
             total += sum(op.size(member_size) for op in ops)
@@ -148,7 +158,12 @@ class UpdateManager:
         self._uid_alloc = uid_alloc
         # outgoing per-channel state
         self._next_seq: Dict[int, int] = {}
-        self._recent: Dict[int, List[Tuple[int, int, str, Tuple[UpdateOp, ...]]]] = {}
+        # level -> (the piggyback window's entries, and the adds and other
+        # ops of each entry, flat and in step with it).  With the totals
+        # of the last message built, a piggybacked group is counted once,
+        # when it is first sent, not again on every send that carries it.
+        self._recent: Dict[int, Tuple[List[_PiggyEntry], List[int]]] = {}
+        self._built_counts: Tuple[int, int] = (0, 0)
         # incoming stream positions: level -> sender -> last seen seq.
         # Nested (not tuple-keyed) so the per-heartbeat behind() check
         # needs no key allocation, and the per-level map has a *stable
@@ -164,6 +179,7 @@ class UpdateManager:
         """Forget everything (daemon restart)."""
         self._next_seq.clear()
         self._recent.clear()
+        self._built_counts = (0, 0)
         # In place: captured level_stream() references must stay valid.
         for stream in self._last_seen.values():
             stream.clear()
@@ -193,7 +209,11 @@ class UpdateManager:
         self._next_seq[level] = seq
         msg_uid = uid if uid is not None else self.new_uid()
         msg_origin = origin if origin is not None else self.node_id
-        recent = self._recent.setdefault(level, [])
+        depth = self.piggyback_depth
+        window = self._recent.get(level)
+        if window is None:
+            window = self._recent[level] = ([], [])
+        recent, counts = window
         msg = UpdateMessage(
             uid=msg_uid,
             origin=msg_origin,
@@ -201,14 +221,30 @@ class UpdateManager:
             level=level,
             seq=seq,
             ops=tuple(ops),
-            piggyback=tuple(recent[-self.piggyback_depth :]),
+            piggyback=tuple(recent[-depth:]),
         )
-        recent.append((seq, msg_uid, msg_origin, tuple(ops)))
-        if len(recent) > self.piggyback_depth:
-            del recent[: len(recent) - self.piggyback_depth]
+        adds = [op.op for op in msg.ops].count("add")
+        others = len(msg.ops) - adds
+        piggy = counts[-2 * depth :]
+        self._built_counts = (adds + sum(piggy[0::2]), others + sum(piggy[1::2]))
+        recent.append((seq, msg_uid, msg_origin, msg.ops))
+        counts += (adds, others)
+        if len(recent) > depth:
+            del recent[: len(recent) - depth]
+            del counts[: len(counts) - 2 * depth]
         # Anything we send is by definition known to us.
         self.mark_seen(msg_origin, msg_uid)
         return msg
+
+    def last_size(self, member_size: int, header_size: int) -> int:
+        """Wire size of the message :meth:`build` returned last.
+
+        Equals that message's :meth:`UpdateMessage.size`; priced from
+        the op counts at call time, so a changed ``member_size`` prices
+        right.
+        """
+        adds, others = self._built_counts
+        return header_size + adds * member_size + others * REMOVE_OP_SIZE
 
     def mark_seen(self, origin: str, uid: int) -> None:
         seen = self._seen_uids

@@ -16,7 +16,12 @@ Delivery plans
 --------------
 ``send()`` resolves its recipients through a **delivery plan** cached per
 ``(channel, src, ttl)``: the ordered list of ``(host, handler, delay)``
-triples a send from that key fans out to.  The whole cache is dropped
+triples a send from that key fans out to.  A plan is built from the
+sender's TTL reach (``Topology.hosts_within``, whose cost is the size of
+the reach), not from every subscriber of the channel: a cluster-wide
+``base:L0`` channel has N subscribers, but its TTL-1 sends reach one
+segment.  The subscribed hosts of the reach are routed one by one in
+join order, which is subscription-dict order.  The whole cache is dropped
 only when ``Topology.route_version`` moves (a switch, router, link or
 multi-homed host changed, so any route may have).  Everything else is
 patched into the cached plans of the one channel it touches:
@@ -26,8 +31,8 @@ patched into the cached plans of the one channel it touches:
   host from each plan;
 * a handler replacement swaps the handler in place;
 * a new subscription is picked up lazily: a plan behind the channel's
-  subscription version evaluates only the subscriptions that joined
-  after it (the tail of the subscription dict, which is in join order);
+  subscription version evaluates only the hosts of its reach that
+  joined after it;
 * a subscribed leaf host coming back up drops the plans that already
   went past its join, so they are rebuilt with it in place.
 
@@ -54,7 +59,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.net.bandwidth import BandwidthMeter
 from repro.net.faults import FaultPlan
@@ -162,8 +167,8 @@ class MulticastFabric:
         # channel -> version, bumped on any subscription change to that channel
         self._sub_version: Dict[str, int] = defaultdict(int)
         # channel -> host -> subscription version at which it joined.  The
-        # subs dict is in join order, so the subscriptions a plan has not
-        # evaluated yet are exactly the dict's tail that joined after it.
+        # subscriptions a plan has not evaluated yet are those that joined
+        # after it, and sorting by it gives the subs dict's order.
         self._joined: Dict[str, Dict[str, int]] = defaultdict(dict)
         # (channel, src, ttl) -> plan, and the same plans by channel (what
         # a patch walks).  Valid while _plans_route_version holds.
@@ -236,31 +241,26 @@ class MulticastFabric:
             return plan.recipients, plan.buckets
         if not topo.is_up(src):
             return [], ()
+        # Candidates: the hosts in the sender's TTL reach that subscribed
+        # after the plan (all of them on a first build), in join order.
+        # Join versions only grow and a handler swap keeps its version,
+        # so that is the subscription dict's order, which the loss draws
+        # follow.
         subs = self._subs.get(channel, {})
-        if plan is None:
-            candidates: Iterable[Tuple[str, Handler]] = subs.items()
-        else:
-            # Only subscriptions that joined after the plan: the dict's tail.
-            joined = self._joined[channel]
-            newer: List[Tuple[str, Handler]] = []
-            for host in reversed(subs):
-                if joined[host] <= plan.sub_version:
-                    break
-                newer.append((host, subs[host]))
-            candidates = reversed(newer)
-        # One fused (ttl, latency) query per candidate: plan building is
-        # n^2-scale on cluster-wide channels during a mass join, and the
-        # two quantities come out of the same routing cell anyway.
+        joined = self._joined.get(channel, {})
+        since = 0 if plan is None else plan.sub_version
+        fresh = [h for h in topo.hosts_within(src, ttl) if joined.get(h, 0) > since]
+        fresh.sort(key=joined.__getitem__)
+        # One fused (ttl, latency) query per candidate; the sharded fabric
+        # narrows it further to the sender's segment.
         route = self._plan_route()
         proc_delay = self.proc_delay
         added: _Recipients = []
-        for host, handler in candidates:
-            if host == src:
-                continue
+        for host in fresh:
             hops, lat = route(src, host)
             if hops > ttl:
                 continue
-            added.append((host, handler, lat + proc_delay))
+            added.append((host, subs[host], lat + proc_delay))
         if plan is None:
             plan = self._plans[key] = _Plan(sub_version, added)
             self._channel_plans[channel][(src, ttl)] = plan

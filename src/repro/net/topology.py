@@ -83,6 +83,9 @@ class Topology:
         # segment partition) changes only on add/remove, not on up/down.
         self._struct_version = -1
         self._leaf: Dict[str, Tuple[str, float]] = {}
+        # attachment point -> its simple leaves that multicast can reach
+        # (a leaf hung off a WAN edge never is), in insertion order.
+        self._leaves_at: Dict[str, List[str]] = {}
         self._infra_adj: Dict[str, Dict[str, float]] = {}
         # (seed device, entry_routers, entry_lat) -> {infra node -> (r, lat)}
         self._mc_seeded: Dict[Tuple[str, float, float], Dict[str, Tuple[float, float]]] = {}
@@ -261,8 +264,34 @@ class Topology:
         return self.unicast_latency(src, dst) != UNREACHABLE
 
     def hosts_within(self, src: str, ttl: int) -> List[str]:
-        """Hosts (other than ``src``) within ``ttl`` of ``src``; live paths only."""
-        return [h for h in self.hosts() if h != src and self._mc_pair(src, h)[0] <= ttl]
+        """Hosts (other than ``src``) within ``ttl`` of ``src``; live paths only.
+
+        Exactly the hosts ``h`` with ``ttl_distance(src, h) <= ttl``, at a
+        cost in the size of that reach, not of the topology: it walks
+        ``src``'s cached base map, which holds the attachment points in
+        Dijkstra order (routers crossed never decrease along it), stops
+        at the first one beyond ``ttl``, and takes each attachment's live
+        simple leaves from an index.  Result order: the map's order
+        (nearest first), a non-leaf host at its own entry, the simple
+        leaves of one attachment in insertion order.
+        """
+        if self._struct_version != self._route_version:
+            self._rebuild_structure()
+        base = self._mc_base.get(src)
+        if base is None:
+            base = self._mc_base[src] = self._mc_base_for(src)
+        kind, up, leaves_at = self._kind, self._up, self._leaves_at
+        out: List[str] = []
+        for node, (routers, _lat) in base.items():
+            # Every host's TTL distance is its attachment's routers + 1.
+            if routers + 1.0 > ttl:
+                break
+            leaves = leaves_at.get(node)
+            if leaves is not None:
+                out += [host for host in leaves if up[host] and host != src]
+            elif node != src and kind[node] is NodeKind.HOST:
+                out.append(node)
+        return out
 
     def max_ttl_diameter(self, dc: Optional[str] = None) -> int:
         """Largest finite TTL distance between any two live hosts (per DC)."""
@@ -311,6 +340,7 @@ class Topology:
 
     def _rebuild_structure(self) -> None:
         leaf: Dict[str, Tuple[str, float]] = {}
+        leaves_at: Dict[str, List[str]] = {}
         for name, kind in self._kind.items():
             if kind is not NodeKind.HOST:
                 continue
@@ -320,12 +350,15 @@ class Topology:
             (att, lat), = adj.items()
             if self._kind[att] is not NodeKind.HOST:
                 leaf[name] = (att, lat)
+                if (name, att) not in self._wan_edges:
+                    leaves_at.setdefault(att, []).append(name)
         infra: Dict[str, Dict[str, float]] = {}
         for name, adj in self._adj.items():
             if name in leaf:
                 continue
             infra[name] = {n: l for n, l in adj.items() if n not in leaf}
         self._leaf = leaf
+        self._leaves_at = leaves_at
         self._infra_adj = infra
         self._segments_cache = None
         self._struct_version = self._route_version

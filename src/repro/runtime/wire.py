@@ -30,8 +30,10 @@ Design constraints:
   identical payloads always produce identical bytes (content-keyed
   deduplication must survive serialization).
 * **Strict** — unknown tags, unknown types, truncated frames, trailing
-  garbage, unhashable keys, nesting beyond :data:`MAX_DEPTH` and routing
-  fields a :class:`~repro.net.packet.Packet` rejects all raise
+  garbage, unhashable keys, nesting beyond :data:`MAX_DEPTH`, routing
+  fields a :class:`~repro.net.packet.Packet` rejects and a payload of
+  the wrong type for its kind (a ``heartbeat`` must carry a
+  ``Heartbeat``, and so on, one table for all kinds) all raise
   :class:`WireError`, and *nothing else* leaves the decoder: anything
   else would slip past the callers' ``except WireError`` into the event
   loop's exception handler, uncounted.  A malformed datagram is counted
@@ -385,6 +387,58 @@ def decode_value(data: bytes) -> Any:
 
 
 # ----------------------------------------------------------------------
+# Kind -> payload type
+# ----------------------------------------------------------------------
+def _is_ops(ops: Any) -> bool:
+    return type(ops) is tuple and all(type(op) is UpdateOp for op in ops)
+
+
+def _is_update(msg: Any) -> bool:
+    return (
+        type(msg) is UpdateMessage
+        and _is_ops(msg.ops)
+        and all(
+            type(entry) is tuple
+            and len(entry) == 4
+            and type(entry[0]) is int
+            and type(entry[1]) is int
+            and type(entry[2]) is str
+            and _is_ops(entry[3])
+            for entry in msg.piggyback
+        )
+    )
+
+
+def _is_snapshot(payload: Any) -> bool:
+    if type(payload) is not dict:
+        return False
+    snapshot = payload.get("snapshot")
+    return type(snapshot) is list and all(type(r) is NodeRecord for r in snapshot)
+
+
+def _is_sync_resp(payload: Any) -> bool:
+    seqs = payload.get("seqs", {}) if type(payload) is dict else None
+    return (
+        _is_snapshot(payload)
+        and type(seqs) is dict
+        and all(type(k) is int and type(v) is int for k, v in seqs.items())
+    )
+
+
+#: What the payload of each kind the roles read without checking must
+#: be.  A frame that breaks its row is malformed: the roles would
+#: dereference the payload and raise inside a live node.  The kinds are
+#: the hierarchical scheme's, the one the daemons run; other kinds are
+#: unconstrained (the probe handler and the relay check their own).
+_PAYLOAD_OF_KIND: Dict[str, Callable[[Any], bool]] = {
+    "heartbeat": lambda payload: type(payload) is Heartbeat,
+    "update": _is_update,
+    "sync_req": _is_snapshot,
+    "sync_resp": _is_sync_resp,
+}
+
+
+# ----------------------------------------------------------------------
 # Packet framing
 # ----------------------------------------------------------------------
 #: What :func:`decode_packet` returns, and what a memo hit hands back.
@@ -416,7 +470,8 @@ def decode_packet(data: bytes) -> Decoded:
     Raises :class:`WireError` — and nothing else — on any datagram that
     is not a well-formed frame: bad magic, version mismatch, truncation,
     trailing garbage, nesting beyond :data:`MAX_DEPTH`, unhashable keys,
-    or routing fields :class:`~repro.net.packet.Packet` rejects.
+    routing fields :class:`~repro.net.packet.Packet` rejects, or a
+    payload of the wrong type for its kind (:data:`_PAYLOAD_OF_KIND`).
     """
     if len(data) < _HEADER.size:
         raise WireError("datagram shorter than frame header")
@@ -446,6 +501,9 @@ def decode_packet(data: bytes) -> Decoded:
         raise WireError("malformed channel")
     if port is not None and not isinstance(port, str):
         raise WireError("malformed port")
+    payload_ok = _PAYLOAD_OF_KIND.get(kind)
+    if payload_ok is not None and not payload_ok(payload):
+        raise WireError(f"payload of the wrong type for a {kind!r} frame")
     try:
         pkt = Packet(
             src=src,

@@ -123,3 +123,32 @@ class TestStreamProperties:
                 applied.append(ops[0].node_id)
         assert sorted(applied) == sorted({f"n{i}" for i in range(n)} & set(applied))
         assert len(applied) == len(set(applied))
+
+
+_op_mixes = st.lists(
+    st.lists(st.sampled_from(("add", "remove", "leave")), max_size=6),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestSendSize:
+    @given(
+        _op_mixes,
+        st.integers(min_value=0, max_value=5),
+        st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=4),
+        st.integers(min_value=0, max_value=64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_last_size_equals_the_per_op_formula(self, groups, depth, member_sizes, header):
+        """The counted price of every built message equals summing its ops."""
+        um = UpdateManager("s", piggyback_depth=depth)
+        for i, kinds in enumerate(groups):
+            ops = [
+                add_op(f"{i}.{j}") if kind == "add" else UpdateOp(kind, f"{i}.{j}", 1)
+                for j, kind in enumerate(kinds)
+            ]
+            msg = um.build(i % 2, ops)
+            # A live member_size change prices right, as the op walk would.
+            for member_size in member_sizes:
+                assert um.last_size(member_size, header) == msg.size(member_size, header)

@@ -18,17 +18,26 @@ drops the cache.  Pinned here:
   list, so in-flight deliveries cannot tell a patched plan from a
   rebuilt one;
 * a crash/recover pair of an ordinary node on the paper's 5 x 20 testbed
-  costs one route query per other sender, not a re-plan of every key
-  (a count, so the gate holds on any machine).
+  costs a route query only for the senders whose TTL reaches the node,
+  not a re-plan of every key;
+* a cold formation asks about each sender's TTL reach, not about every
+  subscriber of the cluster-wide channel: about 20 route queries per
+  node at 100 and at 200 nodes, not N.
+
+The last two are counts, so the gates hold on any machine.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.failures import FailureSchedule
+from repro.core import HierarchicalNode
+from repro.core.config import HierarchicalConfig
 from repro.metrics.experiment import make_scheme_cluster
 from repro.net import Network
 from repro.net.builders import build_router_tree, build_switched_cluster
+from repro.protocols.base import deploy
 from repro.shard.netshard import ShardNetwork
 from repro.shard.partition import ShardMap
 
@@ -297,13 +306,29 @@ class TestLossyTwin:
         assert rx[0] == rx[1]
 
 
+def count_route_queries(net):
+    """Wrap the network topology's ``mc_route``; returns the call log."""
+    calls = []
+    route = net.topo.mc_route
+
+    def counted(src, dst):
+        calls.append((src, dst))
+        return route(src, dst)
+
+    net.topo.mc_route = counted
+    return calls
+
+
 class TestReplanningCost:
     """Route queries around one crash/recover pair on the 5 x 20 testbed.
 
     Before plans were patched, the crash and the recovery each moved
     ``Topology.version`` and every sender re-planned ``base:L0`` against
-    all 100 hosts: 19,642 ``mc_route`` calls for this one pair.  Now the
-    only queries are the recovered node's re-join, one per other sender.
+    all 100 hosts: 19,642 ``mc_route`` calls for this one pair.  With
+    patching, the only queries were the recovered node's re-join, one per
+    other sender (99).  Now that plans take their candidates from the
+    sender's TTL reach, only the senders whose reach holds the node ask:
+    its own segment's 19 on ``base:L0``.
     """
 
     VICTIM = "dc0-n2-h10"  # leads no group at t=25 on seed 31
@@ -312,14 +337,7 @@ class TestReplanningCost:
         net, hosts, nodes = make_scheme_cluster("hierarchical", 5, 20, seed=31, loss_rate=0.02)
         net.run(until=25.0)
         assert not nodes[self.VICTIM].is_leader(0)
-        calls = []
-        route = net.topo.mc_route
-
-        def counted(src, dst):
-            calls.append((src, dst))
-            return route(src, dst)
-
-        net.topo.mc_route = counted
+        calls = count_route_queries(net)
         net.run(until=29.0)
         assert calls == []  # a quiet window re-plans nothing
 
@@ -328,7 +346,7 @@ class TestReplanningCost:
         schedule.crash_node_at(30.1, self.VICTIM)
         schedule.recover_node_at(44.1, self.VICTIM)
         net.run(until=60.0)
-        assert len(calls) <= 100
+        assert len(calls) <= 20
         assert {dst for _src, dst in calls} == {self.VICTIM}
         # Behaviour is unchanged by patching: both numbers are what the
         # fabric that rebuilt every plan produced for this run (18,898
@@ -336,3 +354,31 @@ class TestReplanningCost:
         assert net.sim.events_executed == 18898
         everyone = set(hosts)
         assert sum(set(n.view()) == everyone for n in nodes.values()) == 100
+
+
+class TestFormationPlanCost:
+    """Route queries of a cold formation on a depth-2 router tree.
+
+    Every node subscribes to the cluster-wide ``base:L0`` channel, whose
+    TTL-1 sends reach one 20-host segment.  When plans evaluated every
+    subscriber, each sender asked about all N of them: 9,960 queries at
+    100 nodes and 40,070 at 200, N per node.  Taken from the sender's
+    TTL reach, the count is about the segment size per node at both
+    sizes (1,920 and 3,890 when this gate was set).
+    """
+
+    @pytest.mark.parametrize(
+        "branching, events", [(5, 8094), (10, 17039)], ids=["100_nodes", "200_nodes"]
+    )
+    def test_route_queries_per_node_do_not_grow_with_n(self, branching, events):
+        topo, hosts = build_router_tree(2, branching, hosts_per_leaf=20)
+        net = Network(topo, seed=1)
+        calls = count_route_queries(net)
+        nodes = deploy(HierarchicalNode, net, hosts, config=HierarchicalConfig(max_ttl=7))
+        net.run(until=25.0)
+        assert len(calls) <= 25 * len(hosts)
+        # Behaviour is what the fabric that walked every subscriber
+        # produced: the same kernel events, and every view complete.
+        assert net.sim.events_executed == events
+        everyone = set(hosts)
+        assert all(set(node.view()) == everyone for node in nodes.values())

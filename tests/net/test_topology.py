@@ -189,6 +189,15 @@ class TestTtlDistance:
         assert sorted(t.hosts_within("a0", 1)) == ["a1"]
         assert sorted(t.hosts_within("a0", 2)) == ["a1", "b0", "b1"]
 
+    def test_hosts_within_skips_a_leaf_hung_off_a_wan_edge(self):
+        # Multicast never crosses WAN: the host is reachable by unicast only.
+        t = simple_two_segment()
+        t.add_host("remote")
+        t.add_link("remote", "sa", latency=0.045, wan=True)
+        assert t.ttl_distance("a0", "remote") == UNREACHABLE
+        assert sorted(t.hosts_within("a0", 4)) == ["a1", "b0", "b1"]
+        assert t.hosts_within("remote", 4) == []
+
     def test_unreachable_without_path(self):
         t = Topology()
         t.add_host("h1")

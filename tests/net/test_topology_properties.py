@@ -154,6 +154,34 @@ class TestLeafFlips:
             assert answers(t) == answers(build(steps, down))
 
 
+class TestHostsWithin:
+    @given(topology_recipes(), st.lists(st.integers(min_value=0, max_value=20), max_size=12))
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_reach_matches_distance_after_every_flip(self, steps, flips):
+        """The scoped reach equals the distance filter, down sources included.
+
+        Non-leaf and host-to-host hosts and WAN edges come from the
+        recipes; leaves, switches and routers flip with warm caches, and
+        the expected sets come from a fresh topology in the same state.
+        """
+        t = build(steps)
+        devices = t.devices()
+        hosts = t.hosts()
+        for i in [None, *flips]:
+            if i is not None:
+                device = devices[i % len(devices)]
+                t.set_up(device, not t.is_up(device))
+            fresh = build(steps, [d for d in devices if not t.is_up(d)])
+            for src in hosts:
+                for ttl in (1, 2, 3, 4):
+                    within = t.hosts_within(src, ttl)
+                    expected = {
+                        h for h in hosts if h != src and fresh.ttl_distance(src, h) <= ttl
+                    }
+                    assert len(within) == len(set(within))
+                    assert set(within) == expected, (src, ttl)
+
+
 class TestModelProperties:
     @given(st.integers(min_value=2, max_value=5000), st.integers(min_value=2, max_value=5000))
     @settings(max_examples=200, deadline=None)

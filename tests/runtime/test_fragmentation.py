@@ -196,11 +196,11 @@ def _free_ports(count):
             s.close()
 
 
-# A sync-snapshot-shaped payload: a few thousand NodeRecords, well over
-# the 65,507 B UDP limit once encoded.
+# A sync response: a few thousand NodeRecords, well over the 65,507 B
+# UDP limit once encoded.
 SNAPSHOT = {
-    "kind": "sync_snapshot",
-    "records": [
+    "seqs": {0: 1},
+    "snapshot": [
         NodeRecord(node_id=f"node-{i:05d}", incarnation=i,
                    services={"svc": f"range-{i}"}, attrs={})
         for i in range(3000)
@@ -247,8 +247,8 @@ def test_oversize_view_payload_over_real_loopback_udp():
     """A view snapshot far beyond one UDP datagram arrives intact."""
     pkt, _buffer = _send_snapshot_over_loopback(DEFAULT_MAX_DATAGRAM)
     assert pkt.kind == "sync_resp"
-    assert pkt.payload["records"] == SNAPSHOT["records"]
-    assert len(pkt.payload["records"]) == 3000
+    assert pkt.payload["snapshot"] == SNAPSHOT["snapshot"]
+    assert len(pkt.payload["snapshot"]) == 3000
 
 
 def test_datagrams_at_the_udp_ceiling_fit_the_receive_buffer():
@@ -256,7 +256,7 @@ def test_datagrams_at_the_udp_ceiling_fit_the_receive_buffer():
     assert len(fragment_frame(b"z" * 70000, "a", 1, 65507)[0]) == 65507
     pkt, buffer = _send_snapshot_over_loopback(65507)
     assert buffer == RECV_BUFFER
-    assert pkt.payload["records"] == SNAPSHOT["records"]
+    assert pkt.payload["snapshot"] == SNAPSHOT["snapshot"]
 
 
 def test_encoded_oversize_frame_actually_fragments():
@@ -270,7 +270,7 @@ def test_encoded_oversize_frame_actually_fragments():
                    services={"svc": f"range-{i}"}, attrs={})
         for i in range(3000)
     ]
-    pkt = Packet(src="a", kind="sync_resp", payload={"records": records},
+    pkt = Packet(src="a", kind="sync_resp", payload={"snapshot": records},
                  size=70000, dst="b")
     data = encode_packet(pkt, "membership")
     assert len(data) > 65507

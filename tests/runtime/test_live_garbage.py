@@ -5,7 +5,9 @@ while a fourth socket sends each of them the seeded fuzz corpus of
 ``wire_corpus`` — random bytes, mutated valid frames, forged heartbeats,
 the five frames that used to escape as ``TypeError`` / ``ValueError`` /
 ``RecursionError``, hostile relay control lists, truncated and
-never-completing fragments.  The robustness claim, as invariants:
+never-completing fragments — plus well-formed frames whose payload is
+the wrong type for their kind, sent to the channels the daemons join
+and the port they bind.  The robustness claim, as invariants:
 
 * nothing reaches the event loop's exception handler;
 * ``wire_errors`` (daemons and relay) equals the number of datagrams
@@ -34,7 +36,11 @@ CONFIG = HierarchicalConfig(heartbeat_period=0.05, election_delay=0.25, max_ttl=
 #: Small enough that the corpus's forged heartbeats overflow it many
 #: times over, evicting the real peers' slots while the cluster forms.
 MEMO_CAP = 32
-CORPUS = corpus.fuzz_corpus(seed=20, count=1500)
+#: The type-confused frames go first, while the cluster is still forming.
+CORPUS = [
+    *corpus.type_confused_frames(dsts=("a", "b", "c")).values(),
+    *corpus.fuzz_corpus(seed=20, count=1500),
+]
 
 
 def rejected(datagrams):

@@ -146,15 +146,15 @@ class TestPacketFraming:
     def test_unicast_packet_carries_port(self):
         pkt = Packet(
             src="n1",
-            kind="sync_req",
-            payload={"seqs": {0: 5}},
+            kind="sync_resp",
+            payload={"snapshot": [], "seqs": {0: 5}},
             size=28,
             dst="n2",
         )
         out, port = decode_packet(encode_packet(pkt, "hmember"))
         assert port == "hmember"
         assert out.dst == "n2" and out.channel is None
-        assert out.payload == {"seqs": {0: 5}}
+        assert out.payload == {"snapshot": [], "seqs": {0: 5}}
 
     def test_truncated_frame_raises(self):
         data = encode_packet(

@@ -111,6 +111,35 @@ class TestRegressionFrames:
 
 
 # ----------------------------------------------------------------------
+# A frame's kind decides its payload type
+# ----------------------------------------------------------------------
+CONFUSED = corpus.type_confused_frames()
+
+
+class TestKindDecidesPayload:
+    @pytest.mark.parametrize("name", sorted(CONFUSED))
+    def test_wrong_payload_for_the_kind_is_a_wire_error(self, name):
+        # Was: AttributeError / KeyError / TypeError inside a role handler.
+        with pytest.raises(WireError, match="wrong type"):
+            decode_packet(CONFUSED[name])
+
+    def test_every_shape_the_roles_send_decodes(self):
+        frames = [
+            corpus.heartbeat_frame(),
+            corpus.update_frame(),
+            corpus.sync_frame(),
+            corpus.sync_req_frame(),
+        ]
+        assert [decode_packet(data)[0].kind for data in frames] == [
+            "heartbeat", "update", "sync_resp", "sync_req",
+        ]
+
+    def test_other_kinds_are_unconstrained(self):
+        pkt = Packet(src="a", kind="probe", payload=None, size=0, dst="b")
+        assert decode_packet(encode_packet(pkt, "p"))[0].payload is None
+
+
+# ----------------------------------------------------------------------
 # Only WireError leaves the decoders
 # ----------------------------------------------------------------------
 #: A replacement byte: half the time a tag (changes the tree's shape).

@@ -124,6 +124,13 @@ def hostile_control_frames() -> List[bytes]:
     ]
 
 
+def sync_req_frame(src: str = "n1", dst: str = "n2") -> bytes:
+    payload = {"snapshot": [record(f"n{i}") for i in range(3)]}
+    return encode_packet(
+        Packet(src=src, kind="sync_req", payload=payload, size=1024, dst=dst), "hmember"
+    )
+
+
 def templates() -> Dict[str, bytes]:
     """One valid frame of every shape the daemons and the relay exchange."""
     return {
@@ -149,6 +156,55 @@ def regression_frames() -> Dict[str, bytes]:
         # ValueError: exactly one of dst (unicast) or channel (multicast) required
         "dst_and_channel_both_set": frame(routing(dst=b"s" + _str("d")) + b"N"),
     }
+
+
+#: The channels and unicast port of ``HierarchicalConfig``'s defaults:
+#: what live daemons join and bind, so a frame addressed there that
+#: decoded would reach a role handler.
+LIVE_CHANNELS = ("239.255.0.2:10050/L0", "239.255.0.2:10050/L1")
+MEMBER_PORT = "hmember"
+
+
+def type_confused_frames(dsts: Sequence[str] = ("n2",)) -> Dict[str, bytes]:
+    """Well-formed frames whose payload is the wrong type for their kind.
+
+    Multicast ones go to :data:`LIVE_CHANNELS`, unicast ones to
+    :data:`MEMBER_PORT` of each of ``dsts``.  Each used to raise
+    ``AttributeError`` / ``KeyError`` / ``TypeError`` inside a role
+    handler; the codec now rejects them.
+    """
+    hb = Heartbeat(record=record("ghost"), level=0, is_leader=False, suppressed=True)
+    multicast = {
+        "heartbeat_none": ("heartbeat", None),
+        "heartbeat_record": ("heartbeat", record("ghost")),
+        "update_none": ("update", None),
+        "update_heartbeat": ("update", hb),
+        "update_int_op": (
+            "update", UpdateMessage(uid=1, origin="ghost", sender="ghost", level=0, seq=1,
+                                    ops=(7,)),
+        ),
+        "update_short_piggyback": (
+            "update", UpdateMessage(uid=1, origin="ghost", sender="ghost", level=0, seq=2,
+                                    ops=(), piggyback=((1, 1, "ghost"),)),
+        ),
+    }
+    unicast = {
+        "sync_req_no_snapshot": ("sync_req", {"seqs": {0: 5}}),
+        "sync_req_snapshot_of_ints": ("sync_req", {"snapshot": [1, 2]}),
+        "sync_resp_none": ("sync_resp", None),
+        "sync_resp_str_seq": ("sync_resp", {"snapshot": [record("ghost")], "seqs": {0: "5"}}),
+        "sync_resp_seqs_list": ("sync_resp", {"snapshot": [], "seqs": [0]}),
+    }
+    out = {}
+    for name, (kind, payload) in multicast.items():
+        for channel in LIVE_CHANNELS:
+            pkt = Packet(src="ghost", kind=kind, payload=payload, size=64, channel=channel, ttl=1)
+            out[f"{name}@{channel}"] = encode_packet(pkt)
+    for name, (kind, payload) in unicast.items():
+        for dst in dsts:
+            pkt = Packet(src="ghost", kind=kind, payload=payload, size=64, dst=dst)
+            out[f"{name}@{dst}"] = encode_packet(pkt, MEMBER_PORT)
+    return out
 
 
 def fragments_of(
