@@ -11,6 +11,7 @@ Run:  python examples/multi_datacenter_failover.py
 
 from repro.apps import SearchDeployment
 from repro.cluster.gateway import Gateway
+from repro.runtime import SimRuntime
 
 WARMUP = 15.0
 
@@ -26,7 +27,7 @@ def main() -> None:
 
     engine = dep.engines["dcA"]
     gw = Gateway(
-        net.sim,
+        SimRuntime(net, engine.host),
         executor=lambda query: engine.query(query),
         workload=lambda seq: {"query": f"q{seq}"},
         rate=10.0,

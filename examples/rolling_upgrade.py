@@ -16,6 +16,7 @@ from repro.core import HierarchicalNode
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
 from repro.protocols import deploy
+from repro.runtime import SimRuntime
 
 
 def main() -> None:
@@ -26,17 +27,17 @@ def main() -> None:
     backends = hosts[1:5]  # 4 replicas of one service
     providers = {}
     for h in backends:
-        p = ProviderModule(net, h)
+        p = ProviderModule(SimRuntime(net, h))
         p.register(ServiceSpec.make("api", "0", service_time=0.01))
         p.start()
         providers[h] = p
         nodes[h].register_service(ServiceSpec.make("api", "0"))
 
     gateway_host = hosts[-1]
-    consumer = ConsumerModule(net, gateway_host, nodes[gateway_host].directory)
+    consumer = ConsumerModule(SimRuntime(net, gateway_host), nodes[gateway_host].directory)
     consumer.start()
     gw = Gateway(
-        net.sim,
+        SimRuntime(net, gateway_host),
         executor=consumer.invoke,
         workload=lambda seq: {"service": "api", "partition": 0, "data": seq},
         rate=20.0,

@@ -20,6 +20,7 @@ from repro.core import HierarchicalNode
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
 from repro.protocols import deploy
+from repro.runtime import SimRuntime
 
 
 def main() -> None:
@@ -37,7 +38,7 @@ def main() -> None:
         workload=workload,
     )
     cluster.deploy()
-    gateway = QueryEngine(net, hosts[-1], nodes[hosts[-1]], workload)
+    gateway = QueryEngine(SimRuntime(net, hosts[-1]), nodes[hosts[-1]], workload)
 
     net.run(until=12.0)  # membership warm-up
 

@@ -18,9 +18,8 @@ the other data center through the membership proxies.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.consumer import ConsumerModule, InvocationResult
 from repro.cluster.loadbalance import LoadBalancer, RandomPolling
@@ -31,7 +30,7 @@ from repro.core.proxy import MembershipProxy, install_proxy_forwarding
 from repro.net.builders import build_two_datacenters
 from repro.net.network import Network
 from repro.protocols.base import deploy
-from repro.sim import Event
+from repro.runtime import Event, NodeRuntime, SimRuntime
 
 __all__ = ["SearchWorkload", "SearchCluster", "SearchDeployment", "QueryResult"]
 
@@ -90,24 +89,26 @@ def _doc_handler(partition: int, data: Any) -> Dict[str, Any]:
 
 
 class QueryEngine:
-    """Per-gateway query orchestration (paper Fig. 1 steps 1-4)."""
+    """Per-gateway query orchestration (paper Fig. 1 steps 1-4).
+
+    The engine and its consumer module are one process on the gateway
+    host and share ``runtime``.
+    """
 
     def __init__(
         self,
-        network: Network,
-        host: str,
+        runtime: NodeRuntime,
         member_node: HierarchicalNode,
         workload: SearchWorkload,
         balancer: Optional[LoadBalancer] = None,
         proxy_addr: Optional[str] = None,
         request_timeout: float = 1.0,
     ) -> None:
-        self.network = network
-        self.host = host
+        self.runtime = runtime
+        self.host = runtime.node_id
         self.workload = workload
         self.consumer = ConsumerModule(
-            network,
-            host,
+            runtime,
             member_node.directory,
             balancer=balancer if balancer is not None else RandomPolling(d=2),
             request_timeout=request_timeout,
@@ -120,13 +121,13 @@ class QueryEngine:
 
     def query(self, query: str) -> Event:
         """Run one search query; resolves to a :class:`QueryResult`."""
-        completion = Event(self.network.sim)
-        started = self.network.now
+        completion = Event(self.runtime)
+        started = self.runtime.now
         state: Dict[str, Any] = {"descriptions": {}}
 
         def fail(error: str) -> None:
             completion.succeed(
-                QueryResult(False, self.network.now - started, None, error)
+                QueryResult(False, self.runtime.now - started, None, error)
             )
 
         def on_index(result: InvocationResult) -> None:
@@ -142,7 +143,7 @@ class QueryEngine:
                 completion.succeed(
                     QueryResult(
                         True,
-                        self.network.now - started,
+                        self.runtime.now - started,
                         {"query": query, "descriptions": dict(state["descriptions"])},
                         None,
                     )
@@ -210,7 +211,7 @@ class SearchCluster:
     def _provide(self, host: str, spec: ServiceSpec, handler) -> None:
         provider = self.providers.get(host)
         if provider is None:
-            provider = ProviderModule(self.network, host)
+            provider = ProviderModule(SimRuntime(self.network, host))
             provider.start()
             self.providers[host] = provider
         provider.register(spec, handler)
@@ -288,13 +289,17 @@ class SearchDeployment:
             self.clusters[dc] = cluster
             for h in proxy_hosts:
                 proxy = MembershipProxy(
-                    self.network, h, dc, self.VIP[dc], self.VIP, self.nodes[h]
+                    SimRuntime(self.network, h),
+                    SimRuntime(self.network, h),
+                    dc,
+                    self.VIP[dc],
+                    self.VIP,
+                    self.nodes[h],
                 )
                 proxy.start()
                 self.proxies.append(proxy)
             self.engines[dc] = QueryEngine(
-                self.network,
-                gateway_host,
+                SimRuntime(self.network, gateway_host),
                 self.nodes[gateway_host],
                 self.workload,
                 proxy_addr=self.VIP[dc],

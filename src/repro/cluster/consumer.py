@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.cluster.directory import Directory
 from repro.cluster.loadbalance import LoadBalancer, RandomChoice
 from repro.cluster.provider import POLL_SIZE, REQUEST_SIZE, SERVICE_PORT
-from repro.net.network import Network
-from repro.net.packet import Packet
-from repro.sim import Event
+from repro.runtime import Event, NodeRuntime
+
+if TYPE_CHECKING:
+    from repro.net.packet import Packet
 
 __all__ = ["ConsumerModule", "InvocationResult"]
 
@@ -51,7 +52,6 @@ class InvocationResult:
 class _Pending:
     completion: Event
     started: float
-    timer: Any
     server: Optional[str] = None
     service: str = ""
     partition: Optional[int] = None
@@ -64,8 +64,9 @@ class ConsumerModule:
 
     Parameters
     ----------
-    network, host:
-        Transport endpoint.
+    runtime:
+        The consumer process's own runtime; ``runtime.node_id`` is the
+        host replies come back to.
     directory:
         The node-local yellow pages maintained by a membership protocol.
     balancer:
@@ -83,8 +84,7 @@ class ConsumerModule:
 
     def __init__(
         self,
-        network: Network,
-        host: str,
+        runtime: NodeRuntime,
         directory: Directory,
         balancer: Optional[LoadBalancer] = None,
         request_timeout: float = 1.0,
@@ -92,15 +92,15 @@ class ConsumerModule:
         retries: int = 0,
         blacklist_ttl: float = 10.0,
     ) -> None:
-        self.network = network
-        self.host = host
+        self.runtime = runtime
+        self.host = runtime.node_id
         self.directory = directory
         self.balancer = balancer if balancer is not None else RandomChoice()
         self.request_timeout = request_timeout
         self.poll_timeout = poll_timeout
         self.retries = retries
         self.blacklist_ttl = blacklist_ttl
-        self.rng = network.rng.stream(f"consumer.{host}")
+        self.rng = runtime.rng_stream(f"consumer.{self.host}")
         self._pending: Dict[int, _Pending] = {}
         self._polls: Dict[int, Dict[str, Any]] = {}
         self._blacklist: Dict[str, float] = {}
@@ -108,25 +108,25 @@ class ConsumerModule:
         self.unavailable_handler: Optional[
             Callable[[str, Optional[int], Any, Event], bool]
         ] = None
-        self._running = False
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self.network.bind(self.host, CONSUMER_PORT, self._on_packet)
-        self._running = True
+        if self.runtime.active:
+            return
+        self.runtime.activate()
+        self.runtime.bind(CONSUMER_PORT, self._on_packet)
 
     def stop(self) -> None:
-        self.network.transport.unbind(self.host, CONSUMER_PORT)
-        for pending in self._pending.values():
-            pending.timer.cancel()
-        for poll in self._polls.values():
-            poll["timer"].cancel()
+        """Drop every in-flight request; their completions never fire."""
+        if not self.runtime.active:
+            return
+        self.runtime.deactivate()
+        self.runtime.unbind(CONSUMER_PORT)
         self._pending.clear()
         self._polls.clear()
         self._blacklist.clear()
-        self._running = False
 
     # ------------------------------------------------------------------
     # Invocation
@@ -140,15 +140,16 @@ class ConsumerModule:
         """Invoke ``(service, partition)``; returns an Event.
 
         The event succeeds with an :class:`InvocationResult` — including on
-        failure, so callers always get exactly one completion.
+        failure, so callers always get exactly one completion while the
+        consumer runs (between :meth:`start` and :meth:`stop`).
         """
-        completion = Event(self.network.sim)
-        self._attempt(service, partition, data, completion, self.network.now, self.retries)
+        completion = Event(self.runtime)
+        self._attempt(service, partition, data, completion, self.runtime.now, self.retries)
         return completion
 
     def _candidates(self, service: str, partition: Optional[int]) -> list[str]:
         part_spec = None if partition is None else str(partition)
-        now = self.network.now
+        now = self.runtime.now
         out = []
         for rec in self.directory.lookup_service(service, part_spec):
             until = self._blacklist.get(rec.node_id)
@@ -176,7 +177,7 @@ class ConsumerModule:
                 return
             completion.succeed(
                 InvocationResult(
-                    False, None, "unavailable", self.network.now - started, None
+                    False, None, "unavailable", self.runtime.now - started, None
                 )
             )
             return
@@ -205,18 +206,16 @@ class ConsumerModule:
     ) -> None:
         poll_id = next(_req_ids)
         targets = self.balancer.poll_targets(candidates, self.rng)
-        timer = self.network.sim.call_after(
-            self.poll_timeout, self._finish_poll_round, poll_id
-        )
+        # Request and poll timeouts are never cancelled: one that fires after
+        # the answer finds its entry gone.
+        self.runtime.call_once(self.poll_timeout, self._finish_poll_round, poll_id)
         self._polls[poll_id] = {
             "loads": {},
             "expected": len(targets),
-            "timer": timer,
             "args": (service, partition, data, candidates, completion, started, retries_left),
         }
         for target in targets:
-            self.network.unicast(
-                self.host,
+            self.runtime.send(
                 target,
                 kind="load_poll",
                 payload={"poll_id": poll_id, "reply_to": self.host, "reply_port": CONSUMER_PORT},
@@ -228,7 +227,6 @@ class ConsumerModule:
         poll = self._polls.pop(poll_id, None)
         if poll is None:
             return
-        poll["timer"].cancel()
         service, partition, data, candidates, completion, started, retries_left = poll["args"]
         target = self.balancer.pick_from_loads(poll["loads"], candidates, self.rng)
         self._dispatch(
@@ -249,12 +247,11 @@ class ConsumerModule:
         retries_left: int,
     ) -> None:
         req_id = next(_req_ids)
-        timer = self.network.sim.call_after(self.request_timeout, self._on_timeout, req_id)
+        self.runtime.call_once(self.request_timeout, self._on_timeout, req_id)
         self._pending[req_id] = _Pending(
-            completion, started, timer, target, service, partition, data, retries_left
+            completion, started, target, service, partition, data, retries_left
         )
-        self.network.unicast(
-            self.host,
+        self.runtime.send(
             target,
             kind="svc_request",
             payload={
@@ -269,7 +266,7 @@ class ConsumerModule:
             port=SERVICE_PORT,
         )
 
-    def _on_packet(self, packet: Packet) -> None:
+    def _on_packet(self, packet: "Packet") -> None:
         if packet.kind == "svc_reply":
             self._on_reply(packet)
         elif packet.kind == "load_reply":
@@ -281,18 +278,17 @@ class ConsumerModule:
                     # All replies in: don't sit out the rest of the window.
                     self._finish_poll_round(poll_id)
 
-    def _on_reply(self, packet: Packet) -> None:
+    def _on_reply(self, packet: "Packet") -> None:
         payload = packet.payload
         pending = self._pending.pop(payload["req_id"], None)
         if pending is None:
             return  # reply raced with timeout; already resolved
-        pending.timer.cancel()
         pending.completion.succeed(
             InvocationResult(
                 ok=payload["ok"],
                 value=payload["value"],
                 error=payload["error"],
-                latency=self.network.now - pending.started,
+                latency=self.runtime.now - pending.started,
                 server=payload["server"],
             )
         )
@@ -304,7 +300,7 @@ class ConsumerModule:
         if pending.server is not None and self.retries > 0:
             # Failure shielding: remember the silent server regardless of
             # whether this particular request can still retry.
-            self._blacklist[pending.server] = self.network.now + self.blacklist_ttl
+            self._blacklist[pending.server] = self.runtime.now + self.blacklist_ttl
         if pending.retries_left > 0 and pending.server is not None:
             self._attempt(
                 pending.service,
@@ -320,7 +316,7 @@ class ConsumerModule:
                 ok=False,
                 value=None,
                 error="timeout",
-                latency=self.network.now - pending.started,
+                latency=self.runtime.now - pending.started,
                 server=pending.server,
             )
         )

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim import Event, Simulator
+from repro.runtime import Event, NodeRuntime
 
 __all__ = ["Gateway", "RequestStats"]
 
@@ -83,8 +83,8 @@ class Gateway:
 
     Parameters
     ----------
-    sim:
-        Simulation clock.
+    runtime:
+        The gateway process's own runtime (clock and arrival timers).
     executor:
         Called once per request with the workload's kwargs; must return an
         :class:`Event` whose value has ``ok`` and ``latency`` attributes
@@ -101,7 +101,7 @@ class Gateway:
 
     def __init__(
         self,
-        sim: Simulator,
+        runtime: NodeRuntime,
         executor: ExecutorFn,
         workload: WorkloadFn,
         rate: float,
@@ -109,32 +109,32 @@ class Gateway:
     ) -> None:
         if rate <= 0:
             raise ValueError("rate must be positive")
-        self.sim = sim
+        self.runtime = runtime
         self.executor = executor
         self.workload = workload
         self.rate = rate
         self.jitter_rng = jitter_rng
         self.stats = RequestStats()
         self._seq = 0
-        self._running = False
 
     def start(self) -> None:
-        self._running = True
+        if self.runtime.active:
+            return
+        self.runtime.activate()
         self._schedule_next()
 
     def stop(self) -> None:
-        self._running = False
+        """Stop issuing; requests already issued still record their outcome."""
+        self.runtime.deactivate()
 
     def _schedule_next(self) -> None:
         if self.jitter_rng is not None:
             gap = self.jitter_rng.expovariate(self.rate)
         else:
             gap = 1.0 / self.rate
-        self.sim.call_after(gap, self._fire)
+        self.runtime.call_once(gap, self._fire)
 
     def _fire(self) -> None:
-        if not self._running:
-            return
         seq = self._seq
         self._seq += 1
         self.stats.issued += 1
@@ -142,7 +142,7 @@ class Gateway:
         completion = self.executor(**kwargs)
 
         def on_done(result: Any) -> None:
-            self.stats.record(self.sim.now, result.ok, result.latency)
+            self.stats.record(self.runtime.now, result.ok, result.latency)
 
         completion._add_waiter(on_done)
         self._schedule_next()

@@ -23,12 +23,14 @@ which have recently seeked the service from the service node"
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from repro.cluster.loadbalance import LoadBalancer
 from repro.cluster.provider import ProviderModule
-from repro.net.network import Network
-from repro.net.packet import Packet
+from repro.runtime import NodeRuntime
+
+if TYPE_CHECKING:
+    from repro.net.packet import Packet
 
 __all__ = ["LoadReporter", "LoadTracker", "LoadAwareBalancer", "LOADINFO_PORT"]
 
@@ -37,62 +39,56 @@ REPORT_SIZE = 64
 
 
 class LoadReporter:
-    """Publishes a provider's load to recently-interested consumers."""
+    """Publishes a provider's load to recently-interested consumers.
+
+    ``runtime`` is the reporter's own, on the provider's host.
+    """
 
     def __init__(
         self,
-        network: Network,
-        host: str,
+        runtime: NodeRuntime,
         provider: ProviderModule,
         report_period: float = 0.5,
         interest_ttl: float = 10.0,
     ) -> None:
-        self.network = network
-        self.host = host
+        self.runtime = runtime
         self.provider = provider
         self.report_period = report_period
         self.interest_ttl = interest_ttl
         self._interested: Dict[str, float] = {}  # consumer -> expiry
-        self._timer = None
-        self.running = False
         self.reports_sent = 0
 
     def start(self) -> None:
-        if self.running:
+        if self.runtime.active:
             return
-        self.running = True
+        self.runtime.activate()
         self.provider.request_observer = self._on_request
-        self._timer = self.network.sim.call_after(self.report_period, self._tick)
+        self.runtime.call_once(self.report_period, self._tick)
 
     def stop(self) -> None:
-        if not self.running:
+        if not self.runtime.active:
             return
-        self.running = False
+        self.runtime.deactivate()
         if self.provider.request_observer == self._on_request:
             self.provider.request_observer = None
-        if self._timer is not None:
-            self._timer.cancel()
         self._interested.clear()
 
     # ------------------------------------------------------------------
     def _on_request(self, consumer: str, _service: str) -> None:
-        self._interested[consumer] = self.network.now + self.interest_ttl
+        self._interested[consumer] = self.runtime.now + self.interest_ttl
 
     def interested(self) -> list[str]:
         """Consumers currently on the interest list (sorted)."""
-        now = self.network.now
+        now = self.runtime.now
         return sorted(c for c, until in self._interested.items() if until > now)
 
     def _tick(self) -> None:
-        if not self.running:
-            return
-        now = self.network.now
+        now = self.runtime.now
         for consumer in [c for c, until in self._interested.items() if until <= now]:
             del self._interested[consumer]
-        payload = {"server": self.host, "load": self.provider.load, "time": now}
+        payload = {"server": self.runtime.node_id, "load": self.provider.load, "time": now}
         for consumer in sorted(self._interested):
-            self.network.unicast(
-                self.host,
+            self.runtime.send(
                 consumer,
                 kind="load_report",
                 payload=payload,
@@ -100,37 +96,35 @@ class LoadReporter:
                 port=LOADINFO_PORT,
             )
             self.reports_sent += 1
-        self._timer = self.network.sim.call_after(self.report_period, self._tick)
+        self.runtime.call_once(self.report_period, self._tick)
 
 
 class LoadTracker:
-    """Consumer-side cache of pushed load reports."""
+    """Consumer-side cache of pushed load reports (own ``runtime``, consumer's host)."""
 
-    def __init__(self, network: Network, host: str, staleness: float = 3.0) -> None:
-        self.network = network
-        self.host = host
+    def __init__(self, runtime: NodeRuntime, staleness: float = 3.0) -> None:
+        self.runtime = runtime
         self.staleness = staleness
         self._loads: Dict[str, Tuple[int, float]] = {}
-        self.running = False
 
     def start(self) -> None:
-        if self.running:
+        if self.runtime.active:
             return
-        self.running = True
-        self.network.bind(self.host, LOADINFO_PORT, self._on_packet)
+        self.runtime.activate()
+        self.runtime.bind(LOADINFO_PORT, self._on_packet)
 
     def stop(self) -> None:
-        if not self.running:
+        if not self.runtime.active:
             return
-        self.running = False
-        self.network.transport.unbind(self.host, LOADINFO_PORT)
+        self.runtime.deactivate()
+        self.runtime.unbind(LOADINFO_PORT)
         self._loads.clear()
 
-    def _on_packet(self, packet: Packet) -> None:
+    def _on_packet(self, packet: "Packet") -> None:
         if packet.kind != "load_report":
             return
         payload = packet.payload
-        self._loads[payload["server"]] = (payload["load"], self.network.now)
+        self._loads[payload["server"]] = (payload["load"], self.runtime.now)
 
     def load_of(self, server: str) -> Optional[int]:
         """Freshest known load, or None if unknown/stale."""
@@ -138,7 +132,7 @@ class LoadTracker:
         if entry is None:
             return None
         load, when = entry
-        if self.network.now - when > self.staleness:
+        if self.runtime.now - when > self.staleness:
             del self._loads[server]
             return None
         return load

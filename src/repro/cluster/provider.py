@@ -10,11 +10,13 @@ balancing strategy".
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from repro.cluster.service import ServiceSpec
-from repro.net.network import Network
-from repro.net.packet import Packet
+from repro.runtime import NodeRuntime
+
+if TYPE_CHECKING:
+    from repro.net.packet import Packet
 
 __all__ = ["ProviderModule", "ServiceHandler"]
 
@@ -28,16 +30,19 @@ POLL_SIZE = 64
 
 
 class ProviderModule:
-    """Hosts service instances on one node and serves requests for them."""
+    """Hosts service instances on one node and serves requests for them.
 
-    def __init__(self, network: Network, host: str) -> None:
-        self.network = network
-        self.host = host
+    ``runtime`` is the provider process's own; ``runtime.node_id`` is the
+    host the service port lives on.
+    """
+
+    def __init__(self, runtime: NodeRuntime) -> None:
+        self.runtime = runtime
+        self.host = runtime.node_id
         self._services: Dict[str, ServiceSpec] = {}
         self._handlers: Dict[str, ServiceHandler] = {}
         self._active = 0  # in-flight requests == load metric for polling
         self._served = 0
-        self._running = False
         #: optional hook(consumer_host, service) invoked per request; used
         #: by the load-information protocol to learn who is "interested".
         self.request_observer: Optional[Callable[[str, str], None]] = None
@@ -47,13 +52,18 @@ class ProviderModule:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Bind the service port.  Idempotent."""
-        self.network.bind(self.host, SERVICE_PORT, self._on_packet)
-        self._running = True
+        if self.runtime.active:
+            return
+        self.runtime.activate()
+        self.runtime.bind(SERVICE_PORT, self._on_packet)
         self._active = 0
 
     def stop(self) -> None:
-        self.network.transport.unbind(self.host, SERVICE_PORT)
-        self._running = False
+        """Crash: unbind, and drop every request still being processed."""
+        if not self.runtime.active:
+            return
+        self.runtime.deactivate()
+        self.runtime.unbind(SERVICE_PORT)
 
     # ------------------------------------------------------------------
     # Registration
@@ -79,15 +89,14 @@ class ProviderModule:
     # ------------------------------------------------------------------
     # Packet handling
     # ------------------------------------------------------------------
-    def _on_packet(self, packet: Packet) -> None:
+    def _on_packet(self, packet: "Packet") -> None:
         if packet.kind == "svc_request":
             self._on_request(packet)
         elif packet.kind == "load_poll":
             self._on_load_poll(packet)
 
-    def _on_load_poll(self, packet: Packet) -> None:
-        self.network.unicast(
-            self.host,
+    def _on_load_poll(self, packet: "Packet") -> None:
+        self.runtime.send(
             packet.payload["reply_to"],
             kind="load_reply",
             payload={"poll_id": packet.payload["poll_id"], "load": self._active, "host": self.host},
@@ -95,7 +104,7 @@ class ProviderModule:
             port=packet.payload.get("reply_port", SERVICE_PORT),
         )
 
-    def _on_request(self, packet: Packet) -> None:
+    def _on_request(self, packet: "Packet") -> None:
         payload = packet.payload
         service = payload["service"]
         if self.request_observer is not None:
@@ -107,14 +116,12 @@ class ProviderModule:
             return
         handler = self._handlers[service]
         self._active += 1
-        self.network.sim.call_after(
+        self.runtime.call_once(
             spec.service_time, self._complete, payload, handler, partition
         )
 
     def _complete(self, payload: Dict[str, Any], handler: ServiceHandler, partition: int) -> None:
-        self._active = max(0, self._active - 1)
-        if not self._running:
-            return  # crashed while the request was being processed
+        self._active -= 1
         try:
             value = handler(partition, payload.get("data"))
         except Exception as exc:  # noqa: BLE001 - app handler errors become failures
@@ -124,8 +131,7 @@ class ProviderModule:
         self._reply(payload, ok=True, value=value, error=None)
 
     def _reply(self, payload: Dict[str, Any], ok: bool, value: Any, error: Optional[str]) -> None:
-        self.network.unicast(
-            self.host,
+        self.runtime.send(
             payload["reply_to"],
             kind="svc_reply",
             payload={

@@ -27,12 +27,7 @@ from repro.core.heartbeat import Heartbeat
 from repro.core.updates import UpdateManager, UpdateMessage, UpdateOp
 from repro.core.groups import GroupState, PeerState
 from repro.core.election import Decision, decide
-from repro.core.proxy import (
-    MembershipProxy,
-    ProxyConfig,
-    ServiceSummary,
-    install_proxy_forwarding,
-)
+from repro.core.proxy import MembershipProxy, ServiceSummary, install_proxy_forwarding
 from repro.core.service_api import MClient, MService, Machine, MachineList
 from repro.core.introspect import (
     GroupInfo,
@@ -55,7 +50,6 @@ __all__ = [
     "Decision",
     "decide",
     "MembershipProxy",
-    "ProxyConfig",
     "ServiceSummary",
     "install_proxy_forwarding",
     "MClient",

@@ -18,52 +18,45 @@ the same bully machinery as the tree protocol.  The proxy group leader:
 * forwards **service invocations** for services unavailable locally
   (paper Fig. 6's six-step relay), using the remote summaries to pick a
   data center and its own consumer module to reach the remote backend.
+
+The daemon speaks only its :class:`~repro.runtime.ports.NodeRuntime`:
+the heartbeat is a ``call_once`` chain, the external address moves with
+the address port, and ``stop()`` ends the runtime's life, so no timer of
+a stopped proxy fires.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.cluster.consumer import ConsumerModule
+from repro.cluster.consumer import ConsumerModule, InvocationResult
 from repro.cluster.directory import Directory
-from repro.core.config import HierarchicalConfig
 from repro.core.election import Decision, decide
 from repro.core.groups import GroupState
 from repro.core.heartbeat import Heartbeat
 from repro.core.node import HierarchicalNode
-from repro.net.network import Network
-from repro.net.packet import Packet
-from repro.sim import Event
+from repro.runtime import Event, NodeRuntime
 
-__all__ = ["ServiceSummary", "MembershipProxy", "ProxyConfig", "install_proxy_forwarding"]
+if TYPE_CHECKING:
+    from repro.net.packet import Packet
+
+__all__ = ["ServiceSummary", "MembershipProxy", "install_proxy_forwarding"]
 
 PROXY_PORT = "proxy"
+#: The proxy group's channel is ``proxy:<dc>``.
+CHANNEL_PREFIX = "proxy"
+#: "If the size of the membership summary is too big, the summary is
+#: broken into multiple heartbeat packets."
+MAX_ENTRIES_PER_PACKET = 64
+ENTRY_SIZE = 48  # service name + partition bitmap, bytes
+HEADER_SIZE = 28
+#: Seconds a leader waits for the remote data center to answer a forward.
+FORWARD_TIMEOUT = 1.0
+#: Seconds a consumer waits for the proxy to answer a forwarded request.
+CLIENT_TIMEOUT = 2.0
 _fwd_ids = itertools.count()
-
-
-@dataclass(frozen=True)
-class ProxyConfig:
-    """Tunables of the proxy protocol.
-
-    ``summary_heartbeat_period`` is deliberately the same 1 Hz as the
-    cluster heartbeats; ``summary_fail_timeout`` mirrors the max-loss rule.
-    ``max_entries_per_packet`` implements "If the size of the membership
-    summary is too big, the summary is broken into multiple heartbeat
-    packets".
-    """
-
-    summary_heartbeat_period: float = 1.0
-    summary_fail_timeout: float = 5.0
-    max_entries_per_packet: int = 64
-    entry_size: int = 48  # service name + partition bitmap, bytes
-    header_size: int = 28
-    forward_timeout: float = 1.0
-    proxy_channel_prefix: str = "proxy"
-    election_delay: float = 2.5
-    heartbeat_period: float = 1.0
-    fail_timeout: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -116,144 +109,127 @@ class MembershipProxy:
 
     Parameters
     ----------
-    network, host, dc:
-        Placement.  ``host`` must also run ``member_node`` (the local
-        cluster membership stack) — a proxy is a cluster node with extra
-        duties, exactly as in the paper's deployment.
+    runtime:
+        The proxy daemon's own runtime.  Its host (``runtime.node_id``)
+        must also run ``member_node`` (the local cluster membership
+        stack) — a proxy is a cluster node with extra duties, exactly as
+        in the paper's deployment.
+    consumer_runtime:
+        Runtime of the proxy's consumer module, a second process on the
+        same host that serves forwarded invocations from the local
+        cluster (Fig. 6 steps 3-4).
+    dc:
+        The data center this proxy serves.
     external_addr:
         The data center's shared external address (virtual IP).
     remote_addrs:
         ``dc name -> external address`` of every other data center.
     member_node:
-        The co-located hierarchical membership node (source of the local
-        yellow pages).
+        The co-located hierarchical membership node: source of the local
+        yellow pages, and of the proxy group's heartbeat period, failure
+        timeout and election delay (its ``config``).
     """
 
     def __init__(
         self,
-        network: Network,
-        host: str,
+        runtime: NodeRuntime,
+        consumer_runtime: NodeRuntime,
         dc: str,
         external_addr: str,
         remote_addrs: Dict[str, str],
         member_node: HierarchicalNode,
-        config: Optional[ProxyConfig] = None,
     ) -> None:
-        self.network = network
-        self.host = host
+        self.runtime = runtime
+        self.host = runtime.node_id
         self.dc = dc
+        self.channel = f"{CHANNEL_PREFIX}:{dc}"
         self.external_addr = external_addr
         self.remote_addrs = {d: a for d, a in remote_addrs.items() if d != dc}
         self.member_node = member_node
-        self.config = config if config is not None else ProxyConfig()
-        self.rng = network.rng.stream(f"proxy.{host}")
+        self.rng = runtime.rng_stream(f"proxy.{self.host}")
         self.group = GroupState(level=0)
         self.remote: Dict[str, _RemoteDc] = {}
-        self.running = False
         self._summary_epoch = 0
         self._last_summary: Optional[ServiceSummary] = None
-        # forwarded-invocation bookkeeping
+        # forwarded invocations awaiting a remote answer: id -> request
         self._pending_out: Dict[int, Dict[str, Any]] = {}
-        self._consumer: Optional[ConsumerModule] = None
-        self._timers: List[Any] = []
+        self._consumer = ConsumerModule(
+            consumer_runtime, member_node.directory, request_timeout=FORWARD_TIMEOUT
+        )
 
     # ------------------------------------------------------------------
-    @property
-    def channel(self) -> str:
-        return f"{self.config.proxy_channel_prefix}:{self.dc}"
-
     @property
     def is_leader(self) -> bool:
         return self.group.i_am_leader
 
     def known_remote_dcs(self) -> List[str]:
         """Remote data centers with a live (unexpired) summary."""
-        now = self.network.now
+        now = self.runtime.now
         return sorted(
             d
             for d, r in self.remote.items()
-            if now - r.last_heard <= self.config.summary_fail_timeout
+            if now - r.last_heard <= self.member_node.config.fail_timeout
         )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        if self.running:
+        if self.runtime.active:
             return
-        self.running = True
+        self.runtime.activate()
         self.group = GroupState(level=0)
         self.remote.clear()
-        self._pending_out.clear()
         self._last_summary = None
-        self.network.subscribe(self.channel, self.host, self._on_channel)
-        self.network.bind(self.host, PROXY_PORT, self._on_unicast)
-        self._consumer = ConsumerModule(
-            self.network,
-            self.host,
-            self.member_node.directory,
-            request_timeout=self.config.forward_timeout,
-        )
+        self.runtime.subscribe(self.channel, self._on_channel)
+        self.runtime.bind(PROXY_PORT, self._on_unicast)
         self._consumer.start()
-        phase = self.rng.uniform(0, self.config.heartbeat_period)
-        self._timers = [
-            self.network.sim.call_after(phase, self._tick),
-        ]
+        phase = self.rng.uniform(0, self.member_node.config.heartbeat_period)
+        self.runtime.call_once(phase, self._tick)
 
     def stop(self) -> None:
-        if not self.running:
+        if not self.runtime.active:
             return
-        self.running = False
+        self.runtime.deactivate()
         self.group.i_am_leader = False
         self.group.my_backup = None
-        self.network.unsubscribe(self.channel, self.host)
-        self.network.transport.unbind(self.host, PROXY_PORT)
-        if self._consumer is not None:
-            self._consumer.stop()
-        for t in self._timers:
-            t.cancel()
-        self._timers.clear()
-        if self.network.transport.address_owner(self.external_addr) == self.host:
-            self.network.transport.release_address(self.external_addr)
-        for pending in self._pending_out.values():
-            pending["timer"].cancel()
+        self.runtime.unsubscribe(self.channel)
+        self.runtime.unbind(PROXY_PORT)
+        self._consumer.stop()
+        self.runtime.release_address(self.external_addr)
         self._pending_out.clear()
 
     # ------------------------------------------------------------------
     # Proxy-group membership and election
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        if not self.running:
-            return
-        now = self.network.now
+        now = self.runtime.now
         # Heartbeat on the proxy channel.
-        self.network.multicast(
-            self.host,
+        self.runtime.publish(
             self.channel,
-            ttl=64,  # the proxy channel is scoped by subscription, DC-wide
-            kind="proxy_hb",
-            payload=Heartbeat(
+            64,  # the proxy channel is scoped by subscription, DC-wide
+            "proxy_hb",
+            Heartbeat(
                 record=self.member_node.self_record(),
                 level=0,
                 is_leader=self.group.i_am_leader,
                 suppressed=self.group.suppressed,
                 backup=self.group.my_backup if self.group.i_am_leader else None,
             ),
-            size=self.config.header_size + 64,
+            HEADER_SIZE + 64,
         )
         # Failure detection within the proxy group.
-        for peer in self.group.purge_silent(now, self.config.fail_timeout):
+        for peer in self.group.purge_silent(now, self.member_node.config.fail_timeout):
             if peer.is_leader and peer.backup == self.host and not self.group.i_am_leader:
                 self._become_leader()
         self._evaluate_election()
         if self.group.i_am_leader:
             self._leader_duties()
-        self._timers = [
-            self.network.sim.call_after(self.config.heartbeat_period, self._tick)
-        ]
+        self.runtime.call_once(self.member_node.config.heartbeat_period, self._tick)
 
     def _evaluate_election(self) -> None:
-        decision = decide(self.group, self.host, self.network.now, self.config.election_delay)
+        delay = self.member_node.config.election_delay
+        decision = decide(self.group, self.host, self.runtime.now, delay)
         if decision is Decision.BECOME_LEADER:
             self._become_leader()
         elif decision is Decision.STEP_DOWN:
@@ -268,24 +244,19 @@ class MembershipProxy:
             members[self.rng.randrange(len(members))] if members else None
         )
         # IP failover: the leader owns the external address.
-        self.network.transport.bind_address(self.external_addr, self.host)
-        self.network.trace.emit(
-            self.network.now, "proxy_leader", node=self.host, dc=self.dc
-        )
+        self.runtime.claim_address(self.external_addr)
+        self.runtime.emit("proxy_leader", dc=self.dc)
 
     def _step_down(self) -> None:
         self.group.i_am_leader = False
         self.group.my_backup = None
         self.group.suppressed = True
-        if self.network.transport.address_owner(self.external_addr) == self.host:
-            self.network.transport.release_address(self.external_addr)
+        self.runtime.release_address(self.external_addr)
 
-    def _on_channel(self, packet: Packet) -> None:
-        if not self.running:
-            return
+    def _on_channel(self, packet: "Packet") -> None:
         if packet.kind == "proxy_hb":
             hb: Heartbeat = packet.payload
-            self.group.note_heartbeat(hb, self.network.now)
+            self.group.note_heartbeat(hb, self.runtime.now)
             self._evaluate_election()
         elif packet.kind == "proxy_relay":
             # The leader relays remote summaries to the whole proxy group
@@ -309,7 +280,7 @@ class MembershipProxy:
 
     def _send_summary(self, summary: ServiceSummary, kind: str) -> None:
         self._summary_epoch += 1
-        chunks = summary.chunks(self.config.max_entries_per_packet)
+        chunks = summary.chunks(MAX_ENTRIES_PER_PACKET)
         for idx, chunk in enumerate(chunks):
             payload = {
                 "dc": self.dc,
@@ -317,34 +288,23 @@ class MembershipProxy:
                 "entries": chunk.services,
                 "final": idx == len(chunks) - 1,
             }
-            size = self.config.header_size + self.config.entry_size * max(1, len(chunk))
+            size = HEADER_SIZE + ENTRY_SIZE * max(1, len(chunk))
             # "Each proxy leader sends these heartbeat packets sequentially
             # to the other leaders using well-known IP addresses."
             for dc, addr in sorted(self.remote_addrs.items()):
-                self.network.unicast(
-                    self.host, addr, kind=kind, payload=payload, size=size, port=PROXY_PORT
-                )
+                self.runtime.send(addr, kind, payload, size, port=PROXY_PORT)
 
     # ------------------------------------------------------------------
     # Unicast: summaries in, forwarding
     # ------------------------------------------------------------------
-    def _on_unicast(self, packet: Packet) -> None:
-        if not self.running:
-            return
+    def _on_unicast(self, packet: "Packet") -> None:
         if packet.kind in ("proxy_summary", "proxy_update"):
             payload = packet.payload
             self._merge_remote_summary(
                 payload["dc"], payload["epoch"], payload["entries"], payload["final"]
             )
             # Relay to the local proxy group.
-            self.network.multicast(
-                self.host,
-                self.channel,
-                ttl=64,
-                kind="proxy_relay",
-                payload=payload,
-                size=packet.size,
-            )
+            self.runtime.publish(self.channel, 64, "proxy_relay", payload, packet.size)
         elif packet.kind == "fwd_req":
             self._on_fwd_req(packet)
         elif packet.kind == "fwd_remote":
@@ -367,17 +327,17 @@ class MembershipProxy:
             state.summary = {}
         state.summary.update({name: parts for name, parts in entries})
         if final:
-            state.last_heard = self.network.now
+            state.last_heard = self.runtime.now
 
     # ------------------------------------------------------------------
     # Service invocation forwarding (paper Fig. 6)
     # ------------------------------------------------------------------
     def _candidate_dcs(self, service: str, partition: Optional[int]) -> List[str]:
-        now = self.network.now
+        now = self.runtime.now
         out = []
         for dc in sorted(self.remote):
             state = self.remote[dc]
-            if now - state.last_heard > self.config.summary_fail_timeout:
+            if now - state.last_heard > self.member_node.config.fail_timeout:
                 continue
             parts = state.summary.get(service)
             if parts is None:
@@ -386,21 +346,19 @@ class MembershipProxy:
                 out.append(dc)
         return out
 
-    def _on_fwd_req(self, packet: Packet) -> None:
+    def _on_fwd_req(self, packet: "Packet") -> None:
         """Step 2: pick a remote data center and forward, or reject."""
         payload = packet.payload
         dcs = self._candidate_dcs(payload["service"], payload["partition"])
         if not dcs:
-            self._reply_fwd(payload, ok=False, value=None, error="no_remote_dc", latency=0.0)
+            self._reply_fwd(payload, ok=False, value=None, error="no_remote_dc")
             return
         dc = dcs[self.rng.randrange(len(dcs))]
         fwd_id = next(_fwd_ids)
-        timer = self.network.sim.call_after(
-            self.config.forward_timeout, self._on_fwd_timeout, fwd_id
-        )
-        self._pending_out[fwd_id] = {"payload": payload, "timer": timer, "t0": self.network.now}
-        self.network.unicast(
-            self.host,
+        # Never cancelled: a timeout after the answer finds its entry gone.
+        self.runtime.call_once(FORWARD_TIMEOUT, self._on_fwd_timeout, fwd_id)
+        self._pending_out[fwd_id] = payload
+        self.runtime.send(
             self.remote_addrs[dc],
             kind="fwd_remote",
             payload={
@@ -414,18 +372,15 @@ class MembershipProxy:
             port=PROXY_PORT,
         )
 
-    def _on_fwd_remote(self, packet: Packet) -> None:
+    def _on_fwd_remote(self, packet: "Packet") -> None:
         """Steps 3-4: serve the request from the local cluster."""
         payload = packet.payload
         completion = self._consumer.invoke(
             payload["service"], payload["partition"], payload["data"]
         )
 
-        def respond(result: Any) -> None:
-            if not self.running:
-                return
-            self.network.unicast(
-                self.host,
+        def respond(result: InvocationResult) -> None:
+            self.runtime.send(
                 payload["reply_addr"],
                 kind="fwd_remote_resp",
                 payload={
@@ -441,33 +396,25 @@ class MembershipProxy:
 
         completion._add_waiter(respond)
 
-    def _on_fwd_remote_resp(self, packet: Packet) -> None:
+    def _on_fwd_remote_resp(self, packet: "Packet") -> None:
         """Steps 5-6: relay the result back to the original requester."""
         payload = packet.payload
-        pending = self._pending_out.pop(payload["fwd_id"], None)
-        if pending is None:
+        request = self._pending_out.pop(payload["fwd_id"], None)
+        if request is None:
             return
-        pending["timer"].cancel()
         self._reply_fwd(
-            pending["payload"],
+            request,
             ok=payload["ok"],
             value=payload["value"],
             error=payload["error"],
-            latency=self.network.now - pending["t0"],
             server=payload.get("server"),
         )
 
     def _on_fwd_timeout(self, fwd_id: int) -> None:
-        pending = self._pending_out.pop(fwd_id, None)
-        if pending is None:
+        request = self._pending_out.pop(fwd_id, None)
+        if request is None:
             return
-        self._reply_fwd(
-            pending["payload"],
-            ok=False,
-            value=None,
-            error="remote_timeout",
-            latency=self.network.now - pending["t0"],
-        )
+        self._reply_fwd(request, ok=False, value=None, error="remote_timeout")
 
     def _reply_fwd(
         self,
@@ -475,11 +422,9 @@ class MembershipProxy:
         ok: bool,
         value: Any,
         error: Optional[str],
-        latency: float,
         server: Optional[str] = None,
     ) -> None:
-        self.network.unicast(
-            self.host,
+        self.runtime.send(
             payload["reply_to"],
             kind="fwd_resp",
             payload={
@@ -495,32 +440,29 @@ class MembershipProxy:
 
 
 class _ForwardingClient:
-    """Client-side glue wiring a consumer's unavailable path to the proxy."""
+    """Client-side glue wiring a consumer's unavailable path to the proxy.
+
+    It lives in the consumer's process, so it shares the consumer's runtime.
+    """
 
     PORT = "proxy-client"
 
-    def __init__(self, consumer: ConsumerModule, proxy_addr: str, timeout: float) -> None:
-        self.consumer = consumer
-        self.network = consumer.network
-        self.host = consumer.host
+    def __init__(self, consumer: ConsumerModule, proxy_addr: str) -> None:
+        self.runtime = consumer.runtime
         self.proxy_addr = proxy_addr
-        self.timeout = timeout
-        self._pending: Dict[int, Dict[str, Any]] = {}
-        self.network.bind(self.host, self.PORT, self._on_packet)
+        # request id -> (completion, t0)
+        self._pending: Dict[int, Tuple[Event, float]] = {}
+        self.runtime.bind(self.PORT, self._on_packet)
         consumer.unavailable_handler = self._forward
 
     def _forward(
         self, service: str, partition: Optional[int], data: Any, completion: Event
     ) -> bool:
         req_id = next(_fwd_ids)
-        timer = self.network.sim.call_after(self.timeout, self._on_timeout, req_id)
-        self._pending[req_id] = {
-            "completion": completion,
-            "timer": timer,
-            "t0": self.network.now,
-        }
-        self.network.unicast(
-            self.host,
+        # Never cancelled: a timeout after the answer finds its entry gone.
+        self.runtime.call_once(CLIENT_TIMEOUT, self._on_timeout, req_id)
+        self._pending[req_id] = (completion, self.runtime.now)
+        self.runtime.send(
             self.proxy_addr,
             kind="fwd_req",
             payload={
@@ -528,7 +470,7 @@ class _ForwardingClient:
                 "service": service,
                 "partition": partition,
                 "data": data,
-                "reply_to": self.host,
+                "reply_to": self.runtime.node_id,
                 "reply_port": self.PORT,
             },
             size=256,
@@ -536,50 +478,39 @@ class _ForwardingClient:
         )
         return True
 
-    def _on_packet(self, packet: Packet) -> None:
+    def _on_packet(self, packet: "Packet") -> None:
         if packet.kind != "fwd_resp":
             return
-        from repro.cluster.consumer import InvocationResult
-
         payload = packet.payload
         pending = self._pending.pop(payload["req_id"], None)
         if pending is None:
             return
-        pending["timer"].cancel()
-        pending["completion"].succeed(
+        completion, t0 = pending
+        completion.succeed(
             InvocationResult(
                 ok=payload["ok"],
                 value=payload["value"],
                 error=payload["error"],
-                latency=self.network.now - pending["t0"],
+                latency=self.runtime.now - t0,
                 server=payload["server"],
             )
         )
 
     def _on_timeout(self, req_id: int) -> None:
-        from repro.cluster.consumer import InvocationResult
-
         pending = self._pending.pop(req_id, None)
         if pending is None:
             return
-        pending["completion"].succeed(
-            InvocationResult(
-                ok=False,
-                value=None,
-                error="proxy_timeout",
-                latency=self.network.now - pending["t0"],
-                server=None,
-            )
+        completion, t0 = pending
+        completion.succeed(
+            InvocationResult(False, None, "proxy_timeout", self.runtime.now - t0, None)
         )
 
 
-def install_proxy_forwarding(
-    consumer: ConsumerModule, proxy_addr: str, timeout: float = 2.0
-) -> _ForwardingClient:
+def install_proxy_forwarding(consumer: ConsumerModule, proxy_addr: str) -> _ForwardingClient:
     """Route a consumer's locally-unavailable invocations through a proxy.
 
     This is paper Fig. 6 step 1: "a node cannot find a desired service in
     its local service cluster and forwards the request to one of the local
     proxies" — here always the proxy-group leader via the external address.
     """
-    return _ForwardingClient(consumer, proxy_addr, timeout)
+    return _ForwardingClient(consumer, proxy_addr)

@@ -30,6 +30,7 @@ from repro.metrics.experiment import SCHEMES, FailureExperiment, make_scheme_clu
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
 from repro.protocols import deploy
+from repro.runtime import SimRuntime
 
 __all__ = ["CHAOS_SEEDS", "FIGURES", "render", "render_table"]
 
@@ -155,7 +156,7 @@ def fig14() -> Entry:
     net = dep.network
     dep.warm_up(warmup)
     engine = dep.engines["dcA"]
-    gw = Gateway(net.sim, executor=lambda query: engine.query(query),
+    gw = Gateway(SimRuntime(net, engine.host), executor=lambda query: engine.query(query),
                  workload=lambda seq: {"query": f"q{seq}"}, rate=rate)
     gw.start()
     net.sim.call_at(warmup + fail_at, dep.fail_doc_service, "dcA")

@@ -5,10 +5,11 @@ sockets, multicast group membership, wall-clock timers.  This
 reproduction runs the same protocol logic over **either** a
 discrete-event simulator or a real asyncio event loop.  ``repro.runtime``
 is the seam between the worlds: protocol code (``repro.core.roles``,
-``repro.protocols``) talks exclusively to the :class:`NodeRuntime`
+``repro.protocols``, the membership proxy and the Neptune modules of
+``repro.cluster``) talks exclusively to the :class:`NodeRuntime`
 ports — clock, one-shot and recurring timers, multicast channel
-subscribe/publish, unicast bind/send, trace and instrument emission —
-and the adapters implement those ports:
+subscribe/publish, unicast bind/send, virtual addresses, trace and
+instrument emission — and the adapters implement those ports:
 
 * :class:`SimRuntime` over ``repro.sim`` / ``repro.net`` — the default,
   fully deterministic;
@@ -31,7 +32,7 @@ hashes in ``tests/integration/test_determinism_guard.py``).
 package must not drag in asyncio machinery for simulator-only users.
 """
 
-from repro.runtime.ports import NodeRuntime, PacketHandler, TimerHandle
+from repro.runtime.ports import Event, NodeRuntime, PacketHandler, TimerHandle
 from repro.runtime.sim import SimRuntime
 
-__all__ = ["NodeRuntime", "PacketHandler", "TimerHandle", "SimRuntime"]
+__all__ = ["Event", "NodeRuntime", "PacketHandler", "TimerHandle", "SimRuntime"]

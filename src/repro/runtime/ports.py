@@ -13,6 +13,9 @@
 * **multicast channels** — subscribe/unsubscribe/publish, scoped to this
   node's identity;
 * **unicast datagrams** — per-port bind/unbind/send;
+* **virtual addresses** — claim/release/owner of a shared address that
+  moves between nodes (the proxy protocol's IP failover); only the
+  simulator implements them, every other adapter refuses;
 * **observability** — the shared instrument bundle (:attr:`obs`) and
   structured trace emission stamped with this node's id (:meth:`emit`).
 
@@ -23,12 +26,16 @@ SWIM-style refutation of a false death rumor), because a one-shot
 scheduled against the old incarnation must not act on the new one's
 state.  Recurring timers are *not* epoch-guarded; they belong to the
 life, not the incarnation, and die with :meth:`deactivate`.
+
+:class:`Event` is the request/response completion handle built on the
+one-shot port: its waiters resume through ``call_once(0.0, ...)``, so
+they belong to the life of the runtime that owns the event.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Protocol
 
 if TYPE_CHECKING:
     import random
@@ -36,7 +43,7 @@ if TYPE_CHECKING:
     from repro.net.packet import Packet
     from repro.obs.wiring import Instruments
 
-__all__ = ["NodeRuntime", "PacketHandler", "TimerHandle"]
+__all__ = ["Event", "NodeRuntime", "PacketHandler", "TimerHandle"]
 
 #: A channel or port delivery callback.
 PacketHandler = Callable[["Packet"], None]
@@ -166,6 +173,31 @@ class NodeRuntime(ABC):
         """
 
     # ------------------------------------------------------------------
+    # Virtual addresses
+    # ------------------------------------------------------------------
+    def claim_address(self, address: str) -> None:
+        """Point virtual ``address`` at this node (first claim or takeover).
+
+        A later :meth:`send` to ``address`` from any node reaches this
+        one.  Adapters without an address table refuse.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} has no virtual addresses (IP takeover)"
+        )
+
+    def release_address(self, address: str) -> None:
+        """Drop this node's claim on ``address``; no-op if another node holds it."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no virtual addresses (IP takeover)"
+        )
+
+    def address_owner(self, address: str) -> Optional[str]:
+        """The node currently holding ``address``, or None."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no virtual addresses (IP takeover)"
+        )
+
+    # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     @property
@@ -193,3 +225,51 @@ class NodeRuntime(ABC):
     @abstractmethod
     def rng_stream(self, name: str) -> "random.Random":
         """A named deterministic RNG stream from the deployment registry."""
+
+
+class Event:
+    """One-shot completion handle of the request/response code.
+
+    Gateways, consumers, the proxy and the search app hand one to a
+    requester: a callback registered while the event is pending runs once
+    some other code calls :meth:`succeed`, with the value passed to it,
+    through ``runtime.call_once(0.0, ...)`` — the timer queue at the
+    current time, never re-entrantly.  Succeeding twice is an error;
+    registering on an already-succeeded event resumes at once (again via
+    the queue).  Waiters are one-shots of the owning runtime, so a stop
+    of that runtime drops the ones not yet resumed.
+    """
+
+    __slots__ = ("runtime", "_value", "_done", "_waiters")
+
+    def __init__(self, runtime: NodeRuntime) -> None:
+        self.runtime = runtime
+        self._value: Any = None
+        self._done = False
+        self._waiters: List[Callable[[Any], object]] = []
+
+    @property
+    def triggered(self) -> bool:
+        return self._done
+
+    @property
+    def value(self) -> Any:
+        if not self._done:
+            raise RuntimeError("event has not triggered yet")
+        return self._value
+
+    def succeed(self, value: Any = None) -> None:
+        """Trigger the event, resuming all waiters at the current time."""
+        if self._done:
+            raise RuntimeError("event already triggered")
+        self._done = True
+        self._value = value
+        waiters, self._waiters = self._waiters, []
+        for resume in waiters:
+            self.runtime.call_once(0.0, resume, value)
+
+    def _add_waiter(self, resume: Callable[[Any], object]) -> None:
+        if self._done:
+            self.runtime.call_once(0.0, resume, self._value)
+        else:
+            self._waiters.append(resume)

@@ -163,6 +163,20 @@ class SimRuntime(NodeRuntime):
         return True
 
     # ------------------------------------------------------------------
+    # Virtual addresses
+    # ------------------------------------------------------------------
+    def claim_address(self, address: str) -> None:
+        self.network.transport.bind_address(address, self.node_id)
+
+    def release_address(self, address: str) -> None:
+        transport = self.network.transport
+        if transport.address_owner(address) == self.node_id:
+            transport.release_address(address)
+
+    def address_owner(self, address: str) -> Optional[str]:
+        return self.network.transport.address_owner(address)
+
+    # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     @property

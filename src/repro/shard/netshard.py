@@ -42,9 +42,11 @@ different segments come from independent streams, so their interleaving
 cannot matter.  Chaos rule *matching* uses the send time (``t_send``) in
 both halves.
 
-Virtual addresses (``bind_address`` / IP takeover) are intentionally
-unsupported: only the two-DC proxy experiment uses them and it is out of
-the sharded kernel's scope.
+Virtual addresses (IP takeover) are intentionally unsupported: the
+transport's ``bind_address`` refuses, so the runtime port's
+``claim_address`` (``SimRuntime`` maps it onto ``bind_address``) refuses
+too.  Only the membership proxy claims addresses, and it runs on the
+plain ``Network``.
 """
 
 from __future__ import annotations

@@ -16,14 +16,15 @@ Design notes
 * **One programming style.**  Plain callbacks via
   :meth:`Simulator.call_at` / :meth:`Simulator.call_after`; a request
   waiting on a reply registers its callback on a one-shot
-  :class:`~repro.sim.engine.Event`.
+  :class:`~repro.runtime.ports.Event`, which resumes it through the
+  node's runtime.
 * **Performance.**  The hot path is a ``heapq`` of tuples; no per-event
   object allocation beyond the scheduled entry itself.  (See the repo's
   profiling notes: the kernel was written simple first and optimised only
   where the Fig. 11-13 sweeps showed cost.)
 """
 
-from repro.sim.engine import Event, Simulator, ScheduledEvent, SimulationError
+from repro.sim.engine import Simulator, ScheduledEvent, SimulationError
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace, TraceRecord
 
@@ -31,7 +32,6 @@ __all__ = [
     "Simulator",
     "ScheduledEvent",
     "SimulationError",
-    "Event",
     "RngRegistry",
     "Trace",
     "TraceRecord",

@@ -35,7 +35,6 @@ __all__ = [
     "RecurringTimer",
     "TimerWheel",
     "SimulationError",
-    "Event",
 ]
 
 
@@ -633,59 +632,3 @@ class Simulator:
         """Time of the next live event, or None if the queue is empty."""
         return self._wheel.peek()
 
-
-class Event:
-    """One-shot completion handle of the request/response code.
-
-    Gateways, consumers, the proxy and the search app hand one to a
-    requester: a callback registered while the event is pending runs once
-    some other code calls :meth:`succeed`, with the value passed to it,
-    through the event queue at the current virtual time.  Succeeding
-    twice is an error; registering on an already-succeeded event resumes
-    immediately.
-
-    >>> sim = Simulator()
-    >>> done = Event(sim)
-    >>> seen = []
-    >>> done._add_waiter(seen.append)
-    >>> _ = sim.call_at(2.0, done.succeed, "reply")
-    >>> _ = sim.run()
-    >>> seen
-    ['reply']
-    """
-
-    __slots__ = ("sim", "_value", "_done", "_waiters")
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self._value: Any = None
-        self._done = False
-        self._waiters: list[Callable[[Any], None]] = []
-
-    @property
-    def triggered(self) -> bool:
-        return self._done
-
-    @property
-    def value(self) -> Any:
-        if not self._done:
-            raise SimulationError("event has not triggered yet")
-        return self._value
-
-    def succeed(self, value: Any = None) -> None:
-        """Trigger the event, resuming all waiters at the current time."""
-        if self._done:
-            raise SimulationError("event already triggered")
-        self._done = True
-        self._value = value
-        waiters, self._waiters = self._waiters, []
-        for resume in waiters:
-            # Resume via the event queue so ordering stays deterministic and
-            # succeed() never recursively re-enters a waiter mid-callback.
-            self.sim.call_at(self.sim.now, resume, value)
-
-    def _add_waiter(self, resume: Callable[[Any], None]) -> None:
-        if self._done:
-            self.sim.call_at(self.sim.now, resume, self._value)
-        else:
-            self._waiters.append(resume)

@@ -5,6 +5,7 @@ import pytest
 from repro.apps import SearchDeployment, SearchWorkload
 from repro.apps.search import _doc_handler, _index_handler
 from repro.cluster.gateway import Gateway
+from repro.runtime import SimRuntime
 
 
 class TestWorkload:
@@ -70,7 +71,7 @@ class TestFailover:
         dep.warm_up(15.0)
         engine = dep.engines["dcA"]
         gw = Gateway(
-            net.sim,
+            SimRuntime(net, engine.host),
             executor=lambda query: engine.query(query),
             workload=lambda seq: {"query": f"q{seq}"},
             rate=10.0,
@@ -137,7 +138,7 @@ class TestQueryFailurePaths:
         nodes = deploy(HierarchicalNode, net, hosts)
         cluster = SearchCluster(net, nodes, index_hosts=hosts[1:2], doc_hosts=hosts[2:3], workload=w)
         cluster.deploy()
-        engine = QueryEngine(net, hosts[5], nodes[hosts[5]], w, request_timeout=0.5)
+        engine = QueryEngine(SimRuntime(net, hosts[5]), nodes[hosts[5]], w, request_timeout=0.5)
         net.run(until=12.0)
         cluster.fail_service_hosts(hosts[1:2])  # index gone
         net.run(until=25.0)  # membership purges it
@@ -160,7 +161,7 @@ class TestQueryFailurePaths:
         nodes = deploy(HierarchicalNode, net, hosts)
         cluster = SearchCluster(net, nodes, index_hosts=hosts[1:2], doc_hosts=hosts[2:3], workload=w)
         cluster.deploy()
-        engine = QueryEngine(net, hosts[5], nodes[hosts[5]], w, request_timeout=0.5)
+        engine = QueryEngine(SimRuntime(net, hosts[5]), nodes[hosts[5]], w, request_timeout=0.5)
         net.run(until=12.0)
         cluster.fail_service_hosts(hosts[2:3])  # doc tier gone
         net.run(until=25.0)
@@ -183,7 +184,7 @@ class TestQueryFailurePaths:
         nodes = deploy(HierarchicalNode, net, hosts)
         cluster = SearchCluster(net, nodes, index_hosts=hosts[1:2], doc_hosts=hosts[2:3], workload=w)
         cluster.deploy()
-        engine = QueryEngine(net, hosts[5], nodes[hosts[5]], w)
+        engine = QueryEngine(SimRuntime(net, hosts[5]), nodes[hosts[5]], w)
         net.run(until=12.0)
         cluster.fail_service_hosts(hosts[2:3])
         net.run(until=25.0)

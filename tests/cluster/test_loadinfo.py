@@ -14,6 +14,7 @@ from repro.cluster import (
 )
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
+from repro.runtime import SimRuntime
 
 
 def make_setup(n=5, seed=1, service_time=0.5):
@@ -22,11 +23,11 @@ def make_setup(n=5, seed=1, service_time=0.5):
     providers = {}
     reporters = {}
     for h in hosts[:2]:
-        p = ProviderModule(net, h)
+        p = ProviderModule(SimRuntime(net, h))
         p.register(ServiceSpec.make("svc", "0", service_time=service_time))
         p.start()
         providers[h] = p
-        r = LoadReporter(net, h, p, report_period=0.25, interest_ttl=5.0)
+        r = LoadReporter(SimRuntime(net, h), p, report_period=0.25, interest_ttl=5.0)
         r.start()
         reporters[h] = r
     directory = Directory(hosts[2])
@@ -45,7 +46,7 @@ def run_invoke(net, consumer, *args, **kwargs):
 class TestLoadReporter:
     def test_interest_established_by_request(self):
         net, hosts, providers, reporters, directory = make_setup()
-        consumer = ConsumerModule(net, hosts[2], directory)
+        consumer = ConsumerModule(SimRuntime(net, hosts[2]), directory)
         consumer.start()
         run_invoke(net, consumer, "svc", 0)
         interested = set()
@@ -55,7 +56,7 @@ class TestLoadReporter:
 
     def test_interest_expires(self):
         net, hosts, providers, reporters, directory = make_setup()
-        consumer = ConsumerModule(net, hosts[2], directory)
+        consumer = ConsumerModule(SimRuntime(net, hosts[2]), directory)
         consumer.start()
         result = run_invoke(net, consumer, "svc", 0)
         server = result.server
@@ -64,11 +65,11 @@ class TestLoadReporter:
 
     def test_reports_flow_to_interested_only(self):
         net, hosts, providers, reporters, directory = make_setup()
-        tracker = LoadTracker(net, hosts[2], staleness=3.0)
+        tracker = LoadTracker(SimRuntime(net, hosts[2]), staleness=3.0)
         tracker.start()
-        bystander = LoadTracker(net, hosts[3], staleness=3.0)
+        bystander = LoadTracker(SimRuntime(net, hosts[3]), staleness=3.0)
         bystander.start()
-        consumer = ConsumerModule(net, hosts[2], directory)
+        consumer = ConsumerModule(SimRuntime(net, hosts[2]), directory)
         consumer.start()
         result = run_invoke(net, consumer, "svc", 0)
         net.run(until=net.now + 1.0)
@@ -77,22 +78,22 @@ class TestLoadReporter:
 
     def test_reported_load_tracks_inflight(self):
         net, hosts, providers, reporters, directory = make_setup(service_time=2.0)
-        tracker = LoadTracker(net, hosts[2], staleness=3.0)
+        tracker = LoadTracker(SimRuntime(net, hosts[2]), staleness=3.0)
         tracker.start()
-        consumer = ConsumerModule(net, hosts[2], directory, request_timeout=5.0)
+        consumer = ConsumerModule(SimRuntime(net, hosts[2]), directory, request_timeout=5.0)
         consumer.start()
         # Saturate one provider with 3 slow requests.
         target = hosts[0]
         for _ in range(3):
-            consumer._dispatch(target, "svc", 0, None, _DummyEvent(net), net.now, 0)
+            consumer._dispatch(target, "svc", 0, None, _DummyEvent(), net.now, 0)
         net.run(until=net.now + 1.0)
         assert tracker.load_of(target) == 3
 
     def test_stale_entries_expire(self):
         net, hosts, providers, reporters, directory = make_setup()
-        tracker = LoadTracker(net, hosts[2], staleness=1.0)
+        tracker = LoadTracker(SimRuntime(net, hosts[2]), staleness=1.0)
         tracker.start()
-        consumer = ConsumerModule(net, hosts[2], directory)
+        consumer = ConsumerModule(SimRuntime(net, hosts[2]), directory)
         consumer.start()
         result = run_invoke(net, consumer, "svc", 0)
         server = result.server
@@ -110,11 +111,6 @@ class TestLoadReporter:
 
 
 class _DummyEvent:
-    def __init__(self, net):
-        from repro.sim import Event
-
-        self._ev = Event(net.sim)
-
     def succeed(self, value=None):
         pass
 
@@ -122,10 +118,10 @@ class _DummyEvent:
 class TestLoadAwareBalancer:
     def test_prefers_least_loaded_known(self):
         net, hosts, providers, reporters, directory = make_setup(service_time=2.0)
-        tracker = LoadTracker(net, hosts[2], staleness=5.0)
+        tracker = LoadTracker(SimRuntime(net, hosts[2]), staleness=5.0)
         tracker.start()
         balancer = LoadAwareBalancer(tracker)
-        consumer = ConsumerModule(net, hosts[2], directory, balancer=balancer, request_timeout=10.0)
+        consumer = ConsumerModule(SimRuntime(net, hosts[2]), directory, balancer=balancer, request_timeout=10.0)
         consumer.start()
         # Prime interest + cache on both providers.
         run_invoke(net, consumer, "svc", 0)
@@ -133,7 +129,7 @@ class TestLoadAwareBalancer:
         net.run(until=net.now + 1.0)
         # Saturate provider 0 directly.
         for _ in range(4):
-            consumer._dispatch(hosts[0], "svc", 0, None, _DummyEvent(net), net.now, 0)
+            consumer._dispatch(hosts[0], "svc", 0, None, _DummyEvent(), net.now, 0)
         net.run(until=net.now + 0.6)  # let a report cycle pass
         assert tracker.load_of(hosts[0]) >= 4
         # Now the balancer must route to the idle provider.
@@ -146,7 +142,7 @@ class TestLoadAwareBalancer:
 
     def test_unknown_candidates_fall_back_to_random(self):
         net, hosts, providers, reporters, directory = make_setup()
-        tracker = LoadTracker(net, hosts[2], staleness=5.0)
+        tracker = LoadTracker(SimRuntime(net, hosts[2]), staleness=5.0)
         tracker.start()
         balancer = LoadAwareBalancer(tracker)
         rng = net.rng.stream("test")
@@ -155,7 +151,7 @@ class TestLoadAwareBalancer:
 
     def test_empty_candidates_rejected(self):
         net, hosts, providers, reporters, directory = make_setup()
-        tracker = LoadTracker(net, hosts[2])
+        tracker = LoadTracker(SimRuntime(net, hosts[2]))
         balancer = LoadAwareBalancer(tracker)
         with pytest.raises(ValueError):
             balancer.choose([], net.rng.stream("x"))

@@ -15,6 +15,7 @@ from repro.cluster import (
 from repro.cluster.gateway import Gateway
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
+from repro.runtime import SimRuntime
 
 
 def make_cluster(n=4):
@@ -66,11 +67,11 @@ class TestServiceSpec:
 class TestProviderConsumer:
     def test_successful_invocation(self):
         net, hosts = make_cluster()
-        provider = ProviderModule(net, hosts[0])
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
         provider.register(ServiceSpec.make("index", "1", service_time=0.01))
         provider.start()
         directory = make_directory(hosts[1], [hosts[0]])
-        consumer = ConsumerModule(net, hosts[1], directory)
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), directory)
         consumer.start()
         result = run_invocation(net, consumer, "index", 1, {"q": "hello"})
         assert result.ok
@@ -80,46 +81,46 @@ class TestProviderConsumer:
 
     def test_custom_handler(self):
         net, hosts = make_cluster()
-        provider = ProviderModule(net, hosts[0])
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
         provider.register(
             ServiceSpec.make("sq", "0"), handler=lambda part, data: data * data
         )
         provider.start()
-        consumer = ConsumerModule(net, hosts[1], make_directory(hosts[1], [hosts[0]], "sq", (0,)))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), make_directory(hosts[1], [hosts[0]], "sq", (0,)))
         consumer.start()
         result = run_invocation(net, consumer, "sq", 0, 7)
         assert result.ok and result.value == 49
 
     def test_unknown_service_fails(self):
         net, hosts = make_cluster()
-        provider = ProviderModule(net, hosts[0])
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
         provider.register(ServiceSpec.make("index", "1"))
         provider.start()
-        consumer = ConsumerModule(net, hosts[1], make_directory(hosts[1], [hosts[0]], "cache", (1,)))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), make_directory(hosts[1], [hosts[0]], "cache", (1,)))
         consumer.start()
         result = run_invocation(net, consumer, "cache", 1)
         assert not result.ok and result.error == "no_such_service"
 
     def test_wrong_partition_fails(self):
         net, hosts = make_cluster()
-        provider = ProviderModule(net, hosts[0])
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
         provider.register(ServiceSpec.make("index", "1"))
         provider.start()
-        consumer = ConsumerModule(net, hosts[1], make_directory(hosts[1], [hosts[0]], "index", (2,)))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), make_directory(hosts[1], [hosts[0]], "index", (2,)))
         consumer.start()
         result = run_invocation(net, consumer, "index", 2)
         assert not result.ok and result.error == "no_such_service"
 
     def test_unavailable_when_directory_empty(self):
         net, hosts = make_cluster()
-        consumer = ConsumerModule(net, hosts[1], Directory(hosts[1]))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), Directory(hosts[1]))
         consumer.start()
         result = run_invocation(net, consumer, "index", 1)
         assert not result.ok and result.error == "unavailable"
 
     def test_unavailable_handler_hook(self):
         net, hosts = make_cluster()
-        consumer = ConsumerModule(net, hosts[1], Directory(hosts[1]))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), Directory(hosts[1]))
         consumer.start()
         calls = []
 
@@ -137,11 +138,11 @@ class TestProviderConsumer:
 
     def test_timeout_on_dead_provider(self):
         net, hosts = make_cluster()
-        provider = ProviderModule(net, hosts[0])
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
         provider.register(ServiceSpec.make("index", "1"))
         provider.start()
         consumer = ConsumerModule(
-            net, hosts[1], make_directory(hosts[1], [hosts[0]]), request_timeout=0.5
+            SimRuntime(net, hosts[1]), make_directory(hosts[1], [hosts[0]]), request_timeout=0.5
         )
         consumer.start()
         net.crash_host(hosts[0])
@@ -151,10 +152,10 @@ class TestProviderConsumer:
 
     def test_provider_load_tracks_inflight(self):
         net, hosts = make_cluster()
-        provider = ProviderModule(net, hosts[0])
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
         provider.register(ServiceSpec.make("slow", "1", service_time=1.0))
         provider.start()
-        consumer = ConsumerModule(net, hosts[1], make_directory(hosts[1], [hosts[0]], "slow", (1,)))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), make_directory(hosts[1], [hosts[0]], "slow", (1,)))
         consumer.start()
         for _ in range(3):
             consumer.invoke("slow", 1)
@@ -164,14 +165,44 @@ class TestProviderConsumer:
         assert provider.load == 0
         assert provider.served == 3
 
+    def test_restart_drops_requests_of_the_old_life(self):
+        # A request still in service when the provider is killed dies
+        # with it: no reply after a quick restart, and its completion
+        # does not decrement the new life's load count.
+        net, hosts = make_cluster()
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
+        provider.register(ServiceSpec.make("slow", "1", service_time=0.5))
+        provider.start()
+        consumer = ConsumerModule(
+            SimRuntime(net, hosts[1]),
+            make_directory(hosts[1], [hosts[0]], "slow", (1,)),
+            request_timeout=5.0,
+        )
+        consumer.start()
+        before, after = [], []
+        consumer.invoke("slow", 1)._add_waiter(before.append)
+        net.run(until=0.05)
+        assert provider.load == 1
+        provider.stop()
+        net.run(until=0.1)
+        provider.start()
+        net.run(until=0.2)
+        consumer.invoke("slow", 1)._add_waiter(after.append)
+        net.run(until=0.6)
+        assert before == []  # no reply from the previous life
+        assert provider.load == 1  # only the post-restart request
+        net.run(until=1.0)
+        assert [r.ok for r in after] == [True]
+        assert before == [] and provider.load == 0
+
     def test_provider_stop_drops_requests(self):
         net, hosts = make_cluster()
-        provider = ProviderModule(net, hosts[0])
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
         provider.register(ServiceSpec.make("index", "1"))
         provider.start()
         provider.stop()
         consumer = ConsumerModule(
-            net, hosts[1], make_directory(hosts[1], [hosts[0]]), request_timeout=0.2
+            SimRuntime(net, hosts[1]), make_directory(hosts[1], [hosts[0]]), request_timeout=0.2
         )
         consumer.start()
         result = run_invocation(net, consumer, "index", 1)
@@ -220,18 +251,18 @@ class TestLoadBalancers:
 
     def test_polling_end_to_end_prefers_idle_replica(self):
         net, hosts = make_cluster(4)
-        busy = ProviderModule(net, hosts[0])
-        idle = ProviderModule(net, hosts[1])
+        busy = ProviderModule(SimRuntime(net, hosts[0]))
+        idle = ProviderModule(SimRuntime(net, hosts[1]))
         for p in (busy, idle):
             p.register(ServiceSpec.make("index", "1", service_time=0.5))
             p.start()
         directory = make_directory(hosts[2], [hosts[0], hosts[1]])
         consumer = ConsumerModule(
-            net, hosts[2], directory, balancer=RandomPolling(d=2), poll_timeout=0.02
+            SimRuntime(net, hosts[2]), directory, balancer=RandomPolling(d=2), poll_timeout=0.02
         )
         consumer.start()
         # Saturate the busy provider directly.
-        loader = ConsumerModule(net, hosts[3], make_directory(hosts[3], [hosts[0]]))
+        loader = ConsumerModule(SimRuntime(net, hosts[3]), make_directory(hosts[3], [hosts[0]]))
         loader.start()
         for _ in range(5):
             loader.invoke("index", 1)
@@ -246,13 +277,13 @@ class TestLoadBalancers:
 class TestGateway:
     def test_fixed_rate_issues_requests(self):
         net, hosts = make_cluster()
-        provider = ProviderModule(net, hosts[0])
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
         provider.register(ServiceSpec.make("index", "1", service_time=0.001))
         provider.start()
-        consumer = ConsumerModule(net, hosts[1], make_directory(hosts[1], [hosts[0]]))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), make_directory(hosts[1], [hosts[0]]))
         consumer.start()
         gw = Gateway(
-            net.sim,
+            SimRuntime(net, hosts[1]),
             executor=consumer.invoke,
             workload=lambda seq: {"service": "index", "partition": 1, "data": seq},
             rate=10.0,
@@ -265,15 +296,32 @@ class TestGateway:
         assert gw.stats.completed == 19
         assert gw.stats.failed == 0
 
-    def test_stats_series(self):
+    def test_restart_inside_an_arrival_gap_keeps_the_rate(self):
         net, hosts = make_cluster()
-        provider = ProviderModule(net, hosts[0])
-        provider.register(ServiceSpec.make("index", "1", service_time=0.001))
-        provider.start()
-        consumer = ConsumerModule(net, hosts[1], make_directory(hosts[1], [hosts[0]]))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), Directory(hosts[1]))
         consumer.start()
         gw = Gateway(
-            net.sim,
+            SimRuntime(net, hosts[1]),
+            executor=consumer.invoke,
+            workload=lambda seq: {"service": "missing"},
+            rate=10.0,
+        )
+        gw.start()
+        net.run(until=0.05)
+        gw.stop()
+        gw.start()  # before the first arrival at t=0.1
+        net.run(until=1.05)
+        assert gw.stats.issued == 10  # one chain: t = 0.15, 0.25, ..., 0.95
+
+    def test_stats_series(self):
+        net, hosts = make_cluster()
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
+        provider.register(ServiceSpec.make("index", "1", service_time=0.001))
+        provider.start()
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), make_directory(hosts[1], [hosts[0]]))
+        consumer.start()
+        gw = Gateway(
+            SimRuntime(net, hosts[1]),
             executor=consumer.invoke,
             workload=lambda seq: {"service": "index", "partition": 1},
             rate=5.0,
@@ -287,10 +335,10 @@ class TestGateway:
 
     def test_failures_recorded(self):
         net, hosts = make_cluster()
-        consumer = ConsumerModule(net, hosts[1], Directory(hosts[1]))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), Directory(hosts[1]))
         consumer.start()
         gw = Gateway(
-            net.sim,
+            SimRuntime(net, hosts[1]),
             executor=consumer.invoke,
             workload=lambda seq: {"service": "missing"},
             rate=4.0,
@@ -302,10 +350,10 @@ class TestGateway:
 
     def test_poisson_arrivals(self):
         net, hosts = make_cluster()
-        consumer = ConsumerModule(net, hosts[1], Directory(hosts[1]))
+        consumer = ConsumerModule(SimRuntime(net, hosts[1]), Directory(hosts[1]))
         consumer.start()
         gw = Gateway(
-            net.sim,
+            SimRuntime(net, hosts[1]),
             executor=consumer.invoke,
             workload=lambda seq: {"service": "missing"},
             rate=50.0,
@@ -318,4 +366,4 @@ class TestGateway:
     def test_invalid_rate(self):
         net, _ = make_cluster()
         with pytest.raises(ValueError):
-            Gateway(net.sim, executor=None, workload=None, rate=0.0)
+            Gateway(SimRuntime(net, "gw"), executor=None, workload=None, rate=0.0)

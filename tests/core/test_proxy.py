@@ -6,15 +6,36 @@ from repro.cluster import ConsumerModule, Directory, NodeRecord, ProviderModule,
 from repro.core import (
     HierarchicalNode,
     MembershipProxy,
-    ProxyConfig,
     ServiceSummary,
     install_proxy_forwarding,
 )
+from repro.core import proxy as proxy_module
 from repro.net import Network
 from repro.net.builders import build_two_datacenters
 from repro.protocols import deploy
+from repro.runtime import SimRuntime
 
 ADDRS = {"dcA": "vip-A", "dcB": "vip-B"}
+
+
+def make_proxy(net, host, dc, node):
+    """A proxy daemon on ``host``, with its consumer as a second process."""
+    return MembershipProxy(
+        SimRuntime(net, host), SimRuntime(net, host), dc, ADDRS[dc], ADDRS, node
+    )
+
+
+def make_consumer(net, host, directory):
+    consumer = ConsumerModule(SimRuntime(net, host), directory)
+    consumer.start()
+    return consumer
+
+
+def make_provider(net, host, svc, service_time=0.005):
+    p = ProviderModule(SimRuntime(net, host))
+    p.register(ServiceSpec.make(svc, "0", service_time=service_time))
+    p.start()
+    return p
 
 
 def make_two_dc(networks=2, hosts=5, seed=1, proxies_per_dc=2, services_b=("retrieve",)):
@@ -27,15 +48,12 @@ def make_two_dc(networks=2, hosts=5, seed=1, proxies_per_dc=2, services_b=("retr
     providers = []
     for svc in services_b:
         host = dcb[3]
-        p = ProviderModule(net, host)
-        p.register(ServiceSpec.make(svc, "0", service_time=0.005))
-        p.start()
+        providers.append(make_provider(net, host, svc))
         nodes[host].register_service(ServiceSpec.make(svc, "0"))
-        providers.append(p)
     proxies = []
     for dc, hostlist in (("dcA", dca), ("dcB", dcb)):
         for h in hostlist[:proxies_per_dc]:
-            proxy = MembershipProxy(net, h, dc, ADDRS[dc], ADDRS, nodes[h])
+            proxy = make_proxy(net, h, dc, nodes[h])
             proxy.start()
             proxies.append(proxy)
     return net, dca, dcb, nodes, proxies, providers
@@ -139,14 +157,12 @@ class TestRobustness:
         nodes.update(deploy(HierarchicalNode, net, dca))
         nodes.update(deploy(HierarchicalNode, net, dcb))
         host = dcb[3]
-        p = ProviderModule(net, host)
-        p.register(ServiceSpec.make("svc", "0"))
-        p.start()
+        make_provider(net, host, "svc")
         nodes[host].register_service(ServiceSpec.make("svc", "0"))
         proxies = []
         for dc, hostlist in (("dcA", dca), ("dcB", dcb)):
             for h in hostlist[:2]:
-                proxy = MembershipProxy(net, h, dc, ADDRS[dc], ADDRS, nodes[h])
+                proxy = make_proxy(net, h, dc, nodes[h])
                 proxy.start()
                 proxies.append(proxy)
         net.run(until=20.0)
@@ -155,18 +171,9 @@ class TestRobustness:
         assert pa.known_remote_dcs() == ["dcB"]
         assert pa.remote["dcB"].summary.get("svc") == frozenset({0})
 
-    def test_large_summary_chunked_and_reassembled(self):
-        cfg = ProxyConfig(max_entries_per_packet=4)
+    def test_large_summary_chunked_and_reassembled(self, monkeypatch):
+        monkeypatch.setattr(proxy_module, "MAX_ENTRIES_PER_PACKET", 4)
         net, dca, dcb, nodes, proxies, _ = make_two_dc(services_b=())
-        # Re-create dcB's proxies with the small-chunk config.
-        for p in list(proxies):
-            if p.dc == "dcB":
-                p.stop()
-                proxies.remove(p)
-        for h in dcb[:2]:
-            p = MembershipProxy(net, h, "dcB", ADDRS["dcB"], ADDRS, nodes[h], config=cfg)
-            p.start()
-            proxies.append(p)
         # 11 distinct services in dcB -> 3 chunks per summary.
         for i in range(11):
             host = dcb[3]
@@ -182,7 +189,7 @@ class TestRobustness:
 
         proxy = MembershipProxy.__new__(MembershipProxy)
         proxy.remote = {}
-        proxy.network = type("N", (), {"now": 10.0})()
+        proxy.runtime = type("R", (), {"now": 10.0})()
         proxy._merge_remote_summary("dcX", 1, [("a", frozenset({0}))], final=False)
         proxy._merge_remote_summary("dcX", 2, [("b", frozenset({1}))], final=True)
         state = proxy.remote["dcX"]
@@ -197,8 +204,7 @@ class TestForwarding:
     def test_cross_dc_invocation(self):
         net, dca, dcb, nodes, proxies, _ = make_two_dc()
         net.run(until=12.0)
-        consumer = ConsumerModule(net, dca[4], nodes[dca[4]].directory)
-        consumer.start()
+        consumer = make_consumer(net, dca[4], nodes[dca[4]].directory)
         install_proxy_forwarding(consumer, "vip-A")
         result = invoke(net, consumer, "retrieve", 0, {"q": "x"})
         assert result.ok
@@ -208,13 +214,10 @@ class TestForwarding:
 
     def test_local_service_not_forwarded(self):
         net, dca, dcb, nodes, proxies, _ = make_two_dc()
-        local = ProviderModule(net, dca[3])
-        local.register(ServiceSpec.make("retrieve", "0", service_time=0.005))
-        local.start()
+        make_provider(net, dca[3], "retrieve")
         nodes[dca[3]].register_service(ServiceSpec.make("retrieve", "0"))
         net.run(until=12.0)
-        consumer = ConsumerModule(net, dca[4], nodes[dca[4]].directory)
-        consumer.start()
+        consumer = make_consumer(net, dca[4], nodes[dca[4]].directory)
         install_proxy_forwarding(consumer, "vip-A")
         result = invoke(net, consumer, "retrieve", 0)
         assert result.ok
@@ -223,8 +226,7 @@ class TestForwarding:
     def test_unknown_service_rejected(self):
         net, dca, dcb, nodes, proxies, _ = make_two_dc()
         net.run(until=12.0)
-        consumer = ConsumerModule(net, dca[4], nodes[dca[4]].directory)
-        consumer.start()
+        consumer = make_consumer(net, dca[4], nodes[dca[4]].directory)
         install_proxy_forwarding(consumer, "vip-A")
         result = invoke(net, consumer, "nonexistent", 0)
         assert not result.ok
@@ -233,8 +235,7 @@ class TestForwarding:
     def test_wrong_partition_rejected(self):
         net, dca, dcb, nodes, proxies, _ = make_two_dc()
         net.run(until=12.0)
-        consumer = ConsumerModule(net, dca[4], nodes[dca[4]].directory)
-        consumer.start()
+        consumer = make_consumer(net, dca[4], nodes[dca[4]].directory)
         install_proxy_forwarding(consumer, "vip-A")
         result = invoke(net, consumer, "retrieve", 7)
         assert not result.ok
@@ -247,8 +248,7 @@ class TestForwarding:
         nodes[pa.host].stop()
         net.crash_host(pa.host)
         net.run(until=35.0)
-        consumer = ConsumerModule(net, dca[4], nodes[dca[4]].directory)
-        consumer.start()
+        consumer = make_consumer(net, dca[4], nodes[dca[4]].directory)
         install_proxy_forwarding(consumer, "vip-A")
         result = invoke(net, consumer, "retrieve", 0)
         assert result.ok
@@ -258,8 +258,7 @@ class TestForwarding:
         net.run(until=12.0)
         net.fail_device("dcB-border")
         net.run(until=25.0)
-        consumer = ConsumerModule(net, dca[4], nodes[dca[4]].directory)
-        consumer.start()
+        consumer = make_consumer(net, dca[4], nodes[dca[4]].directory)
         install_proxy_forwarding(consumer, "vip-A")
         result = invoke(net, consumer, "retrieve", 0)
         assert not result.ok
@@ -268,15 +267,12 @@ class TestForwarding:
     def test_summary_updates_after_remote_service_appears(self):
         net, dca, dcb, nodes, proxies, _ = make_two_dc(services_b=())
         net.run(until=12.0)
-        consumer = ConsumerModule(net, dca[4], nodes[dca[4]].directory)
-        consumer.start()
+        consumer = make_consumer(net, dca[4], nodes[dca[4]].directory)
         install_proxy_forwarding(consumer, "vip-A")
         result = invoke(net, consumer, "newsvc", 0)
         assert not result.ok
         # Service appears in dcB at runtime.
-        p = ProviderModule(net, dcb[2])
-        p.register(ServiceSpec.make("newsvc", "0", service_time=0.001))
-        p.start()
+        make_provider(net, dcb[2], "newsvc", service_time=0.001)
         nodes[dcb[2]].register_service(ServiceSpec.make("newsvc", "0"))
         net.run(until=net.now + 5.0)
         result = invoke(net, consumer, "newsvc", 0)

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import HierarchicalNode, MembershipProxy, ProxyConfig
+from repro.core import HierarchicalNode, MembershipProxy
 from repro.net import Network
 from repro.net.builders import build_two_datacenters
 from repro.protocols import deploy
+from repro.runtime import SimRuntime
 
 ADDRS = {"dcA": "vip-A", "dcB": "vip-B"}
 
@@ -19,7 +20,9 @@ def make_proxies(per_dc=3, seed=1):
     proxies = []
     for dc, hostlist in (("dcA", dca), ("dcB", dcb)):
         for h in hostlist[:per_dc]:
-            p = MembershipProxy(net, h, dc, ADDRS[dc], ADDRS, nodes[h])
+            p = MembershipProxy(
+                SimRuntime(net, h), SimRuntime(net, h), dc, ADDRS[dc], ADDRS, nodes[h]
+            )
             p.start()
             proxies.append(p)
     return net, nodes, proxies
@@ -85,8 +88,3 @@ class TestProxyElection:
         for p in proxies:
             if not p.is_leader:
                 assert net.transport.address_owner(p.external_addr) != p.host
-
-    def test_config_defaults(self):
-        cfg = ProxyConfig()
-        assert cfg.summary_heartbeat_period == 1.0
-        assert cfg.max_entries_per_packet == 64

@@ -32,7 +32,7 @@ class TestSummaryProperties:
     def test_merge_of_chunks_reconstructs_summary(self, summary, max_entries, epoch):
         proxy = MembershipProxy.__new__(MembershipProxy)
         proxy.remote = {}
-        proxy.network = type("N", (), {"now": 1.0})()
+        proxy.runtime = type("R", (), {"now": 1.0})()
         chunks = summary.chunks(max_entries)
         for i, chunk in enumerate(chunks):
             proxy._merge_remote_summary(

@@ -22,6 +22,7 @@ from repro.core import (
 from repro.net import Network
 from repro.net.builders import build_switched_cluster, build_two_datacenters
 from repro.protocols import deploy
+from repro.runtime import SimRuntime
 
 
 class TestChurnSoak:
@@ -77,19 +78,18 @@ class TestServiceStackIntegration:
         # Two replicas of a slow service.
         providers = {}
         for h in hosts[:2]:
-            p = ProviderModule(net, h)
+            p = ProviderModule(SimRuntime(net, h))
             p.register(ServiceSpec.make("svc", "0", service_time=0.4))
             p.start()
             providers[h] = p
             daemons[h].register_service("svc", "0")
-            LoadReporter(net, h, p, report_period=0.25).start()
+            LoadReporter(SimRuntime(net, h), p, report_period=0.25).start()
         net.run(until=12.0)
 
-        tracker = LoadTracker(net, hosts[3], staleness=3.0)
+        tracker = LoadTracker(SimRuntime(net, hosts[3]), staleness=3.0)
         tracker.start()
         consumer = ConsumerModule(
-            net,
-            hosts[3],
+            SimRuntime(net, hosts[3]),
             daemons[hosts[3]].node.directory,
             balancer=LoadAwareBalancer(tracker),
             request_timeout=5.0,
@@ -144,7 +144,9 @@ class TestThreeDataCenters:
         for dc in dcs:
             nodes.update(deploy(HierarchicalNode, net, hostlists[dc]))
             for h in hostlists[dc][:2]:
-                p = MembershipProxy(net, h, dc, addrs[dc], addrs, nodes[h])
+                p = MembershipProxy(
+                    SimRuntime(net, h), SimRuntime(net, h), dc, addrs[dc], addrs, nodes[h]
+                )
                 p.start()
                 proxies.append(p)
         return net, dcs, hostlists, nodes, proxies, addrs
@@ -154,7 +156,7 @@ class TestThreeDataCenters:
         # A unique service in each DC.
         for dc in dcs:
             host = hostlists[dc][3]
-            p = ProviderModule(net, host)
+            p = ProviderModule(SimRuntime(net, host))
             p.register(ServiceSpec.make(f"svc-{dc}", "0", service_time=0.005))
             p.start()
             nodes[host].register_service(ServiceSpec.make(f"svc-{dc}", "0"))
@@ -168,12 +170,12 @@ class TestThreeDataCenters:
     def test_forwarding_picks_a_dc_that_has_the_service(self):
         net, dcs, hostlists, nodes, proxies, addrs = self.make_three_dc()
         host = hostlists["dcC"][3]
-        p = ProviderModule(net, host)
+        p = ProviderModule(SimRuntime(net, host))
         p.register(ServiceSpec.make("rare", "0", service_time=0.005))
         p.start()
         nodes[host].register_service(ServiceSpec.make("rare", "0"))
         net.run(until=15.0)
-        consumer = ConsumerModule(net, hostlists["dcA"][4], nodes[hostlists["dcA"][4]].directory)
+        consumer = ConsumerModule(SimRuntime(net, hostlists["dcA"][4]), nodes[hostlists["dcA"][4]].directory)
         consumer.start()
         install_proxy_forwarding(consumer, "vip-dcA")
         results = []
@@ -191,12 +193,12 @@ class TestSchemeInterchangeability:
         from repro.metrics import make_scheme_cluster
 
         net, hosts, nodes = make_scheme_cluster(scheme, 1, 6, seed=26)
-        provider = ProviderModule(net, hosts[0])
+        provider = ProviderModule(SimRuntime(net, hosts[0]))
         provider.register(ServiceSpec.make("echo", "0", service_time=0.002))
         provider.start()
         nodes[hosts[0]].register_service(ServiceSpec.make("echo", "0"))
         net.run(until=20.0)
-        consumer = ConsumerModule(net, hosts[3], nodes[hosts[3]].directory)
+        consumer = ConsumerModule(SimRuntime(net, hosts[3]), nodes[hosts[3]].directory)
         consumer.start()
         results = []
         consumer.invoke("echo", 0, "ping")._add_waiter(results.append)

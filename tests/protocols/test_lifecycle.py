@@ -1,19 +1,24 @@
-"""Lifecycle regressions shared by all three protocol stacks.
+"""Lifecycle regressions shared by all three protocol stacks and the Neptune layer.
 
 The runtime layer owns every timer a protocol node creates, so
 ``stop()`` must leave no live timers behind — for the hierarchical node
 (which had this guarantee since the stray-one-shot fix) *and* for the
 baselines (which previously hand-rolled timer bookkeeping and leaked
-their self-rescheduling one-shots).  A leaked timer fires into the
-node's next life and acts on stale state, or keeps a dead node's
-callbacks churning forever.
+their self-rescheduling one-shots), and for the membership proxy and
+the Neptune modules (provider, consumer, load reporter/tracker,
+gateway), which each run on a runtime of their own.  A leaked timer
+fires into the node's next life and acts on stale state, or keeps a
+dead node's callbacks churning forever.
 """
 
 import pytest
 
+from repro.apps import SearchDeployment
+from repro.cluster import Gateway, LoadReporter, LoadTracker
 from repro.core.config import HierarchicalConfig
 from repro.metrics.experiment import make_scheme_cluster
 from repro.protocols.base import ProtocolConfig
+from repro.runtime import SimRuntime
 
 
 def make_nodes(scheme, detector=None):
@@ -119,3 +124,41 @@ def test_stop_is_idempotent_and_timers_stay_dead(scheme):
     assert node.runtime.live_timers == 0
     net.run(until=20.0)
     assert node.runtime.live_timers == 0
+
+
+def test_neptune_layer_stop_leaves_no_live_timers():
+    dep = SearchDeployment(networks=3, hosts_per_network=6, seed=5)
+    net = dep.network
+    engine = dep.engines["dcA"]
+    providers = dep.clusters["dcA"].providers
+    provider_host, provider = next(iter(providers.items()))
+    reporter = LoadReporter(SimRuntime(net, provider_host), provider, report_period=0.25)
+    tracker = LoadTracker(SimRuntime(net, engine.host))
+    gateway = Gateway(
+        SimRuntime(net, engine.host),
+        executor=engine.query,
+        workload=lambda seq: {"query": f"q{seq}"},
+        rate=50.0,
+    )
+    reporter.start()
+    tracker.start()
+    dep.warm_up(12.0)
+    gateway.start()
+    net.run(until=net.now + 2.05)
+    assert tracker.known_servers()  # the reporter is pushing
+    ticking = [*dep.proxies, reporter, gateway]
+    assert all(module.runtime.live_timers > 0 for module in ticking)
+    modules = [
+        *ticking,
+        *(proxy._consumer for proxy in dep.proxies),
+        *providers.values(),
+        engine.consumer,
+        tracker,
+    ]
+    for module in modules:
+        module.stop()
+        assert module.runtime.live_timers == 0
+    issued, reports = gateway.stats.issued, reporter.reports_sent
+    net.run(until=net.now + 10.0)
+    assert (gateway.stats.issued, reporter.reports_sent) == (issued, reports)
+    assert all(module.runtime.live_timers == 0 for module in modules)

@@ -18,6 +18,13 @@ over a live asyncio loop — so the contract pinned in
   the asyncio adapter additionally refuses unknown destinations and
   unsendable datagrams instead of lying (the simulator cannot produce
   either refusal, so those cases are adapter-specific);
+* the completion :class:`~repro.runtime.ports.Event` resumes its
+  waiters through the timer queue at the current time, in registration
+  order, never re-entrantly; a waiter added after ``succeed`` still
+  resumes; succeeding twice raises; waiters die with the runtime's life;
+* virtual addresses: the simulator's runtime claims, takes over,
+  reports the owner of and releases an address (a send to it reaches
+  the owner); the asyncio adapter refuses all three operations;
 * the asyncio adapter encodes an interned heartbeat once: re-publishing
   the *same* frozen ``Heartbeat`` re-sends the previous datagram, while
   an equal-but-not-identical or non-heartbeat payload is encoded again
@@ -37,7 +44,7 @@ from repro.cluster.directory import NodeRecord
 from repro.core.heartbeat import Heartbeat
 from repro.net.builders import build_switched_cluster
 from repro.net.network import Network
-from repro.runtime import anet
+from repro.runtime import Event, anet
 from repro.runtime.anet import AsyncRuntime, ClusterSpec, NodeSpec, RelaySpec
 from repro.runtime.sim import SimRuntime
 from repro.runtime.wire import decode_packet
@@ -243,6 +250,99 @@ class TestDeactivateSemantics:
         assert runtime.live_timers == 1
         runtime.deactivate()
         assert runtime.live_timers == 0
+
+
+class TestCompletion:
+    """The one-shot completion handle, resumed through each adapter's timers."""
+
+    def test_waiters_resume_in_order_via_queue(self, harness):
+        ev = Event(harness.runtime)
+        seen = []
+        ev._add_waiter(lambda value: seen.append(("a", value)))
+        ev._add_waiter(lambda value: seen.append(("b", value)))
+        ev.succeed(7)
+        assert seen == [] and ev.triggered and ev.value == 7  # never re-entrant
+        harness.run(0.5 * harness.tick)
+        assert seen == [("a", 7), ("b", 7)]
+
+    def test_waiter_resumes_at_succeed_time(self, harness):
+        runtime = harness.runtime
+        ev = Event(runtime)
+        seen = []
+        ev._add_waiter(lambda value: seen.append((runtime.now, value)))
+        runtime.call_once(2 * harness.tick, ev.succeed, "reply")
+        harness.run(3 * harness.tick)
+        assert [value for _t, value in seen] == ["reply"]
+        if harness.exact:
+            assert seen[0][0] == 2.0
+
+    def test_late_waiter_still_resumes(self, harness):
+        ev = Event(harness.runtime)
+        ev.succeed("early")
+        harness.run(1 * harness.tick)
+        seen = []
+        ev._add_waiter(seen.append)
+        assert seen == []
+        harness.run(0.5 * harness.tick)
+        assert seen == ["early"]
+
+    def test_double_succeed_raises(self, harness):
+        ev = Event(harness.runtime)
+        ev.succeed()
+        with pytest.raises(RuntimeError):
+            ev.succeed()
+
+    def test_value_before_trigger_raises(self, harness):
+        ev = Event(harness.runtime)
+        with pytest.raises(RuntimeError):
+            _ = ev.value
+        ev.succeed(3)
+        assert ev.value == 3
+
+    def test_waiters_die_with_the_life(self, harness):
+        ev = Event(harness.runtime)
+        seen = []
+        ev._add_waiter(seen.append)
+        ev.succeed(1)
+        harness.runtime.deactivate()
+        harness.runtime.activate()
+        harness.run(1 * harness.tick)
+        assert seen == []
+
+
+class TestVirtualAddresses:
+    def test_claim_takeover_owner_and_release(self, harness):
+        if harness.name != "sim":
+            pytest.skip("only the simulator keeps an address table")
+        runtime, peer = harness.runtime, SimRuntime(harness.net, harness.peer)
+        assert runtime.address_owner("vip") is None
+        runtime.claim_address("vip")
+        assert peer.address_owner("vip") == runtime.node_id
+        peer.claim_address("vip")  # IP takeover
+        assert runtime.address_owner("vip") == harness.peer
+        runtime.release_address("vip")  # not ours any more: no-op
+        assert runtime.address_owner("vip") == harness.peer
+        peer.release_address("vip")
+        assert runtime.address_owner("vip") is None
+
+    def test_send_to_claimed_address(self, harness):
+        if harness.name != "sim":
+            pytest.skip("only the simulator keeps an address table")
+        peer = SimRuntime(harness.net, harness.peer)
+        got = []
+        peer.bind("svc", got.append)
+        peer.claim_address("vip")
+        assert harness.runtime.send("vip", "req", {"x": 1}, size=10, port="svc")
+        harness.run(1 * harness.tick)
+        assert [(p.kind, p.payload) for p in got] == [("req", {"x": 1})]
+
+    def test_real_transport_refuses(self, harness):
+        if harness.name != "anet":
+            pytest.skip("the simulator implements virtual addresses")
+        runtime = harness.runtime
+        for op in (runtime.claim_address, runtime.release_address, runtime.address_owner):
+            with pytest.raises(NotImplementedError, match="virtual addresses"):
+                op("vip")
 
 
 class TestSendContract:

@@ -12,6 +12,7 @@ from repro.net.builders import build_switched_cluster
 from repro.net.multicast import MulticastFabric
 from repro.net.network import Network
 from repro.net.transport import UnicastTransport
+from repro.runtime import SimRuntime
 from repro.shard.netshard import ShardNetwork
 from repro.shard.partition import ShardMap
 
@@ -128,6 +129,8 @@ def test_virtual_addresses_stay_unsupported():
     net, hosts = make_net()
     with pytest.raises(NotImplementedError):
         net.transport.bind_address("vip", hosts[0])
+    with pytest.raises(NotImplementedError):
+        SimRuntime(net, hosts[0]).claim_address("vip")  # the port's claim, too
 
 
 def test_only_the_owner_records_a_crash_and_shard_zero_a_device_failure():
