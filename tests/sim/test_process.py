@@ -1,65 +1,41 @@
-"""Unit tests for the one-shot completion :class:`Event`."""
+"""The completion :class:`Event` resumed by the discrete-event kernel.
 
-import pytest
+The event lives in ``repro.runtime``; these cases pin its ordering on
+the simulator's runtime, where virtual time makes the instants exact.
+The port contract suite covers the same handle on both adapters.
+"""
 
-from repro.sim import Event, Simulator, SimulationError
+from repro.net.builders import build_switched_cluster
+from repro.net.network import Network
+from repro.runtime import Event
+from repro.runtime.sim import SimRuntime
 
 
-def test_event_wakes_waiter_with_value():
-    sim = Simulator()
-    ev = Event(sim)
-    seen = []
-    ev._add_waiter(lambda value: seen.append((sim.now, value)))
-    sim.call_at(2.0, ev.succeed, "hello")
-    sim.run()
-    assert seen == [(2.0, "hello")]
+def _sim_runtime():
+    topo, hosts = build_switched_cluster(1, 2)
+    net = Network(topo, seed=3)
+    runtime = SimRuntime(net, hosts[0])
+    runtime.activate()
+    return net, runtime
 
 
 def test_event_multiple_waiters():
-    sim = Simulator()
-    ev = Event(sim)
+    net, runtime = _sim_runtime()
+    ev = Event(runtime)
     seen = []
-    ev._add_waiter(lambda value: seen.append(("a", value)))
-    ev._add_waiter(lambda value: seen.append(("b", value)))
-    sim.call_at(1.0, ev.succeed, 7)
-    sim.run()
-    assert seen == [("a", 7), ("b", 7)]  # registration order, via the queue
-
-
-def test_yield_already_triggered_event_resumes_immediately():
-    """A waiter that arrives after ``succeed`` still runs — at its own time."""
-    sim = Simulator()
-    ev = Event(sim)
-    seen = []
-    sim.call_at(1.0, ev.succeed, "early")
-    sim.call_at(5.0, ev._add_waiter, lambda value: seen.append((sim.now, value)))
-    sim.run()
-    assert seen == [(5.0, "early")]
+    ev._add_waiter(lambda value: seen.append(("a", runtime.now, value)))
+    ev._add_waiter(lambda value: seen.append(("b", runtime.now, value)))
+    runtime.call_once(1.0, ev.succeed, 7)
+    net.run(until=2.0)
+    assert seen == [("a", 1.0, 7), ("b", 1.0, 7)]  # registration order, via the queue
 
 
 def test_succeed_does_not_reenter_waiters_synchronously():
-    sim = Simulator()
-    ev = Event(sim)
+    net, runtime = _sim_runtime()
+    ev = Event(runtime)
     seen = []
     ev._add_waiter(seen.append)
     ev.succeed("queued")
     assert seen == [] and ev.triggered
-    sim.run()
+    net.run(until=1.0)
     assert seen == ["queued"]
-
-
-def test_event_double_succeed_raises():
-    sim = Simulator()
-    ev = Event(sim)
-    ev.succeed()
-    with pytest.raises(SimulationError):
-        ev.succeed()
-
-
-def test_event_value_before_trigger_raises():
-    sim = Simulator()
-    ev = Event(sim)
-    with pytest.raises(SimulationError):
-        _ = ev.value
-    ev.succeed(3)
-    assert ev.value == 3
