@@ -9,13 +9,7 @@ load: a burst of queries spreads across replicas thanks to the load polls.
 Run:  python examples/search_cluster.py
 """
 
-from repro.apps.search import (
-    DOC_SERVICE,
-    INDEX_SERVICE,
-    QueryEngine,
-    SearchCluster,
-    SearchWorkload,
-)
+from repro.apps.search import QueryEngine, SearchCluster, SearchWorkload
 from repro.core import HierarchicalNode
 from repro.net import Network
 from repro.net.builders import build_switched_cluster

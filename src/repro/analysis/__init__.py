@@ -8,7 +8,7 @@ CPU/bandwidth overhead model of the all-to-all scheme.
 """
 
 from repro.analysis.models import (
-    AnalysisParams,
+    HOP_LATENCY,
     SchemeModel,
     AllToAllModel,
     GossipModel,
@@ -18,7 +18,7 @@ from repro.analysis.models import (
 from repro.analysis.cpumodel import AllToAllOverheadModel
 
 __all__ = [
-    "AnalysisParams",
+    "HOP_LATENCY",
     "SchemeModel",
     "AllToAllModel",
     "GossipModel",

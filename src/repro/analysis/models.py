@@ -30,16 +30,13 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, Optional, Type
+from typing import Dict, Optional, Type
 
 from repro.detect.bounds import detection_bound
-
-if TYPE_CHECKING:
-    from repro.protocols.base import ProtocolConfig
+from repro.protocols.base import ProtocolConfig
 
 __all__ = [
-    "AnalysisParams",
+    "HOP_LATENCY",
     "SchemeModel",
     "AllToAllModel",
     "GossipModel",
@@ -47,52 +44,27 @@ __all__ = [
     "MODELS",
 ]
 
-
-@dataclass(frozen=True)
-class AnalysisParams:
-    """Symbols of the Section 4 analysis.
-
-    Defaults are the evaluation's settings: s = 228 bytes, one packet per
-    second, k = 5 missed heartbeats, groups of g = 20 nodes, 0.1 % gossip
-    mistake probability, and a sub-millisecond in-cluster hop time.
-    """
-
-    member_size: int = 228  # s
-    freq: float = 1.0  # heartbeats / second
-    max_loss: int = 5  # k
-    group_size: int = 20  # g
-    gossip_fanout: int = 1
-    gossip_mistake_prob: float = 0.001
-    hop_latency: float = 0.001  # update transmission time per tree hop
-    #: failure-detection strategy whose advertised bound the models quote
-    #: (:mod:`repro.detect.bounds`); the default reproduces the paper.
-    detector: str = "counter"
-    phi_threshold: float = 8.0
-    suspicion_timeout: float = 2.0
-    probe_timeout: float = 0.5
-    probe_period: Optional[float] = None  # None: the heartbeat period
-    indirect_probes: int = 3
-
-    @classmethod
-    def from_config(cls, config: "ProtocolConfig", *, group_size: int) -> "AnalysisParams":
-        """The analysis symbols of a protocol config.
-
-        Every field the two dataclasses share by name is read off
-        ``config``; ``freq`` is the reciprocal of its heartbeat period.
-        """
-        shared = {
-            f.name: getattr(config, f.name) for f in fields(cls) if hasattr(config, f.name)
-        }
-        return cls(**shared, freq=1.0 / config.heartbeat_period, group_size=group_size)
+#: Update transmission time per tree hop: a sub-millisecond in-cluster hop.
+HOP_LATENCY = 0.001
 
 
 class SchemeModel(ABC):
-    """Closed-form model of one scheme at cluster size *n*."""
+    """Closed-form model of one scheme at cluster size *n*.
+
+    The Section 4 symbols come from ``config`` — s is ``member_size``,
+    k is ``max_loss``, f is ``1 / heartbeat_period`` — plus the group
+    size g.  The defaults are the evaluation's settings: s = 228 bytes,
+    one packet per second, k = 5 missed heartbeats, groups of g = 20
+    nodes and a 0.1 % gossip mistake probability.
+    """
 
     name: str
 
-    def __init__(self, params: AnalysisParams | None = None) -> None:
-        self.params = params if params is not None else AnalysisParams()
+    def __init__(self, config: Optional[ProtocolConfig] = None, group_size: int = 20) -> None:
+        self.config = config if config is not None else ProtocolConfig()
+        self.group_size = group_size
+        #: f, heartbeats per second
+        self.freq = 1.0 / self.config.heartbeat_period
 
     # ------------------------------------------------------------------
     @abstractmethod
@@ -102,25 +74,11 @@ class SchemeModel(ABC):
     def detection_time(self, n: int) -> float:
         """Seconds from a failure to its first detection.
 
-        One implementation for every scheme, routed through the active
-        detector's advertised bound (:func:`repro.detect.bounds.
-        detection_bound`) — the pre-refactor per-scheme formulas are the
-        ``counter`` branches of that function, so default-parameter
-        numbers are unchanged.
+        One implementation for every scheme: the configured detector's
+        advertised bound (:func:`repro.detect.bounds.detection_bound`),
+        whose ``counter`` branches are the paper's per-scheme formulas.
         """
-        p = self.params
-        return detection_bound(
-            p.detector,
-            period=1.0 / p.freq,
-            max_loss=p.max_loss,
-            n=n,
-            scheme=self.name,
-            phi_threshold=p.phi_threshold,
-            suspicion_timeout=p.suspicion_timeout,
-            probe_timeout=p.probe_timeout,
-            probe_period=p.probe_period,
-            gossip_mistake_prob=p.gossip_mistake_prob,
-        )
+        return detection_bound(self.config, n, self.name)
 
     def convergence_time(self, n: int) -> float:
         """Seconds until every node's view reflects the failure.
@@ -149,8 +107,7 @@ class AllToAllModel(SchemeModel):
     name = "all-to-all"
 
     def aggregate_bandwidth(self, n: int) -> float:
-        p = self.params
-        return p.freq * n * (n - 1) * p.member_size
+        return self.freq * n * (n - 1) * self.config.member_size
 
 
 class GossipModel(SchemeModel):
@@ -159,14 +116,13 @@ class GossipModel(SchemeModel):
     name = "gossip"
 
     def aggregate_bandwidth(self, n: int) -> float:
-        p = self.params
-        return p.freq * p.gossip_fanout * n * (n * p.member_size)
+        c = self.config
+        return self.freq * c.gossip_fanout * n * (n * c.member_size)
 
     def convergence_time(self, n: int) -> float:
         # Every node times the failure out independently, offset by the
         # epidemic spread (~log2 n rounds) of the last counter increments.
-        p = self.params
-        return self.detection_time(n) + 0.5 * math.log2(max(n, 2)) / p.freq
+        return self.detection_time(n) + 0.5 * math.log2(max(n, 2)) / self.freq
 
 
 class HierarchicalModel(SchemeModel):
@@ -175,28 +131,27 @@ class HierarchicalModel(SchemeModel):
     name = "hierarchical"
 
     def num_groups(self, n: int) -> float:
-        g = self.params.group_size
+        g = self.group_size
         if n <= g:
             return 1.0
         return (n - 1) / (g - 1)
 
     def tree_height(self, n: int) -> int:
-        g = self.params.group_size
+        g = self.group_size
         return max(1, math.ceil(math.log(max(n, 2), g)))
 
     def aggregate_bandwidth(self, n: int) -> float:
         # Each group of (at most) g members exchanges g(g-1) heartbeats of
         # s bytes per cycle: O(s f g n) in total.
-        p = self.params
-        g = min(p.group_size, n)
-        return p.freq * self.num_groups(n) * g * (g - 1) * p.member_size
+        g = min(self.group_size, n)
+        return self.freq * self.num_groups(n) * g * (g - 1) * self.config.member_size
 
     def convergence_time(self, n: int) -> float:
         # Detection plus the update's trip up to the root and down every
         # subtree: 2 x (height - 1) hops; a single-group cluster (height 1)
         # needs no propagation at all, every member detects directly.
         hops = 2 * (self.tree_height(n) - 1)
-        return self.detection_time(n) + hops * self.params.hop_latency
+        return self.detection_time(n) + hops * HOP_LATENCY
 
 
 MODELS: Dict[str, Type[SchemeModel]] = {

@@ -30,12 +30,16 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
+from repro.detect.bounds import detection_bound
 from repro.net.network import Network
 from repro.net.topology import UNREACHABLE
 from repro.protocols.base import MembershipNode
 from repro.sim.trace import TraceRecord
 
-__all__ = ["InvariantChecker", "Violation", "false_failure_bound"]
+__all__ = ["CHECK_PERIOD", "InvariantChecker", "Violation", "false_failure_bound"]
+
+#: Seconds of virtual time between two checking passes.
+CHECK_PERIOD = 2.0
 
 #: Per-detector false-failure budgets (scenario-long counts).  The
 #: counter and SWIM strategies declare on hard evidence (k missed
@@ -138,7 +142,7 @@ class InvariantChecker:
                     + cfg.level_timeout(cfg.max_level)
                     + 2 * cfg.heartbeat_period,
                 )
-            bound = node.detector.detection_bound(n=n, scheme=node.scheme)
+            bound = detection_bound(cfg, n, node.scheme)
             grace = max(grace, 2.0 * bound + 2.0 * cfg.heartbeat_period)
             break  # deployments are homogeneous; the first node suffices
         return grace
@@ -146,7 +150,7 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
-    def start(self, period: float = 2.0) -> None:
+    def start(self, period: float = CHECK_PERIOD) -> None:
         """Run :meth:`tick` every ``period`` seconds of virtual time."""
         self._observe_lifecycles()
         self._timer = self.network.sim.call_every(period, self.tick)

@@ -10,13 +10,13 @@ directionally degraded inter-network link) with one mid-run crash.
 Per pair the lab measures the empirical detection/convergence times and
 steady-state aggregate bandwidth, multiplies them into empirical BDT/BCT,
 and sets them next to the closed-form numbers from
-:mod:`repro.analysis.models` (which route through the same
-:func:`repro.detect.bounds.detection_bound` the detectors advertise).
+:mod:`repro.analysis.models` (which quote the same
+:func:`repro.detect.bounds.detection_bound` the gate is set from).
 Every run is watched by the
-:class:`~repro.chaos.invariants.InvariantChecker` with the per-detector
-false-failure budget; a pair is ``ok`` only when every invariant held and
-the failure was detected within twice its advertised bound (plus slack
-for trace granularity).
+:class:`~repro.chaos.invariants.InvariantChecker`, which derives the
+per-detector false-failure budget from the pair's config; a pair is
+``ok`` only when every invariant held and the failure was detected
+within twice its advertised bound (plus slack for trace granularity).
 
 ``tests/detect/test_chaos_bounds.py`` runs a small instance of the matrix
 as the tier-1 (and CI) gate.
@@ -24,22 +24,29 @@ as the tier-1 (and CI) gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.analysis.models import MODELS, AnalysisParams
-from repro.chaos.invariants import InvariantChecker, false_failure_bound
+from repro.analysis.models import MODELS
+from repro.chaos.invariants import InvariantChecker
+from repro.chaos.runner import LOSS_RATE
 from repro.core.config import HierarchicalConfig
-from repro.detect.bounds import config_detection_bound
+from repro.detect import DETECTORS
+from repro.detect.bounds import detection_bound
 from repro.metrics.collectors import (
     bandwidth_stats,
     convergence_time,
     detection_time,
 )
 from repro.metrics.experiment import make_scheme_cluster
+from repro.net.faults import DEGRADED_LINK
 from repro.protocols.base import ProtocolConfig
 
 __all__ = ["DetectorMatrixLab", "DetectorPairResult"]
+
+#: The matrix's schemes, in the order :meth:`DetectorMatrixLab.run` runs
+#: them (its detectors are every registered strategy, in registry order).
+MATRIX_SCHEMES = ("hierarchical", "all-to-all", "gossip")
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,10 @@ class DetectorMatrixLab:
     """Run the full detector x scheme matrix on one chaos fabric.
 
     The fabric reuses the canonical chaos scenario's shape: ``networks``
-    switched networks of ``hosts_per_network`` hosts, base ``loss_rate``
-    everywhere, and a directionally degraded link between networks 1 and
-    2 for ``chaos_len`` seconds starting at ``warmup``.  The victim is an
+    switched networks of ``hosts_per_network`` hosts, the scenario's base
+    loss (:data:`repro.chaos.runner.LOSS_RATE`) everywhere, and
+    :data:`~repro.net.faults.DEGRADED_LINK` from network 1 to network 2
+    for ``chaos_len`` seconds starting at ``warmup``.  The victim is an
     ordinary node of network 0 — its detection is measured clean while
     the invariant checker hunts false positives in the degraded corner.
     """
@@ -86,44 +94,26 @@ class DetectorMatrixLab:
     networks: int = 3
     hosts_per_network: int = 8
     seed: int = 7
-    loss_rate: float = 0.02
     warmup: float = 20.0
     bandwidth_window: float = 10.0
     observe: float = 45.0
     chaos_len: float = 20.0
-    directional_loss: float = 0.2
-    jitter: float = 0.05
-    reorder: float = 0.3
-    reorder_window: float = 0.2
-    duplicate: float = 0.1
-    dup_lag: float = 0.05
-    check_period: float = 2.0
-    detectors: Sequence[str] = ("counter", "swim", "phi-accrual")
-    schemes: Sequence[str] = ("hierarchical", "all-to-all", "gossip")
-    #: extra detector knobs applied to every pair's config
-    config_overrides: Dict[str, object] = field(default_factory=dict)
-
-    # ------------------------------------------------------------------
-    def _make_config(self, detector: str, scheme: str) -> ProtocolConfig:
-        kwargs: Dict[str, object] = {"detector": detector, **self.config_overrides}
-        if scheme == "hierarchical":
-            return HierarchicalConfig(**kwargs)  # type: ignore[arg-type]
-        return ProtocolConfig(**kwargs)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     def run_pair(self, detector: str, scheme: str) -> DetectorPairResult:
         """One seeded chaos run of ``scheme`` under ``detector``."""
-        config = self._make_config(detector, scheme)
+        config_cls = HierarchicalConfig if scheme == "hierarchical" else ProtocolConfig
+        config = config_cls(detector=detector)
         net, hosts, nodes = make_scheme_cluster(
             scheme,
             self.networks,
             self.hosts_per_network,
             seed=self.seed,
-            loss_rate=self.loss_rate,
+            loss_rate=LOSS_RATE,
             config=config,
         )
         n = len(hosts)
-        bound = config_detection_bound(config, n, scheme)
+        bound = detection_bound(config, n, scheme)
         # Twice the advertised bound plus trace-granularity slack: loss
         # can eat the first declaration-enabling observation, adaptive
         # detectors stretch with the observed cadence under chaos.
@@ -131,10 +121,8 @@ class DetectorMatrixLab:
         # Slow bounds need a longer watch than the default window.
         observe = max(self.observe, gate + 10.0)
 
-        checker = InvariantChecker(
-            net, nodes, max_false_failures=false_failure_bound(detector)
-        )
-        checker.start(self.check_period)
+        checker = InvariantChecker(net, nodes)
+        checker.start()
 
         m = self.hosts_per_network
         groups = [hosts[i * m : (i + 1) * m] for i in range(self.networks)]
@@ -142,15 +130,10 @@ class DetectorMatrixLab:
             net.ensure_fault_plan().add(
                 src=groups[1],
                 dst=groups[2],
-                loss=self.directional_loss,
-                jitter=self.jitter,
-                reorder=self.reorder,
-                reorder_window=self.reorder_window,
-                duplicate=self.duplicate,
-                dup_lag=self.dup_lag,
                 start=self.warmup,
                 until=self.warmup + self.chaos_len,
                 label="degraded:n1->n2",
+                **DEGRADED_LINK,
             )
 
         net.run(until=self.warmup)
@@ -174,9 +157,7 @@ class DetectorMatrixLab:
             net.trace, victim, kill_time, expected_observers=survivors
         )
 
-        model = MODELS[scheme](
-            AnalysisParams.from_config(config, group_size=self.hosts_per_network)
-        )
+        model = MODELS[scheme](config, group_size=self.hosts_per_network)
         bw = stats.aggregate_rate
         detected_in_time = detection is not None and detection <= gate
         ok = checker.ok and detected_in_time and convergence is not None
@@ -204,6 +185,6 @@ class DetectorMatrixLab:
         """The full matrix, detectors outer, schemes inner."""
         return [
             self.run_pair(detector, scheme)
-            for detector in self.detectors
-            for scheme in self.schemes
+            for detector in DETECTORS
+            for scheme in MATRIX_SCHEMES
         ]

@@ -28,7 +28,7 @@ sweeps five seeds as the tier-1 (and CI) gate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.invariants import InvariantChecker, Violation
@@ -39,10 +39,14 @@ from repro.metrics.collectors import (
     view_change_curve,
 )
 from repro.metrics.experiment import make_scheme_cluster
+from repro.net.faults import DEGRADED_LINK
 from repro.obs.registry import MetricsRegistry
 from repro.obs.wiring import enable_observability
 
-__all__ = ["ChaosScenario", "ChaosResult"]
+__all__ = ["LOSS_RATE", "ChaosScenario", "ChaosResult"]
+
+#: Base packet loss on every delivery of a chaos run (Fig. 12's regime).
+LOSS_RATE = 0.02
 
 
 @dataclass(frozen=True)
@@ -74,25 +78,20 @@ class ChaosResult:
 
 @dataclass
 class ChaosScenario:
-    """Seeded asymmetric-partition + lossy-link + crash/recover scenario."""
+    """Seeded asymmetric-partition + lossy-link + crash/recover scenario.
+
+    The run starts at t=0 and the faults strike at ``chaos_start``; base
+    loss is :data:`LOSS_RATE`, the degraded link is
+    :data:`~repro.net.faults.DEGRADED_LINK`, and the invariant checker
+    derives its false-failure budget from the deployment's detector.
+    """
 
     seed: int = 7
     networks: int = 3
     hosts_per_network: int = 8
-    loss_rate: float = 0.02
-    warmup: float = 20.0
     chaos_start: float = 25.0
     chaos_end: float = 45.0
     quiesce: float = 35.0
-    #: directional loss on the network-1 -> network-2 link during chaos
-    directional_loss: float = 0.2
-    jitter: float = 0.05
-    reorder: float = 0.3
-    reorder_window: float = 0.2
-    duplicate: float = 0.1
-    dup_lag: float = 0.05
-    check_period: float = 2.0
-    max_false_failures: int = 10
     #: Optional metrics registry: when set, the run is fully instrumented
     #: (protocol counters live, scenario outcomes recorded at the end).
     registry: Optional[MetricsRegistry] = None
@@ -103,7 +102,7 @@ class ChaosScenario:
             self.networks,
             self.hosts_per_network,
             seed=self.seed,
-            loss_rate=self.loss_rate,
+            loss_rate=LOSS_RATE,
         )
         obs = None
         if self.registry is not None:
@@ -114,10 +113,8 @@ class ChaosScenario:
         sched = FailureSchedule(net)
         for host in hosts:
             sched.register_stack(host, nodes[host])
-        checker = InvariantChecker(
-            net, nodes, max_false_failures=self.max_false_failures
-        )
-        checker.start(self.check_period)
+        checker = InvariantChecker(net, nodes)
+        checker.start()
 
         # Asymmetric partition: network 0 goes mute, but still hears.
         rest = [h for g in groups[1:] for h in g]
@@ -129,15 +126,10 @@ class ChaosScenario:
         net.ensure_fault_plan().add(
             src=groups[1],
             dst=groups[2 % self.networks],
-            loss=self.directional_loss,
-            jitter=self.jitter,
-            reorder=self.reorder,
-            reorder_window=self.reorder_window,
-            duplicate=self.duplicate,
-            dup_lag=self.dup_lag,
             start=self.chaos_start,
             until=self.chaos_end,
             label="degraded:n1->n2",
+            **DEGRADED_LINK,
         )
         # The Fig. 13/14 event, mid-chaos: kill an ordinary node of the
         # degraded network, recover it after the faults lapse.

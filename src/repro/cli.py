@@ -60,8 +60,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         args.hosts,
         seed=args.seed,
         warmup=25.0,
+        bandwidth_window=0.0,
         observe=args.observe,
-        measure_bandwidth=False,
         kill_leader=args.kill_leader,
     ).run()
     print(f"scheme      : {res.scheme}")

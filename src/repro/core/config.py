@@ -42,6 +42,19 @@ __all__ = [
     "render_config_text",
 ]
 
+#: Per-level growth of the declaration timeout: higher-level groups use
+#: larger timeouts so a lower-level re-election wins the race against the
+#: higher-level purge (Section 3.1.2, Timeout Protocol).
+LEVEL_TIMEOUT_SLOPE = 0.5
+#: Backstop lifetime of relayed entries, as a multiple of ``fail_timeout``;
+#: explicit remove-updates are the fast path.
+RELAYED_TIMEOUT_FACTOR = 4.0
+#: How long (in multiples of ``fail_timeout``) a death certificate blocks
+#: re-adding the same incarnation of a removed node; long enough for the
+#: removal to converge cluster-wide, short enough not to delay partition
+#: healing.
+TOMBSTONE_QUARANTINE_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class HierarchicalConfig(ProtocolConfig):
@@ -65,22 +78,10 @@ class HierarchicalConfig(ProtocolConfig):
     ``piggyback_depth``
         Each update message carries this many previous updates so the
         receiver tolerates that many consecutive losses (paper: 3).
-    ``level_timeout_slope``
-        Per-level growth of the declaration timeout: higher-level groups
-        use larger timeouts so a lower-level re-election wins the race
-        against the higher-level purge (Section 3.1.2, Timeout Protocol).
     ``election_delay``
         How long a node waits hearing no leader before contending.
-    ``relayed_timeout_factor``
-        Backstop lifetime of relayed entries, as a multiple of
-        ``fail_timeout``; explicit remove-updates are the fast path.
     ``min_sync_interval``
         Rate limit for bootstrap/poll full-directory exchanges per peer.
-    ``tombstone_quarantine_factor``
-        How long (in multiples of ``fail_timeout``) a death certificate
-        blocks re-adding the same incarnation of a removed node; long
-        enough for the removal to converge cluster-wide, short enough not
-        to delay partition healing.
     ``shm_key``
         Key of the shared-memory yellow page (used by the MClient API to
         find the daemon's directory, as in Fig. 9).
@@ -90,11 +91,8 @@ class HierarchicalConfig(ProtocolConfig):
     channel_overrides: Tuple[Tuple[int, str], ...] = ()
     max_ttl: int = 4
     piggyback_depth: int = 3
-    level_timeout_slope: float = 0.5
     election_delay: float = 2.5
-    relayed_timeout_factor: float = 4.0
     min_sync_interval: float = 2.0
-    tombstone_quarantine_factor: float = 2.0
     shm_key: int = 999
 
     # ------------------------------------------------------------------
@@ -131,17 +129,17 @@ class HierarchicalConfig(ProtocolConfig):
         Grows with the level so a leader re-election at level *l* finishes
         before the level *l+1* group purges the subtree.
         """
-        return self.fail_timeout * (1.0 + self.level_timeout_slope * level)
+        return self.fail_timeout * (1.0 + LEVEL_TIMEOUT_SLOPE * level)
 
     @property
     def relayed_timeout(self) -> float:
         """Backstop lifetime of relayed (vouched-for) entries."""
-        return self.fail_timeout * self.relayed_timeout_factor
+        return self.fail_timeout * RELAYED_TIMEOUT_FACTOR
 
     @property
     def tombstone_quarantine(self) -> float:
         """How long a death certificate blocks same-incarnation re-adds."""
-        return self.fail_timeout * self.tombstone_quarantine_factor
+        return self.fail_timeout * TOMBSTONE_QUARANTINE_FACTOR
 
 
 class Knob(NamedTuple):

@@ -8,8 +8,8 @@ tooling (CLI, examples, tests); protocol code never needs a global view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Mapping
 
 from repro.core.node import HierarchicalNode
 

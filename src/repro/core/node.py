@@ -127,7 +127,7 @@ class HierarchicalNode(MembershipNode):
         from repro.detect import UnicastProber
 
         self.detector.attach(
-            prober=UnicastProber(self.runtime, HMEMBER_PORT, self.config.header_size),
+            prober=UnicastProber(self.runtime, HMEMBER_PORT),
             members=self._probe_candidates,
         )
 

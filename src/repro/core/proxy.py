@@ -37,7 +37,7 @@ from repro.core.election import Decision, decide
 from repro.core.groups import GroupState
 from repro.core.heartbeat import Heartbeat
 from repro.core.node import HierarchicalNode
-from repro.runtime import Event, NodeRuntime
+from repro.runtime import HEADER_SIZE, Event, NodeRuntime
 
 if TYPE_CHECKING:
     from repro.net.packet import Packet
@@ -51,7 +51,6 @@ CHANNEL_PREFIX = "proxy"
 #: broken into multiple heartbeat packets."
 MAX_ENTRIES_PER_PACKET = 64
 ENTRY_SIZE = 48  # service name + partition bitmap, bytes
-HEADER_SIZE = 28
 #: Seconds a leader waits for the remote data center to answer a forward.
 FORWARD_TIMEOUT = 1.0
 #: Seconds a consumer waits for the proxy to answer a forwarded request.

@@ -68,7 +68,7 @@ class Informer:
             ttl=ctx.config.ttl_for_level(level),
             kind="update",
             payload=msg,
-            size=ctx.updates.last_size(ctx.config.member_size, ctx.config.header_size),
+            size=ctx.updates.last_size(ctx.config.member_size),
         )
 
     def on_update(self, msg: "UpdateMessage", level: int) -> None:

@@ -241,6 +241,4 @@ class Receiver:
         else:
             # Probe traffic (active detectors) rides the same unicast port
             # so the scheme needs no extra bind; zero traffic otherwise.
-            handle_probe_packet(
-                ctx.runtime, ctx.detector, packet, HMEMBER_PORT, ctx.config.header_size
-            )
+            handle_probe_packet(ctx.runtime, ctx.detector, packet, HMEMBER_PORT)

@@ -16,7 +16,7 @@ like real shared memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.directory import Directory
 from repro.cluster.machine import MachineInfo

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.directory import NodeRecord
+from repro.runtime import HEADER_SIZE
 
 __all__ = ["UpdateOp", "UpdateMessage", "UpdateManager", "RecvOutcome"]
 
@@ -86,14 +87,14 @@ class UpdateMessage:
     ops: Tuple[UpdateOp, ...]
     piggyback: Tuple[_PiggyEntry, ...] = ()
 
-    def size(self, member_size: int, header_size: int) -> int:
+    def size(self, member_size: int) -> int:
         """Wire size: the header plus every op, piggybacked ones included.
 
         The send path prices a message it built through
         :meth:`UpdateManager.last_size` instead, which gives the same
         number without walking the ops.
         """
-        total = header_size + sum(op.size(member_size) for op in self.ops)
+        total = HEADER_SIZE + sum(op.size(member_size) for op in self.ops)
         for _seq, _uid, _origin, ops in self.piggyback:
             total += sum(op.size(member_size) for op in ops)
         return total
@@ -236,7 +237,7 @@ class UpdateManager:
         self.mark_seen(msg_origin, msg_uid)
         return msg
 
-    def last_size(self, member_size: int, header_size: int) -> int:
+    def last_size(self, member_size: int) -> int:
         """Wire size of the message :meth:`build` returned last.
 
         Equals that message's :meth:`UpdateMessage.size`; priced from
@@ -244,7 +245,7 @@ class UpdateManager:
         right.
         """
         adds, others = self._built_counts
-        return header_size + adds * member_size + others * REMOVE_OP_SIZE
+        return HEADER_SIZE + adds * member_size + others * REMOVE_OP_SIZE
 
     def mark_seen(self, origin: str, uid: int) -> None:
         seen = self._seen_uids

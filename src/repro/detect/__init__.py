@@ -33,7 +33,7 @@ from repro.detect.base import (
     UnicastProber,
     handle_probe_packet,
 )
-from repro.detect.bounds import config_detection_bound, detection_bound
+from repro.detect.bounds import detection_bound
 from repro.detect.counter import CounterDetector
 from repro.detect.phi import PhiAccrualDetector
 from repro.detect.swim import SwimDetector
@@ -52,7 +52,6 @@ __all__ = [
     "PhiAccrualDetector",
     "make_detector",
     "detection_bound",
-    "config_detection_bound",
     "handle_probe_packet",
 ]
 

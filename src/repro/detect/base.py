@@ -45,6 +45,8 @@ from typing import (
     Union,
 )
 
+from repro.runtime.ports import HEADER_SIZE
+
 if TYPE_CHECKING:
     from repro.cluster.directory import Directory
     from repro.core.groups import GroupState, PeerState
@@ -56,6 +58,10 @@ __all__ = ["Scope", "Prober", "FailureDetector", "UnicastProber", "handle_probe_
 
 #: Observation/query scope: a channel level (hierarchical) or a scheme tag.
 Scope = Union[int, str]
+
+#: Wire sizes of a (direct, relayed or indirect) probe and of its ack.
+PROBE_SIZE = HEADER_SIZE + 16
+ACK_SIZE = HEADER_SIZE + 8
 
 
 class Prober(Protocol):
@@ -199,20 +205,6 @@ class FailureDetector(ABC):
             self.forget(nid, scope)
         return dead
 
-    # ------------------------------------------------------------------
-    # Advertised bound
-    # ------------------------------------------------------------------
-    def detection_bound(self, n: int = 2, scheme: str = "hierarchical") -> float:
-        """Advertised worst-typical seconds from failure to declaration.
-
-        Routed through :func:`repro.detect.bounds.detection_bound` so the
-        analysis models, ``ProtocolConfig.detection_time`` and the lab
-        all quote the same formula per strategy.
-        """
-        from repro.detect.bounds import config_detection_bound
-
-        return config_detection_bound(self.config, n=n, scheme=scheme)
-
 
 class UnicastProber:
     """The standard :class:`Prober`: probe datagrams on a unicast port.
@@ -229,18 +221,16 @@ class UnicastProber:
     =============  =====================================================
     """
 
-    def __init__(self, runtime: "NodeRuntime", port: str, header_size: int) -> None:
+    def __init__(self, runtime: "NodeRuntime", port: str) -> None:
         self.runtime = runtime
         self.port = port
-        self.probe_size = header_size + 16
-        self.ack_size = header_size + 8
 
     def ping(self, target: str) -> bool:
         return self.runtime.send(
             target,
             kind="probe",
             payload={"origin": self.runtime.node_id},
-            size=self.probe_size,
+            size=PROBE_SIZE,
             port=self.port,
         )
 
@@ -249,7 +239,7 @@ class UnicastProber:
             relay,
             kind="probe-req",
             payload={"target": target, "origin": self.runtime.node_id},
-            size=self.probe_size,
+            size=PROBE_SIZE,
             port=self.port,
         )
 
@@ -259,7 +249,6 @@ def handle_probe_packet(
     detector: FailureDetector,
     packet: "Packet",
     port: str,
-    header_size: int,
 ) -> bool:
     """Serve the probe wire protocol; True when the packet was consumed.
 
@@ -277,7 +266,7 @@ def handle_probe_packet(
             str(origin),
             kind="probe-ack",
             payload={},
-            size=header_size + 8,
+            size=ACK_SIZE,
             port=port,
         )
         return True
@@ -288,7 +277,7 @@ def handle_probe_packet(
                 str(payload["target"]),
                 kind="probe",
                 payload={"origin": payload.get("origin", packet.src)},
-                size=header_size + 16,
+                size=PROBE_SIZE,
                 port=port,
             )
         return True

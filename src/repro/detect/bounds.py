@@ -3,17 +3,19 @@
 The paper's Section 4 analysis multiplies bandwidth by *detection time*;
 with the detector now pluggable, that time depends on the strategy, not
 just ``max_loss``.  Everything that quotes a detection time — the
-closed-form models in :mod:`repro.analysis.models`,
-``ProtocolConfig.detection_time``, the chaos lab's per-pair gates —
-routes through :func:`detection_bound` so the plots, the JSON artifacts
-and the CI checks can never disagree about what a strategy promises.
+closed-form models in :mod:`repro.analysis.models`, the chaos lab's
+per-pair gates, the invariant checker's resurrection grace and the
+gossip scheme's dead-list lifetime — calls :func:`detection_bound` with
+a :class:`~repro.protocols.base.ProtocolConfig`, so the plots, the JSON
+artifacts and the CI checks can never disagree about what a strategy
+promises, and no knob is typed out a second time.
 
 Formulas (worst-typical seconds from failure to first declaration):
 
 ``counter``
-    ``max_loss / freq`` — the paper's constant bound; for the gossip
-    scheme the counter deadline is the van Renesse ``t_fail`` and grows
-    as ``O(log n)`` (:func:`repro.protocols.gossip.gossip_fail_time`).
+    ``max_loss × heartbeat_period`` — the paper's constant bound; for
+    the gossip scheme the counter deadline is the van Renesse ``t_fail``
+    and grows as ``O(log n)`` (:func:`repro.protocols.gossip.gossip_fail_time`).
 ``swim``
     expected wait until some member's next probe round picks the dead
     node (``probe_period / (1 - e^-1)`` with every member probing one
@@ -28,12 +30,12 @@ Formulas (worst-typical seconds from failure to first declaration):
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.protocols.base import ProtocolConfig
 
-__all__ = ["detection_bound", "config_detection_bound"]
+__all__ = ["detection_bound"]
 
 #: 1 - e^-1: per-round probability a given peer is probed by at least one
 #: of n-1 members each probing one uniform target, in the large-n limit.
@@ -47,32 +49,28 @@ _GOSSIP_ARRIVAL_DISPERSION = 2.0
 
 
 def detection_bound(
-    detector: str,
-    *,
-    period: float,
-    max_loss: int,
-    n: int = 2,
-    scheme: str = "hierarchical",
-    phi_threshold: float = 8.0,
-    suspicion_timeout: float = 2.0,
-    probe_timeout: float = 0.5,
-    probe_period: Optional[float] = None,
-    gossip_mistake_prob: float = 0.001,
+    config: "ProtocolConfig", n: int = 2, scheme: str = "hierarchical"
 ) -> float:
-    """Advertised detection bound of ``detector`` at cluster size ``n``.
+    """Advertised detection bound of ``config.detector`` at cluster size ``n``.
 
-    ``scheme`` only matters for the counter strategy, whose deadline under
-    gossip is the log-growing ``t_fail`` rather than ``max_loss × period``.
+    Every knob is read off ``config``.  ``scheme`` only matters for the
+    counter strategy, whose deadline under gossip is the log-growing
+    ``t_fail`` rather than ``max_loss × heartbeat_period``.
     """
+    detector = config.detector
+    period = config.heartbeat_period
     if detector == "counter":
         if scheme == "gossip":
             from repro.protocols.gossip import gossip_fail_time
 
-            return gossip_fail_time(n, period, gossip_mistake_prob)
-        return max_loss * period
+            return gossip_fail_time(n, period, config.gossip_mistake_prob)
+        return config.max_loss * period
     if detector == "swim":
-        pp = probe_period if probe_period is not None else period
-        return pp / _PICK_PROB + 2.0 * probe_timeout + suspicion_timeout
+        return (
+            config.probe_period / _PICK_PROB
+            + 2.0 * config.probe_timeout
+            + config.suspicion_timeout
+        )
     if detector == "phi-accrual":
         if scheme == "gossip":
             # Gossip feeds φ with merged counter-increase arrivals, not
@@ -80,24 +78,6 @@ def detection_bound(
             # (a merge can jump a counter by several steps but counts as
             # one observation), roughly doubling the effective mean
             # inter-arrival the window learns.
-            return phi_threshold * LN10 * period * _GOSSIP_ARRIVAL_DISPERSION
-        return phi_threshold * LN10 * period
+            return config.phi_threshold * LN10 * period * _GOSSIP_ARRIVAL_DISPERSION
+        return config.phi_threshold * LN10 * period
     raise ValueError(f"unknown detector {detector!r}")
-
-
-def config_detection_bound(
-    config: "ProtocolConfig", n: int = 2, scheme: str = "hierarchical"
-) -> float:
-    """:func:`detection_bound` with every knob read off a protocol config."""
-    return detection_bound(
-        config.detector,
-        period=config.heartbeat_period,
-        max_loss=config.max_loss,
-        n=n,
-        scheme=scheme,
-        phi_threshold=config.phi_threshold,
-        suspicion_timeout=config.suspicion_timeout,
-        probe_timeout=config.probe_timeout,
-        probe_period=config.probe_period,
-        gossip_mistake_prob=config.gossip_mistake_prob,
-    )

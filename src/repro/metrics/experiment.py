@@ -9,7 +9,7 @@ convergence times from the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
 from repro.core.config import HierarchicalConfig
@@ -82,19 +82,18 @@ class FailureExperiment:
     """One run: warm up, (measure bandwidth), kill a node, observe.
 
     Parameters mirror Section 6.2: 1 Hz heartbeats, MAX_LOSS 5, 228-byte
-    member descriptions, 20 nodes per network.
+    member descriptions, 20 nodes per network, no packet loss.  A
+    ``bandwidth_window`` of 0 skips the bandwidth measurement.
     """
 
     scheme: str
     networks: int
     hosts_per_network: int
     seed: int = 0
-    loss_rate: float = 0.0
     warmup: float = 20.0
     bandwidth_window: float = 10.0
     observe: float = 40.0
     config: Optional[ProtocolConfig] = None
-    measure_bandwidth: bool = True
     kill_leader: bool = False
 
     def run(self) -> FailureResult:
@@ -103,12 +102,11 @@ class FailureExperiment:
             self.networks,
             self.hosts_per_network,
             seed=self.seed,
-            loss_rate=self.loss_rate,
             config=self.config,
         )
         net.run(until=self.warmup)
         stats: Optional[BandwidthStats] = None
-        if self.measure_bandwidth:
+        if self.bandwidth_window:
             net.meter.reset()
             net.run(until=net.now + self.bandwidth_window)
             stats = bandwidth_stats(net.meter, self.bandwidth_window, len(hosts))

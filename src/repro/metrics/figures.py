@@ -20,16 +20,19 @@ import dataclasses
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Sequence
 
-from repro.analysis import MODELS, AllToAllOverheadModel, AnalysisParams, HierarchicalModel
+from repro.analysis import HOP_LATENCY, MODELS, AllToAllOverheadModel, HierarchicalModel
 from repro.apps import SearchDeployment
 from repro.chaos import ChaosScenario
+from repro.chaos.invariants import CHECK_PERIOD, false_failure_bound
+from repro.chaos.runner import LOSS_RATE
 from repro.cluster.gateway import Gateway
 from repro.core import HierarchicalConfig, HierarchicalNode
 from repro.metrics.collectors import BandwidthStats, accuracy_timeseries
 from repro.metrics.experiment import SCHEMES, FailureExperiment, make_scheme_cluster
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
-from repro.protocols import deploy
+from repro.net.faults import DEGRADED_LINK
+from repro.protocols import ProtocolConfig, deploy
 from repro.runtime import SimRuntime
 
 __all__ = ["CHAOS_SEEDS", "FIGURES", "render", "render_table"]
@@ -93,9 +96,9 @@ def _bandwidth_cell(scheme: str, networks: int) -> BandwidthStats:
 
 def sec4() -> Entry:
     """Closed-form bandwidth, detection, BDT and BCT, checked against Fig. 11's cells."""
-    sizes = [20, 64, 128, 256, 512, 1024, 2048, 4096]
-    params = AnalysisParams()
-    models = {name: MODELS[name](params) for name in SCHEME_NAMES}
+    sizes, group = [20, 64, 128, 256, 512, 1024, 2048, 4096], PER_NETWORK
+    config = ProtocolConfig()
+    models = {name: MODELS[name](config, group) for name in SCHEME_NAMES}
     bdt = [[n] + [v for m in models.values()
                   for v in (m.aggregate_bandwidth(n) / 1e6, m.detection_time(n), m.bdt(n) / 1e6)]
            for n in sizes]
@@ -107,7 +110,12 @@ def sec4() -> Entry:
             modelled = models[s].aggregate_bandwidth(n)
             validation.append([s, n, simulated / 1e3, modelled / 1e3, simulated / modelled - 1])
     return _entry(
-        {"sizes": sizes, **dataclasses.asdict(params)},
+        {"sizes": sizes, "member_size": config.member_size, "freq": 1.0 / config.heartbeat_period,
+         "max_loss": config.max_loss, "group_size": group, "gossip_fanout": config.gossip_fanout,
+         "gossip_mistake_prob": config.gossip_mistake_prob, "hop_latency": HOP_LATENCY,
+         "detector": config.detector, "phi_threshold": config.phi_threshold,
+         "suspicion_timeout": config.suspicion_timeout, "probe_timeout": config.probe_timeout,
+         "probe_period": config.probe_period},
         bdt=_table("Sec. 4: bandwidth / detection / BDT (fixed 1 Hz heartbeats)",
                    "nodes:d|" + "|".join(f"{s} MB/s:.2f|{s} det(s):.1f|{s} BDT(MB):.1f"
                                          for s in SCHEME_NAMES), bdt),
@@ -135,7 +143,7 @@ def fig11() -> Entry:
 def fig12_13() -> Entry:
     """One kill-one-node sweep: detection (earliest record) and convergence (latest)."""
     runs = {(s, k): FailureExperiment(s, k, PER_NETWORK, seed=3, warmup=25.0, observe=90.0,
-                                      measure_bandwidth=False).run()
+                                      bandwidth_window=0.0).run()
             for s in SCHEME_NAMES for k in NETWORKS}
     gap = {key: None if None in (r.detection, r.convergence) else r.convergence - r.detection
            for key, r in runs.items()}
@@ -184,7 +192,7 @@ def group_size() -> Entry:
     for networks, per in shapes:
         res = FailureExperiment("hierarchical", networks, per, seed=6, warmup=20.0,
                                 bandwidth_window=10.0, observe=40.0).run()
-        model = HierarchicalModel(AnalysisParams(group_size=per)).aggregate_bandwidth(total)
+        model = HierarchicalModel(group_size=per).aggregate_bandwidth(total)
         rows.append([per, networks, res.bandwidth.aggregate_rate / 1e3, model / 1e3,
                      res.detection, res.convergence])
     return _entry(
@@ -277,10 +285,14 @@ def chaos() -> Entry:
     runs = [ChaosScenario(seed=seed).run() for seed in CHAOS_SEEDS]
     rows = [[r.seed, r.ok, r.false_failures, r.detection, r.convergence,
              r.fault_stats.get("drops", 0)] for r in runs]
-    scenario = dataclasses.asdict(ChaosScenario())
-    del scenario["seed"], scenario["registry"]
+    s = ChaosScenario()
     return _entry(
-        {"seeds": CHAOS_SEEDS, **scenario},
+        {"seeds": CHAOS_SEEDS, "networks": s.networks, "hosts_per_network": s.hosts_per_network,
+         "loss_rate": LOSS_RATE, "chaos_start": s.chaos_start, "chaos_end": s.chaos_end,
+         "quiesce": s.quiesce, "directional_loss": DEGRADED_LINK["loss"],
+         **{k: v for k, v in DEGRADED_LINK.items() if k != "loss"},
+         "check_period": CHECK_PERIOD,
+         "max_false_failures": false_failure_bound(HierarchicalConfig().detector)},
         chaos=_table("Chaos: invariant-checked crash/recover under partition and loss",
                      "seed:d|invariants green:|false failures:d|detection (s):.2f"
                      "|convergence (s):.2f|chaos drops:d", rows))

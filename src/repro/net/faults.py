@@ -42,12 +42,26 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = ["LinkFault", "FaultPlan"]
+__all__ = ["DEGRADED_LINK", "LinkFault", "FaultPlan"]
 
 _INF = math.inf
+
+#: The chaos runs' degraded link (network 1 -> network 2): Fig. 12's loss
+#: regime plus jitter, bounded reordering and duplication.  The
+#: :class:`LinkFault` fields it sets; the caller adds the hosts and the
+#: active window.
+DEGRADED_LINK: Mapping[str, float] = MappingProxyType({
+    "loss": 0.2,
+    "jitter": 0.05,
+    "reorder": 0.3,
+    "reorder_window": 0.2,
+    "duplicate": 0.1,
+    "dup_lag": 0.05,
+})
 
 
 def _normalize_side(side) -> Optional[frozenset]:

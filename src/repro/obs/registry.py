@@ -12,8 +12,8 @@ simulator's contracts:
   creation, so a seeded run produces byte-identical exports.
 * **Hot-path cost.**  An enabled counter increment is one attribute add.
   A disabled deployment holds :data:`NULL_COUNTER`-style no-op
-  instruments (the ``Trace.enabled`` pattern), so instrumented call
-  sites cost a no-op method call and nothing else.
+  instruments, so instrumented call sites cost a no-op method call and
+  nothing else.
 * **Export order.**  Families and children export in creation order
   (insertion-ordered dicts), never sorted-by-timestamp, so exports are
   reproducible too.

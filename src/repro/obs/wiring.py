@@ -4,8 +4,7 @@ Every hot-path component (multicast fabric, unicast transport, protocol
 nodes, chaos runner) reads instruments off one shared
 :class:`Instruments` object.  By default that object is :data:`NOOP` —
 every attribute a module-level no-op singleton — so an uninstrumented
-run pays one no-op method call per counted event and nothing else (the
-``Trace.enabled`` pattern, applied to metrics).
+run pays one no-op method call per counted event and nothing else.
 
 :func:`enable_observability` swaps the no-ops for real instruments
 registered in a :class:`~repro.obs.registry.MetricsRegistry` and returns

@@ -46,9 +46,7 @@ class AllToAllNode(MembershipNode):
         from repro.detect import UnicastProber
 
         self.detector.attach(
-            prober=UnicastProber(
-                self.runtime, ALL_DETECT_PORT, self.config.header_size
-            ),
+            prober=UnicastProber(self.runtime, ALL_DETECT_PORT),
             members=self._probe_candidates,
         )
 
@@ -58,9 +56,7 @@ class AllToAllNode(MembershipNode):
     def _on_probe(self, packet: Packet) -> None:
         if not self.running:
             return
-        handle_probe_packet(
-            self.runtime, self.detector, packet, ALL_DETECT_PORT, self.config.header_size
-        )
+        handle_probe_packet(self.runtime, self.detector, packet, ALL_DETECT_PORT)
 
     # ------------------------------------------------------------------
     # Lifecycle hooks

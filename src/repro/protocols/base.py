@@ -37,7 +37,7 @@ from repro.cluster.machine import MachineInfo
 from repro.cluster.service import ServiceSpec
 from repro.detect import FailureDetector, make_detector
 from repro.net.network import Network
-from repro.runtime import NodeRuntime, SimRuntime
+from repro.runtime import HEADER_SIZE, NodeRuntime, SimRuntime
 
 __all__ = ["ProtocolConfig", "MembershipNode", "deploy"]
 
@@ -54,7 +54,6 @@ class ProtocolConfig:
     heartbeat_period: float = 1.0
     max_loss: int = 5
     member_size: int = 228
-    header_size: int = 28  # IP + UDP headers
     max_ttl: int = 8
     #: gossip-only: fan-out per round and mistake probability bound.
     gossip_fanout: int = 1
@@ -82,24 +81,14 @@ class ProtocolConfig:
         This is the schemes' bookkeeping base unit (level timeouts,
         tombstone quarantines, backstops all scale off it) — **not** the
         advertised detection time, which depends on the active detector:
-        use :meth:`detection_time` for anything user-facing.
+        use :func:`repro.detect.bounds.detection_bound` for anything
+        user-facing.
         """
         return self.max_loss * self.heartbeat_period
 
-    def detection_time(self, n: int = 2, scheme: str = "hierarchical") -> float:
-        """Advertised detection bound of the configured detector.
-
-        Routed through :func:`repro.detect.bounds.detection_bound`, so
-        analysis plots stay truthful when the detector is not the
-        counter (the old hard-coded ``max_loss × heartbeat_period``).
-        """
-        from repro.detect.bounds import config_detection_bound
-
-        return config_detection_bound(self, n=n, scheme=scheme)
-
     def message_size(self, members: int) -> int:
         """Wire size of a packet describing ``members`` nodes."""
-        return self.header_size + self.member_size * members
+        return HEADER_SIZE + self.member_size * members
 
 
 class MembershipNode(ABC):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence
 
-from repro.detect import handle_probe_packet
+from repro.detect import detection_bound, handle_probe_packet
 from repro.net.packet import Packet
 from repro.protocols.base import MembershipNode
 
@@ -112,9 +112,7 @@ class GossipNode(MembershipNode):
         # formula), so this stays 2 x t_fail byte-for-byte; adaptive
         # detectors stretch the quarantine to their advertised bound.
         n = max(len(self._counters), len(self.seeds) + 1, 2)
-        return 2.0 * max(
-            self.t_fail, self.detector.detection_bound(n=n, scheme="gossip")
-        )
+        return 2.0 * max(self.t_fail, detection_bound(self.config, n, "gossip"))
 
     # ------------------------------------------------------------------
     # Failure-detection seam
@@ -123,9 +121,7 @@ class GossipNode(MembershipNode):
         from repro.detect import UnicastProber
 
         self.detector.attach(
-            prober=UnicastProber(
-                self.runtime, GOSSIP_DETECT_PORT, self.config.header_size
-            ),
+            prober=UnicastProber(self.runtime, GOSSIP_DETECT_PORT),
             members=self._probe_candidates,
         )
 
@@ -138,13 +134,7 @@ class GossipNode(MembershipNode):
     def _on_probe(self, packet: Packet) -> None:
         if not self.running:
             return
-        handle_probe_packet(
-            self.runtime,
-            self.detector,
-            packet,
-            GOSSIP_DETECT_PORT,
-            self.config.header_size,
-        )
+        handle_probe_packet(self.runtime, self.detector, packet, GOSSIP_DETECT_PORT)
 
     # ------------------------------------------------------------------
     # Lifecycle hooks

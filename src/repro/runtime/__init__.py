@@ -32,7 +32,7 @@ hashes in ``tests/integration/test_determinism_guard.py``).
 package must not drag in asyncio machinery for simulator-only users.
 """
 
-from repro.runtime.ports import Event, NodeRuntime, PacketHandler, TimerHandle
+from repro.runtime.ports import HEADER_SIZE, Event, NodeRuntime, PacketHandler, TimerHandle
 from repro.runtime.sim import SimRuntime
 
-__all__ = ["Event", "NodeRuntime", "PacketHandler", "TimerHandle", "SimRuntime"]
+__all__ = ["HEADER_SIZE", "Event", "NodeRuntime", "PacketHandler", "TimerHandle", "SimRuntime"]

@@ -55,6 +55,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.core.config import KNOBS
 from repro.core.heartbeat import Heartbeat
 from repro.net.packet import Packet
 from repro.obs.wiring import NOOP, Instruments
@@ -192,6 +193,14 @@ class ClusterSpec:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "ClusterSpec":
+        """Load a spec; a ``config`` key that is no knob is refused here."""
+        config = dict(raw.get("config", {}))
+        knobs = {knob.attr for knob in KNOBS}
+        for key in config:
+            if key not in knobs:
+                raise ValueError(
+                    f"unknown config key {key!r} in cluster spec; known: {sorted(knobs)}"
+                )
         relay_raw = raw["relay"]
         nodes: Dict[str, NodeSpec] = {}
         for node_id, ns in raw["nodes"].items():
@@ -209,7 +218,7 @@ class ClusterSpec:
             relay=RelaySpec(host=relay_raw["host"], port=int(relay_raw["port"])),
             nodes=nodes,
             routers_between_segments=int(raw.get("routers_between_segments", 1)),
-            config=dict(raw.get("config", {})),
+            config=config,
             relay_replicas=replicas,
             max_datagram=int(raw.get("max_datagram", DEFAULT_MAX_DATAGRAM)),
         )
@@ -778,7 +787,7 @@ class AsyncRuntime(NodeRuntime):
 
     def emit(self, kind: str, **data: object) -> None:
         trace = self._trace
-        if trace is not None and trace.wants(kind):
+        if trace is not None and trace.wants():
             trace.emit(self.now, kind, node=self.node_id, **data)
 
     # ------------------------------------------------------------------

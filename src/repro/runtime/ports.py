@@ -43,7 +43,10 @@ if TYPE_CHECKING:
     from repro.net.packet import Packet
     from repro.obs.wiring import Instruments
 
-__all__ = ["Event", "NodeRuntime", "PacketHandler", "TimerHandle"]
+__all__ = ["HEADER_SIZE", "Event", "NodeRuntime", "PacketHandler", "TimerHandle"]
+
+#: IP + UDP header bytes: the fixed part of every sized send's ``size``.
+HEADER_SIZE = 28
 
 #: A channel or port delivery callback.
 PacketHandler = Callable[["Packet"], None]

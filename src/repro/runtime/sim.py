@@ -185,12 +185,12 @@ class SimRuntime(NodeRuntime):
 
     def emit(self, kind: str, **data: object) -> None:
         trace = self._trace
-        if trace.wants(kind):
+        if trace.wants():
             trace.emit(self._sim._now, kind, node=self.node_id, **data)
 
     def emit_view_event(self, kind: str, target: str) -> None:
         trace = self._trace
-        if trace.wants(kind):
+        if trace.wants():
             trace.emit(self._sim._now, kind, node=self.node_id, target=target)
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.net.builders import (
     build_switched_cluster,
     build_two_datacenters,
 )
-from repro.net.faults import FaultPlan
+from repro.net.faults import DEGRADED_LINK, FaultPlan
 from repro.net.topology import Topology
 
 __all__ = ["LinkRule", "PartitionRule", "ShardScenario"]
@@ -162,18 +162,7 @@ class ShardScenario:
                 ),
             )
             link_rules = (
-                LinkRule(
-                    src=(10, 20),
-                    dst=(20, None),
-                    loss=0.2,
-                    jitter=0.05,
-                    reorder=0.3,
-                    reorder_window=0.2,
-                    duplicate=0.1,
-                    dup_lag=0.05,
-                    start=15.0,
-                    until=30.0,
-                ),
+                LinkRule(src=(10, 20), dst=(20, None), start=15.0, until=30.0, **DEGRADED_LINK),
             )
         return cls(
             builder="switched",

@@ -21,13 +21,7 @@ For sweeps too large to retain in memory, construct the trace with
 ``retain=False`` and attach a streaming sink
 (:mod:`repro.obs.sinks`): every record still reaches subscribers/sinks,
 but nothing accumulates in the process (see docs/OBSERVABILITY.md).
-
-Subscriber contract
--------------------
-Subscribers see **every enabled emit**, before the ``kinds`` retention
-filter is applied: ``kinds`` controls what the in-memory trace *stores*,
-not what live collectors observe.  (A previous revision filtered first,
-which silently starved collectors whenever a sweep restricted kinds.)
+Subscribers see every emit, whether or not the trace retains it.
 """
 
 from __future__ import annotations
@@ -69,20 +63,11 @@ def _time_of(rec: TraceRecord) -> float:
 class Trace:
     """Append-only in-memory trace with indexed filtered queries.
 
-    Tracing can be disabled wholesale (``enabled=False``), restricted to a
-    set of kinds (``kinds=...``), or switched to pure streaming
-    (``retain=False``), which the large Fig. 11 sweeps use to avoid
-    accumulating millions of packet records.
+    ``retain=False`` switches it to pure streaming, which the large
+    benchmark sweeps use to avoid accumulating millions of records.
     """
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        kinds: Optional[set[str]] = None,
-        retain: bool = True,
-    ) -> None:
-        self.enabled = enabled
-        self.kinds = kinds
+    def __init__(self, retain: bool = True) -> None:
         self.retain = retain
         self._records: List[TraceRecord] = []
         self._by_kind: Dict[str, List[TraceRecord]] = {}
@@ -93,15 +78,8 @@ class Trace:
         self._last_time = float("-inf")
 
     def emit(self, time: float, kind: str, node: Optional[str] = None, **data: Any) -> None:
-        """Record an event (no-op when disabled).
-
-        Subscribers are notified of every enabled emit *before* the
-        ``kinds`` retention filter decides whether the record is stored —
-        a kind-restricted sweep must not starve live collectors.
-        """
-        if not self.enabled:
-            return
-        keep = self.retain and (self.kinds is None or kind in self.kinds)
+        """Record an event: notify every subscriber, then store it if retained."""
+        keep = self.retain
         subs = self._subscribers
         if not keep and not subs:
             return
@@ -120,19 +98,15 @@ class Trace:
             else:
                 self._last_time = time
 
-    def wants(self, kind: str) -> bool:
-        """True when an emit of ``kind`` would reach storage or a subscriber.
+    def wants(self) -> bool:
+        """True when an emit would reach storage or a subscriber.
 
         The n²-scale protocol paths (one ``member_up`` per node pair
         during formation) call this before building the emit's kwargs, so
-        a disabled/streaming-without-sinks trace costs one predicate
-        instead of a discarded record.
+        a streaming trace without sinks costs one predicate instead of a
+        discarded record.
         """
-        if not self.enabled:
-            return False
-        if self._subscribers:
-            return True
-        return self.retain and (self.kinds is None or kind in self.kinds)
+        return self.retain or bool(self._subscribers)
 
     def subscribe(self, fn: Callable[[TraceRecord], None]) -> None:
         """Invoke ``fn`` on every future record (live metric collectors)."""

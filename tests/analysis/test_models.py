@@ -7,11 +7,11 @@ import pytest
 from repro.analysis import (
     AllToAllModel,
     AllToAllOverheadModel,
-    AnalysisParams,
     GossipModel,
     HierarchicalModel,
     MODELS,
 )
+from repro.protocols import ProtocolConfig
 
 
 class TestAllToAllModel:
@@ -102,8 +102,8 @@ class TestHierarchicalModel:
 
 class TestParams:
     def test_custom_params_flow_through(self):
-        p = AnalysisParams(member_size=100, freq=2.0, max_loss=3)
-        m = AllToAllModel(p)
+        config = ProtocolConfig(member_size=100, heartbeat_period=0.5, max_loss=3)
+        m = AllToAllModel(config)
         assert m.detection_time(100) == 1.5
         assert m.aggregate_bandwidth(10) == 2.0 * 10 * 9 * 100
 

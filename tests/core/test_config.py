@@ -39,17 +39,17 @@ class TestHierarchicalConfig:
         assert cfg.fail_timeout == 5.0
 
     def test_level_timeout_grows_with_level(self):
-        cfg = HierarchicalConfig(level_timeout_slope=0.5)
+        cfg = HierarchicalConfig()
         assert cfg.level_timeout(0) == 5.0
         assert cfg.level_timeout(1) == 7.5
         assert cfg.level_timeout(2) == 10.0
 
     def test_relayed_timeout(self):
-        cfg = HierarchicalConfig(relayed_timeout_factor=4.0)
+        cfg = HierarchicalConfig()
         assert cfg.relayed_timeout == 20.0
 
     def test_message_size(self):
-        cfg = HierarchicalConfig(member_size=228, header_size=28)
+        cfg = HierarchicalConfig(member_size=228)
         assert cfg.message_size(1) == 256
         assert cfg.message_size(10) == 2308
 
@@ -208,6 +208,16 @@ class TestKnobTable:
         for k in KNOBS:
             with pytest.raises(ValueError):
                 k.parse("not-a-value")
+
+    def test_cluster_spec_config_accepts_only_knobs(self):
+        from repro.runtime.anet import ClusterSpec
+
+        raw = {"relay": {"host": "127.0.0.1", "port": 1}, "nodes": {}}
+        spec = ClusterSpec.from_dict({**raw, "config": {"heartbeat_period": 0.25}})
+        assert spec.config == {"heartbeat_period": 0.25}
+        for key in ("heartbeat_perod", "election_delay"):
+            with pytest.raises(ValueError, match=repr(key)):
+                ClusterSpec.from_dict({**raw, "config": {key: 1.0}})
 
     # Literals captured from render_config_text before the table existed.
     RENDERED = {

@@ -1,7 +1,5 @@
 """Tests for the graceful-departure extension."""
 
-import pytest
-
 from repro.core import HierarchicalNode
 from repro.net import Network
 from repro.net.builders import build_switched_cluster

@@ -1,9 +1,7 @@
 """Additional coverage: heartbeat payloads, backup selection, group edges."""
 
-import pytest
-
 from repro.cluster import NodeRecord
-from repro.core import GroupState, Heartbeat, HierarchicalNode
+from repro.core import Heartbeat, HierarchicalNode
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
 from repro.protocols import deploy

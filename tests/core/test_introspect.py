@@ -48,8 +48,6 @@ class TestSnapshot:
         net, hosts, nodes = cluster
         # Build a copy-dict with one stopped node object (do not mutate the
         # module-scoped cluster's real state).
-        import copy
-
         fake = dict(nodes)
 
         class Stopped:

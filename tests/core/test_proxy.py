@@ -1,7 +1,5 @@
 """Tests for the membership proxy protocol (paper Section 3.2, Fig. 6)."""
 
-import pytest
-
 from repro.cluster import ConsumerModule, Directory, NodeRecord, ProviderModule, ServiceSpec
 from repro.core import (
     HierarchicalNode,
@@ -185,8 +183,6 @@ class TestRobustness:
         assert names == {f"svc{i:02d}" for i in range(11)}
 
     def test_epoch_resets_partial_state(self):
-        from repro.core.proxy import _RemoteDc
-
         proxy = MembershipProxy.__new__(MembershipProxy)
         proxy.remote = {}
         proxy.runtime = type("R", (), {"now": 10.0})()

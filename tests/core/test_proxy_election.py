@@ -1,7 +1,5 @@
 """Focused tests of proxy-group election and leader duties."""
 
-import pytest
-
 from repro.core import HierarchicalNode, MembershipProxy
 from repro.net import Network
 from repro.net.builders import build_two_datacenters

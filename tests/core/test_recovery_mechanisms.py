@@ -12,9 +12,8 @@ tested here (each documented in the repro.core module docstrings):
 * the bootstrap-announce window after leadership changes.
 """
 
-import pytest
-
-from repro.core import HierarchicalConfig, HierarchicalNode
+from repro.core import HierarchicalNode
+from repro.core import config as config_module
 from repro.core.updates import UpdateOp
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
@@ -87,9 +86,9 @@ class TestTombstones:
         observer._ctx.informer.apply_ops([UpdateOp("add", victim, 2, fresh)], via=hosts[0])
         assert victim in observer.view()
 
-    def test_tombstone_expires_after_quarantine(self):
-        cfg = HierarchicalConfig(tombstone_quarantine_factor=1.0)  # 5 s
-        net, hosts, nodes = make(2, 5, config=cfg)
+    def test_tombstone_expires_after_quarantine(self, monkeypatch):
+        monkeypatch.setattr(config_module, "TOMBSTONE_QUARANTINE_FACTOR", 1.0)  # 5 s
+        net, hosts, nodes = make(2, 5)
         net.run(until=15.0)
         victim = hosts[3]
         observer = nodes[hosts[1]]

@@ -51,13 +51,13 @@ class TestBuild:
         um = UpdateManager("me")
         m = um.build(0, [add_op("a"), rm_op("b")])
         # header 28 + add 228 + remove 24
-        assert m.size(member_size=228, header_size=28) == 280
+        assert m.size(member_size=228) == 280
 
     def test_size_includes_piggyback(self):
         um = UpdateManager("me", piggyback_depth=3)
         um.build(0, [add_op("a")])
         m = um.build(0, [add_op("b")])
-        assert m.size(228, 28) == 28 + 228 + 228
+        assert m.size(228) == 28 + 228 + 228
 
 
 class TestReceive:

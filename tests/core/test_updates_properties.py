@@ -137,10 +137,9 @@ class TestSendSize:
         _op_mixes,
         st.integers(min_value=0, max_value=5),
         st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=4),
-        st.integers(min_value=0, max_value=64),
     )
     @settings(max_examples=200, deadline=None)
-    def test_last_size_equals_the_per_op_formula(self, groups, depth, member_sizes, header):
+    def test_last_size_equals_the_per_op_formula(self, groups, depth, member_sizes):
         """The counted price of every built message equals summing its ops."""
         um = UpdateManager("s", piggyback_depth=depth)
         for i, kinds in enumerate(groups):
@@ -151,4 +150,4 @@ class TestSendSize:
             msg = um.build(i % 2, ops)
             # A live member_size change prices right, as the op walk would.
             for member_size in member_sizes:
-                assert um.last_size(member_size, header) == msg.size(member_size, header)
+                assert um.last_size(member_size) == msg.size(member_size)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.models import MODELS, AnalysisParams
+from repro.analysis.models import MODELS
 from repro.core import HierarchicalConfig, parse_config_text, render_config_text
 from repro.core.config import KNOBS
 from repro.detect import DETECTORS
@@ -193,30 +193,9 @@ class TestSurfacesDoc:
 
 
 class TestAnalysisModels:
-    def test_from_config_reads_every_shared_field(self):
-        from dataclasses import fields
-
-        cfg = HierarchicalConfig(
-            heartbeat_period=0.5, max_loss=3, member_size=100, gossip_fanout=2,
-            gossip_mistake_prob=0.01, detector="swim", phi_threshold=6.0,
-            suspicion_timeout=1.5, probe_timeout=0.25, probe_period=0.75,
-            indirect_probes=2,
-        )
-        params = AnalysisParams.from_config(cfg, group_size=8)
-        assert params == AnalysisParams(
-            member_size=100, freq=2.0, max_loss=3, group_size=8, gossip_fanout=2,
-            gossip_mistake_prob=0.01, detector="swim", phi_threshold=6.0,
-            suspicion_timeout=1.5, probe_timeout=0.25, probe_period=0.75,
-            indirect_probes=2,
-        )
-        # only the analysis-only symbols are left at their defaults
-        assert {f.name for f in fields(AnalysisParams) if not hasattr(cfg, f.name)} == {
-            "freq", "group_size", "hop_latency",
-        }
-
     def test_detection_time_follows_the_detector(self):
-        counter = MODELS["hierarchical"](AnalysisParams())
-        phi = MODELS["hierarchical"](AnalysisParams(detector="phi-accrual"))
+        counter = MODELS["hierarchical"](HierarchicalConfig())
+        phi = MODELS["hierarchical"](HierarchicalConfig(detector="phi-accrual"))
         assert counter.detection_time(100) == 5.0  # k / f, the paper's bound
         assert phi.detection_time(100) == pytest.approx(8.0 * LN10)
 
@@ -224,15 +203,15 @@ class TestAnalysisModels:
         # The satellite bugfix: detection time routes through the bound,
         # and the counter default still gives max_loss * period everywhere.
         for name, model_cls in MODELS.items():
-            model = model_cls(AnalysisParams())
+            model = model_cls()
             if name == "gossip":
                 assert model.detection_time(64) > 5.0  # O(log n) growth
             else:
                 assert model.detection_time(64) == 5.0
 
     def test_bdt_scales_with_detector_bound(self):
-        slow = MODELS["all-to-all"](AnalysisParams(detector="phi-accrual"))
-        fast = MODELS["all-to-all"](AnalysisParams(detector="swim"))
+        slow = MODELS["all-to-all"](HierarchicalConfig(detector="phi-accrual"))
+        fast = MODELS["all-to-all"](HierarchicalConfig(detector="swim"))
         n = 50
         assert slow.bdt(n) > fast.bdt(n)
         assert slow.aggregate_bandwidth(n) == fast.aggregate_bandwidth(n)

@@ -15,6 +15,7 @@ from typing import Dict, List
 
 import pytest
 
+from repro.analysis.models import MODELS
 from repro.core.groups import PeerState
 from repro.detect import (
     DETECTORS,
@@ -29,6 +30,7 @@ from repro.detect import (
 from repro.detect.bounds import LN10, detection_bound
 from repro.net.packet import Packet
 from repro.protocols.base import ProtocolConfig
+from repro.runtime import HEADER_SIZE
 from tests.core.roles.conftest import FakeRuntime
 
 ALL = sorted(DETECTORS)
@@ -51,7 +53,7 @@ def build(name: str, members: List[str] = (), **overrides) -> tuple:
     runtime = FakeRuntime("n0")
     det = make_detector(config, runtime)
     det.attach(
-        prober=UnicastProber(runtime, "detect", config.header_size),
+        prober=UnicastProber(runtime, "detect"),
         members=lambda: list(members),
     )
     return det, runtime, config
@@ -149,21 +151,9 @@ class TestConformance:
 
     def test_detection_bound_routes_through_bounds(self, name):
         det, _, config = build(name)
-        for scheme in ("hierarchical", "all-to-all", "gossip"):
-            expected = detection_bound(
-                name,
-                period=config.heartbeat_period,
-                max_loss=config.max_loss,
-                n=12,
-                scheme=scheme,
-                phi_threshold=config.phi_threshold,
-                suspicion_timeout=config.suspicion_timeout,
-                probe_timeout=config.probe_timeout,
-                probe_period=config.probe_period,
-                gossip_mistake_prob=config.gossip_mistake_prob,
-            )
-            got = det.detection_bound(n=12, scheme=scheme)
-            assert got == expected > 0.0
+        for scheme, model_cls in MODELS.items():
+            expected = detection_bound(det.config, n=12, scheme=scheme)
+            assert model_cls(config).detection_time(12) == expected > 0.0
 
     def test_passive_flag_matches_strategy(self, name):
         det, _, _ = build(name)
@@ -198,7 +188,7 @@ class TestSwim:
         dst, kind, payload, size, port = runtime.sent[-1]
         assert payload == {"origin": "n0"}
         assert port == "detect"
-        assert size == config.header_size + 16
+        assert size == HEADER_SIZE + 16
 
     def test_direct_timeout_fans_out_ping_reqs(self):
         det, runtime, config = build("swim", members=self.MEMBERS)
@@ -351,17 +341,16 @@ class TestProbeWire:
         self.runtime = FakeRuntime("relay")
         self.config = ProtocolConfig()
         self.det = RecordingDetector(self.config, self.runtime)
-        self.hdr = self.config.header_size
 
     def handle(self, packet) -> bool:
-        return handle_probe_packet(self.runtime, self.det, packet, "detect", self.hdr)
+        return handle_probe_packet(self.runtime, self.det, packet, "detect")
 
     def test_probe_is_acked_to_the_origin(self):
         pkt = Packet(src="hop", dst="relay", kind="probe", payload={"origin": "n0"}, size=1)
         assert self.handle(pkt)
         dst, kind, payload, size, port = self.runtime.sent[-1]
         assert (dst, kind, payload) == ("n0", "probe-ack", {})
-        assert (size, port) == (self.hdr + 8, "detect")
+        assert (size, port) == (HEADER_SIZE + 8, "detect")
 
     def test_probe_req_is_relayed_as_a_probe(self):
         pkt = Packet(
@@ -393,31 +382,27 @@ class TestProbeWire:
 # ----------------------------------------------------------------------
 class TestBounds:
     def test_counter_default_is_the_paper_formula(self):
-        assert detection_bound("counter", period=1.0, max_loss=5) == 5.0
-        assert detection_bound("counter", period=0.5, max_loss=4) == 2.0
+        assert detection_bound(ProtocolConfig()) == 5.0
+        assert detection_bound(ProtocolConfig(heartbeat_period=0.5, max_loss=4)) == 2.0
 
     def test_counter_gossip_bound_grows_logarithmically(self):
-        small = detection_bound("counter", period=1.0, max_loss=5, n=8, scheme="gossip")
-        large = detection_bound("counter", period=1.0, max_loss=5, n=64, scheme="gossip")
+        small = detection_bound(ProtocolConfig(), n=8, scheme="gossip")
+        large = detection_bound(ProtocolConfig(), n=64, scheme="gossip")
         assert large > small
         assert large - small == pytest.approx(math.log2(64) - math.log2(8))
 
     def test_swim_bound_combines_the_three_phases(self):
         got = detection_bound(
-            "swim",
-            period=1.0,
-            max_loss=5,
-            probe_timeout=0.5,
-            suspicion_timeout=2.0,
+            ProtocolConfig(detector="swim", probe_timeout=0.5, suspicion_timeout=2.0)
         )
         assert got == pytest.approx(1.0 / (1.0 - math.exp(-1.0)) + 1.0 + 2.0)
 
     def test_phi_bound_scales_with_threshold(self):
-        lo = detection_bound("phi-accrual", period=1.0, max_loss=5, phi_threshold=4.0)
-        hi = detection_bound("phi-accrual", period=1.0, max_loss=5, phi_threshold=8.0)
+        lo = detection_bound(ProtocolConfig(detector="phi-accrual", phi_threshold=4.0))
+        hi = detection_bound(ProtocolConfig(detector="phi-accrual", phi_threshold=8.0))
         assert hi == pytest.approx(2.0 * lo)
         assert hi == pytest.approx(8.0 * LN10)
 
     def test_unknown_detector_raises(self):
         with pytest.raises(ValueError):
-            detection_bound("psychic", period=1.0, max_loss=5)
+            detection_bound(ProtocolConfig(detector="psychic"))

@@ -12,7 +12,6 @@ from repro.cluster import (
     ServiceSpec,
 )
 from repro.core import (
-    HierarchicalConfig,
     HierarchicalNode,
     MClient,
     MService,
@@ -20,7 +19,7 @@ from repro.core import (
     install_proxy_forwarding,
 )
 from repro.net import Network
-from repro.net.builders import build_switched_cluster, build_two_datacenters
+from repro.net.builders import build_switched_cluster
 from repro.protocols import deploy
 from repro.runtime import SimRuntime
 

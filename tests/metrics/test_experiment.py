@@ -38,7 +38,7 @@ class TestFailureExperiment:
 
     def test_bandwidth_skippable(self):
         exp = FailureExperiment(
-            "all-to-all", networks=1, hosts_per_network=4, seed=1, measure_bandwidth=False
+            "all-to-all", networks=1, hosts_per_network=4, seed=1, bandwidth_window=0.0
         )
         assert exp.run().bandwidth is None
 

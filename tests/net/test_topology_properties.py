@@ -6,8 +6,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import AllToAllModel, AnalysisParams, GossipModel, HierarchicalModel
+from repro.analysis import AllToAllModel, GossipModel, HierarchicalModel
 from repro.net import Topology, UNREACHABLE
+from repro.protocols import ProtocolConfig
 
 
 @st.composite
@@ -208,7 +209,7 @@ class TestModelProperties:
         st.floats(min_value=0.1, max_value=10.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_detection_scales_inverse_with_freq(self, n, freq):
-        base = AllToAllModel(AnalysisParams(freq=1.0)).detection_time(n)
-        scaled = AllToAllModel(AnalysisParams(freq=freq)).detection_time(n)
-        assert math.isclose(scaled, base / freq, rel_tol=1e-9)
+    def test_detection_scales_inverse_with_freq(self, n, heartbeat_period):
+        base = AllToAllModel(ProtocolConfig(heartbeat_period=1.0)).detection_time(n)
+        scaled = AllToAllModel(ProtocolConfig(heartbeat_period=heartbeat_period)).detection_time(n)
+        assert math.isclose(scaled, base * heartbeat_period, rel_tol=1e-9)

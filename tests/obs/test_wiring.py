@@ -189,7 +189,7 @@ class TestChaosRunnerRegistry:
         registry = MetricsRegistry()
         scenario = ChaosScenario(
             seed=3, networks=2, hosts_per_network=4,
-            warmup=10.0, chaos_start=12.0, chaos_end=22.0, quiesce=25.0,
+            chaos_start=12.0, chaos_end=22.0, quiesce=25.0,
             registry=registry,
         )
         result = scenario.run()

@@ -1,7 +1,5 @@
 """Unit/integration tests for the all-to-all baseline."""
 
-import pytest
-
 from repro.cluster import ServiceSpec
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
@@ -174,7 +172,7 @@ class TestTraffic:
         assert "k" not in nodes[hosts[1]].directory.get(hosts[0]).attrs
 
     def test_heartbeat_size_follows_member_size(self):
-        config = ProtocolConfig(member_size=100, header_size=28)
+        config = ProtocolConfig(member_size=100)
         net, hosts = make_cluster(1, 2)
         deploy(AllToAllNode, net, hosts, config=config)
         net.run(until=2.5)
