@@ -8,8 +8,10 @@ and carry enough bookkeeping for the hierarchical protocol's timeout rules
 (entries relayed by a group leader share the leader's lifetime).
 
 N nodes therefore hold N² entries, so an entry is no object of its own
-(see :class:`Directory`): a dict slot and four list cells, none of which
-the cyclic garbage collector tracks.
+(see :class:`Directory`): one cell in each of four columns, indexed by a
+node slot that every directory of one runtime family shares
+(:class:`SlotTable`).  None of it is tracked by the cyclic garbage
+collector.
 
 The lookup API mirrors the paper's ``MClient::lookup_service`` (Fig. 9):
 regular expressions are accepted in both the service name and the partition
@@ -20,10 +22,13 @@ from __future__ import annotations
 
 import heapq
 import re
+from array import array
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, cast,
+)
 
-__all__ = ["NodeRecord", "Directory", "parse_partitions", "RECORD", "FRESH", "RELAYER"]
+__all__ = ["NodeRecord", "Directory", "SlotTable", "SlotAccess", "BLANK", "parse_partitions"]
 
 
 def parse_partitions(spec: str) -> FrozenSet[int]:
@@ -104,16 +109,78 @@ class NodeRecord:
         return replace(self, attrs=attrs)
 
 
-#: An entry's cells, as displacements from its offset, which indexes the
-#: entry's key cell (its node id).  RELAYER is None for a direct entry.
-RECORD, FRESH, RELAYER = 1, 2, 3
-_WIDTH = 4
-_BLANK = (None,) * _WIDTH
+#: The freshness of a cell that holds no entry.  NaN equals nothing, not
+#: even itself, so ``fresh[slot] == fresh[slot]`` says the directory holds
+#: the slot without reading the record column.
+BLANK = float("nan")
 
-#: Process-wide intern table of offsets: one int object per offset value,
-#: where N² index values would otherwise each hold a fresh 28-byte int.
-#: It maps every key to an equal value, so sharing it is unobservable.
-_OFFSETS: Dict[int, int] = {}
+
+class SlotTable:
+    """Node id ↔ slot numbers, shared by the directories of one runtime family.
+
+    A slot is a small int naming one node id; every directory on the
+    table keeps its entry for that id in the same cell of its own
+    columns.  The table counts the directories holding each slot and
+    takes a slot back once none does, so ids that come and go (restarts,
+    or ids arriving off the wire) cannot grow it past what its
+    directories hold.  A freed slot is handed to the next new id.  Slot
+    numbers depend on the order ids first appear anywhere on the table;
+    no directory observable depends on them.
+
+    One table serves every node of a simulated network and each real
+    daemon has its own (see ``NodeRuntime.slot_table``); a bare
+    ``Directory(owner)`` makes a private one.
+    """
+
+    __slots__ = ("index", "ids", "holders", "free")
+
+    def __init__(self) -> None:
+        #: node id -> slot, for every id some directory holds
+        self.index: Dict[str, int] = {}
+        #: slot -> node id; None for a free slot
+        self.ids: List[Optional[str]] = []
+        #: slot -> how many directories hold it
+        self.holders: List[int] = []
+        self.free: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def assign(self, nid: str) -> int:
+        """A slot for ``nid``, which no directory holds, with one holder."""
+        if self.free:
+            slot = self.free.pop()
+            self.ids[slot] = nid
+            self.holders[slot] = 1
+        else:
+            slot = len(self.ids)
+            self.ids.append(nid)
+            self.holders.append(1)
+        self.index[nid] = slot
+        return slot
+
+    def release(self, slot: int) -> None:
+        """Drop one holder of ``slot``; the last one frees it."""
+        holders = self.holders
+        holders[slot] -= 1
+        if not holders[slot]:
+            del self.index[cast(str, self.ids[slot])]
+            self.ids[slot] = None
+            self.free.append(slot)
+
+
+class SlotAccess(NamedTuple):
+    """A directory's columns, handed to the hot paths (see :meth:`Directory.slot_access`)."""
+
+    #: node id -> its slot if the directory holds an entry for it, else None
+    held: Callable[[str], Optional[int]]
+    #: node id -> its slot in the table, held by this directory or not
+    slot_of: Callable[[str], Optional[int]]
+    #: the table's slot -> node id column
+    ids: List[Optional[str]]
+    records: List[Optional[NodeRecord]]
+    relayers: List[Optional[str]]
+    fresh: List[float]
 
 
 class Directory:
@@ -124,12 +191,20 @@ class Directory:
     duplicate updates ("because the operation caused by an update message at
     each node is idempotent, redundant messages will not cause confusion").
 
-    Storage is a flat table.  ``_index`` maps node id → offset and, being
-    a dict, iterates in insertion order — the order every purge reports
-    the dead in (seeded simulation traces depend on it).  ``_cells`` holds
-    each entry's ``(node id, record, last_refresh, relayed_by)`` at its
-    offset; a removal blanks the four cells and frees them for the next
-    insert, and the list never shrinks (:meth:`clear` blanks it).
+    Storage is columnar.  A :class:`SlotTable` shared with the other
+    directories of the runtime family maps node id → slot; the directory
+    keeps one column per field, indexed by slot: the record (None where it
+    holds no entry), the relayer (None for a direct entry), the freshness
+    (:data:`BLANK` where it holds no entry) and an insertion stamp
+    (``array('q')``).  Freshness stays a list of floats: it is written
+    once per received heartbeat, an ``array('d')`` store costs about
+    45 ns more than a list store, and the floats are the event clock's,
+    shared by every cell written in one event.  Insertion stamps give the
+    order every purge reports the dead in and :meth:`snapshot` lists
+    entries in (seeded simulation traces depend on it); slot numbers
+    never show.  An insert takes a slot hold, a removal blanks the cells
+    and gives the hold back; columns grow to the table's length and never
+    shrink.
 
     Hot-path engine (mirrors the net layer's version-validated caches):
 
@@ -145,9 +220,9 @@ class Directory:
       ``max(last_refresh, relayer's vouch time)``, and an alive relayer
       re-vouches every heartbeat period — so in steady state
       ``purge_stale_relayed`` is one clock comparison per relayer
-      (typically 1–3 per node).  A lapsed vouch walks the table for that
-      relayer's entries, as do ``purge_relayed_by``, ``reattribute`` and
-      ``relayed_entries``: rare events, O(directory) each.
+      (typically 1–3 per node).  A lapsed vouch walks the columns for
+      that relayer's entries, as do ``purge_relayed_by``, ``reattribute``
+      and ``relayed_entries``: rare events, O(table) each.
     * **Versioned views** — :attr:`version` counts structural changes (key
       set or record payloads); :meth:`members`, :meth:`records` and
       :meth:`snapshot` serve cached tuples rebuilt only when the version
@@ -158,11 +233,20 @@ class Directory:
     ``now - max(last_refresh, relayer's vouch time) > timeout``.
     """
 
-    def __init__(self, owner: str) -> None:
+    def __init__(self, owner: str, slots: Optional[SlotTable] = None) -> None:
         self.owner = owner
-        self._index: Dict[str, int] = {}
-        self._cells: List[Any] = []  # typed by position: see RECORD etc.
-        self._free: List[int] = []
+        self._table = slots if slots is not None else SlotTable()
+        self._records: List[Optional[NodeRecord]] = []
+        self._relayers: List[Optional[str]] = []
+        self._fresh: List[float] = []
+        self._order = array("q")
+        self._inserts = 0
+        self._count = 0
+        self._held = self._prober()
+        self._access = SlotAccess(
+            self._held, self._table.index.get, self._table.ids,
+            self._records, self._relayers, self._fresh,
+        )
         self._relayed_counts: Dict[str, int] = {}
         # relayer -> last time its liveness re-vouched for its entries.
         # An alive leader's heartbeat keeps everything it relayed fresh in
@@ -192,18 +276,50 @@ class Directory:
         """
         return self._version
 
-    def cell_access(self) -> Tuple[Callable[[str], Optional[int]], List[object]]:
-        """``(offset_of, cells)``: the table itself, for the hot paths.
+    @property
+    def slot_table(self) -> SlotTable:
+        return self._table
 
-        ``offset_of(node_id)`` is the entry's offset or None; its cells are
-        ``cells[offset]`` (the node id) and ``cells[offset + RECORD]`` /
-        ``FRESH`` / ``RELAYER``.  Callers write only ``FRESH``, forward in
-        time.  Both objects live as long as the directory.  A cached offset
-        names the node's current entry while ``cells[offset]`` equals its
-        id: removal blanks the key cell, and a stale offset still indexes
-        the never-shrinking list.
+    def _prober(self) -> Callable[[str], Optional[int]]:
+        # A closure over the columns rather than a method: the absorb and
+        # receive paths probe once per op, and the columns are only ever
+        # mutated in place.
+        slot_of = self._table.index.get
+        records = self._records
+
+        def held(nid: str) -> Optional[int]:
+            slot = slot_of(nid)
+            if slot is not None and slot < len(records) and records[slot] is not None:
+                return slot
+            return None
+
+        return held
+
+    def slot_access(self) -> SlotAccess:
+        """The columns themselves, for the hot paths.
+
+        ``held(node_id)`` is the entry's slot or None; its cells are
+        ``records[slot]``, ``relayers[slot]`` and ``fresh[slot]``.  The
+        same test inlined is ``slot = slot_of(node_id)``, then ``slot is
+        not None and slot < len(records) and records[slot] is not None``.
+        A cell that holds no entry has record None and freshness
+        :data:`BLANK`, and only cells that hold one have either other
+        value.  Callers write only ``fresh`` of held cells, forward in
+        time.  Every object lives as long as the directory.  A cached
+        slot names the node's current entry while ``ids[slot]`` is its id
+        and the cell is held: the table frees a slot only once no
+        directory holds it, and the columns never shrink, so a stale slot
+        still indexes them.
         """
-        return self._index.get, self._cells
+        return self._access
+
+    def _grow(self) -> None:
+        """Extend every column to the table's length."""
+        more = len(self._table.ids) - len(self._records)
+        self._records += [None] * more
+        self._relayers += [None] * more
+        self._fresh += [BLANK] * more
+        self._order.frombytes(bytes(8 * more))
 
     def _note_deadline(self, nid: str, key: float) -> None:
         """File a heap record for *direct* entry ``nid`` at ``key``."""
@@ -230,34 +346,47 @@ class Directory:
                 del counts[relayer]
 
     def _touch(
-        self, nid: str, off: int, now: float, relayed_by: Optional[str]
+        self, nid: str, slot: int, now: float, relayed_by: Optional[str]
     ) -> bool:
         """Bump freshness and set the relayer; True if the relayer moved."""
-        cells = self._cells
-        cells[off + FRESH] = now
-        old = cells[off + RELAYER]
+        self._fresh[slot] = now
+        relayers = self._relayers
+        old = relayers[slot]
         if old == relayed_by:
             return False
-        cells[off + RELAYER] = relayed_by
+        relayers[slot] = relayed_by
         self._detach(nid, old)
         self._attach(nid, relayed_by, now)
         return True
 
-    def _attributed(self, relayer: str) -> List[Tuple[str, int]]:
-        """``(node id, offset)`` of ``relayer``'s entries, in insertion order."""
-        cells = self._cells
-        return [(nid, off) for nid, off in self._index.items() if cells[off + RELAYER] == relayer]
+    def _in_order(self, slots: List[int]) -> List[int]:
+        """``slots`` sorted by insertion stamp."""
+        order = self._order
+        slots.sort(key=lambda slot: order[slot])
+        return slots
 
-    def _drop(self, dead: List[Tuple[str, int]]) -> List[str]:
-        """Remove the ``(node id, offset)`` entries in ``dead``; their ids."""
-        index, cells, free = self._index, self._cells, self._free
-        for nid, off in dead:
-            del index[nid]
-            self._detach(nid, cells[off + RELAYER])
-            cells[off : off + _WIDTH] = _BLANK
-            free.append(off)
+    def _attributed(self, relayer: str) -> List[int]:
+        """Slots of ``relayer``'s entries, in insertion order."""
+        return self._in_order(
+            [slot for slot, rb in enumerate(self._relayers) if rb == relayer]
+        )
+
+    def _drop(self, dead: List[int]) -> List[str]:
+        """Remove the entries at slots ``dead``; their ids, in that order."""
+        ids = cast("List[str]", self._table.ids)
+        records, relayers, fresh = self._records, self._relayers, self._fresh
+        release = self._table.release
+        gone: List[str] = []
+        for slot in dead:
+            nid = ids[slot]
+            gone.append(nid)
+            self._detach(nid, relayers[slot])
+            records[slot] = relayers[slot] = None
+            fresh[slot] = BLANK
+            release(slot)
+        self._count -= len(dead)
         self._version += 1
-        return [nid for nid, _off in dead]
+        return gone
 
     # ------------------------------------------------------------------
     # Mutation
@@ -274,23 +403,23 @@ class Directory:
         Equal-incarnation records refresh the timestamp (and may update the
         payload, e.g. a changed service value at the same boot epoch).
         """
-        off = self._index.get(record.node_id)
-        if off is None:
-            self._insert(record, now, relayed_by)
+        slot = self._held(record.node_id)
+        if slot is None:
+            self._insert((record,), now, relayed_by)
             return True
-        cells = self._cells
-        cur = cells[off + RECORD]
+        records = self._records
+        cur = cast(NodeRecord, records[slot])
         if cur.incarnation > record.incarnation:
             return False
         if cur is record:
             # Same payload object (records travel by reference in the
             # simulator, and senders intern unchanged heartbeats): a pure
             # freshness/attribution bump, no deep equality.
-            self._touch(record.node_id, off, now, relayed_by)
+            self._touch(record.node_id, slot, now, relayed_by)
             return False
         changed = cur != record
-        cells[off + RECORD] = record
-        if self._touch(record.node_id, off, now, relayed_by):
+        records[slot] = record
+        if self._touch(record.node_id, slot, now, relayed_by):
             self._version += 1
             return changed
         # A content-equal re-upsert with an unchanged relayer is a pure
@@ -306,46 +435,76 @@ class Directory:
 
     def insert_new(
         self,
-        record: NodeRecord,
+        records: Sequence[NodeRecord],
         now: float,
         relayed_by: Optional[str] = None,
-    ) -> None:
-        """Insert a record known to be absent (the absorb first-sight path).
+    ) -> int:
+        """Insert a run of records known to be absent (the absorb first sights).
 
-        Exactly :meth:`upsert`'s new-entry branch without re-probing the
-        index — the caller just did the lookup.  Formation runs this once
-        per node pair.
+        Each record gets exactly :meth:`upsert`'s new-entry branch, in
+        order, without re-probing — the caller just did the lookups.  A
+        record whose id the directory holds by then (the run named it
+        twice) ends the run: the return value is how many were inserted,
+        and the caller merges that record and passes the rest again.
+        Formation writes each update message's first sights with one call.
         """
-        self._insert(record, now, relayed_by)
+        return self._insert(records, now, relayed_by)
 
-    def _insert(self, record: NodeRecord, now: float, relayed_by: Optional[str]) -> None:
+    def _insert(
+        self, records: Sequence[NodeRecord], now: float, relayed_by: Optional[str]
+    ) -> int:
         # Private, so a traced run counts an upsert as one directory call.
-        nid = record.node_id
-        cells = self._cells
-        if self._free:
-            off = self._free.pop()
-            cells[off : off + _WIDTH] = (nid, record, now, relayed_by)
-        else:
-            off = _OFFSETS.setdefault(len(cells), len(cells))
-            cells += (nid, record, now, relayed_by)
-        self._index[nid] = off
-        self._attach(nid, relayed_by, now)
-        self._version += 1
+        table = self._table
+        slot_of, holders = table.index.get, table.holders
+        column, relayers, fresh, order = (
+            self._records, self._relayers, self._fresh, self._order
+        )
+        stamp = self._inserts
+        size = len(column)
+        for record in records:
+            nid = record.node_id
+            slot = slot_of(nid)
+            if slot is None:
+                slot = table.assign(nid)
+            elif slot < size and column[slot] is not None:
+                break  # held: named twice in the run
+            else:
+                holders[slot] += 1
+            if slot >= size:
+                self._grow()
+                size = len(column)
+            column[slot] = record
+            relayers[slot] = relayed_by
+            fresh[slot] = now
+            stamp += 1
+            order[slot] = stamp
+        inserted = stamp - self._inserts
+        self._inserts = stamp
+        if inserted:
+            self._count += inserted
+            self._version += inserted
+            if relayed_by is None:
+                for record in records[:inserted]:
+                    self._note_deadline(record.node_id, now)
+            else:
+                counts = self._relayed_counts
+                counts[relayed_by] = counts.get(relayed_by, 0) + inserted
+        return inserted
 
     def refresh(self, node_id: str, now: float, relayed_by: Optional[str] = None) -> bool:
         """Bump the freshness of an existing entry (heartbeat w/o changes)."""
-        off = self._index.get(node_id)
-        if off is None:
+        slot = self._held(node_id)
+        if slot is None:
             return False
-        self._touch(node_id, off, now, relayed_by)
+        self._touch(node_id, slot, now, relayed_by)
         return True
 
     def remove(self, node_id: str) -> bool:
         """Drop an entry (failure detected or departure announced)."""
-        off = self._index.get(node_id)
-        if off is None:
+        slot = self._held(node_id)
+        if slot is None:
             return False
-        self._drop([(node_id, off)])
+        self._drop([slot])
         return True
 
     def purge_stale(
@@ -368,9 +527,9 @@ class Directory:
         """
         heap = self._direct_heap
         stamps = self._stamps
-        index = self._index
-        cells = self._cells
-        dead: List[Tuple[str, int]] = []
+        slot_of = self._table.index
+        records, fresh = self._records, self._fresh
+        dead: List[int] = []
         while heap:
             key, stamp, nid = heap[0]
             if stamps.get(nid) != stamp:
@@ -379,20 +538,17 @@ class Directory:
             if not now - key > timeout:
                 break  # key <= freshness, so the rest is fresh too
             heapq.heappop(heap)
-            off = index[nid]
-            fresh = cells[off + FRESH]
-            if not now - fresh > timeout:
-                self._note_deadline(nid, fresh)  # refreshed since: re-key
+            slot = slot_of[nid]
+            last = fresh[slot]
+            if not now - last > timeout:
+                self._note_deadline(nid, last)  # refreshed since: re-key
                 continue
             if incarnations is not None:
-                incarnations[nid] = cells[off + RECORD].incarnation
-            dead.append((nid, off))
+                incarnations[nid] = cast(NodeRecord, records[slot]).incarnation
+            dead.append(slot)
         if not dead:
             return []
-        if len(dead) > 1:  # heap order -> insertion order
-            doomed = dict(dead)
-            dead = [(nid, off) for nid, off in index.items() if nid in doomed]
-        return self._drop(dead)
+        return self._drop(self._in_order(dead))  # heap order -> insertion order
 
     def purge_relayed_by(self, leader: str) -> List[str]:
         """Drop every entry vouched for by ``leader`` (leader died).
@@ -420,8 +576,8 @@ class Directory:
 
         A relayer that vouched within the window covers all its entries, so
         the steady-state cost is one comparison per relayer.  Only a lapsed
-        vouch walks the table — that happens while a relayer is dying, and
-        ``purge_relayed_by`` usually drops its entries first.
+        vouch walks the columns — that happens while a relayer is dying,
+        and ``purge_relayed_by`` usually drops its entries first.
         """
         vouch = self._vouch_times
         neg_inf = float("-inf")
@@ -432,20 +588,29 @@ class Directory:
         }
         if not lapsed:
             return []
-        cells = self._cells
-        dead: List[Tuple[str, int]] = []
-        for nid, off in self._index.items():
-            vouched = lapsed.get(cells[off + RELAYER])
-            if vouched is None or nid == self.owner:
-                continue  # direct, vouched, or the owner (never expires)
-            effective = cells[off + FRESH]
+        owner = self._table.index.get(self.owner)
+        fresh = self._fresh
+        dead: List[int] = []
+        for slot, rb in enumerate(self._relayers):
+            if rb is None or slot == owner:
+                continue  # direct, or the owner (never expires)
+            vouched = lapsed.get(rb)
+            if vouched is None:
+                continue
+            effective = fresh[slot]
             if effective < vouched:
                 effective = vouched
             if now - effective > timeout:
-                if incarnations is not None:
-                    incarnations[nid] = cells[off + RECORD].incarnation
-                dead.append((nid, off))
-        return self._drop(dead) if dead else []
+                dead.append(slot)
+        if not dead:
+            return []
+        self._in_order(dead)
+        if incarnations is not None:
+            ids = cast("List[str]", self._table.ids)
+            records = cast("List[NodeRecord]", self._records)
+            for slot in dead:
+                incarnations[ids[slot]] = records[slot].incarnation
+        return self._drop(dead)
 
     def vouch(self, relayer: str, now: float) -> None:
         """Record that ``relayer`` is alive, keeping its relayed entries fresh."""
@@ -462,9 +627,9 @@ class Directory:
         moved = counts.pop(old_relayer, 0)
         if not moved:
             return 0
-        cells = self._cells
-        for _nid, off in self._attributed(old_relayer):
-            cells[off + RELAYER] = new_relayer
+        relayers = self._relayers
+        for slot in self._attributed(old_relayer):
+            relayers[slot] = new_relayer
         counts[new_relayer] = counts.get(new_relayer, 0) + moved
         if old_relayer in self._vouch_times:
             prev = self._vouch_times[old_relayer]
@@ -475,12 +640,18 @@ class Directory:
         """Node ids currently vouched for by ``relayer`` (sorted)."""
         if relayer not in self._relayed_counts:
             return []
-        return sorted(nid for nid, _off in self._attributed(relayer))
+        ids = cast("List[str]", self._table.ids)
+        return sorted(ids[slot] for slot in self._attributed(relayer))
 
     def clear(self) -> None:
-        self._free += self._index.values()
-        self._cells[:] = _BLANK * (len(self._cells) // _WIDTH)
-        self._index.clear()
+        release = self._table.release
+        for slot in self._live():
+            release(slot)
+        blank = [None] * len(self._records)
+        self._records[:] = blank
+        self._relayers[:] = blank
+        self._fresh[:] = [BLANK] * len(blank)
+        self._count = 0
         self._relayed_counts.clear()
         self._vouch_times.clear()
         self._direct_heap.clear()
@@ -490,23 +661,27 @@ class Directory:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _live(self) -> List[int]:
+        """Slots this directory holds, in slot order."""
+        return [slot for slot, rec in enumerate(self._records) if rec is not None]
+
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._index
+        return self._held(node_id) is not None
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._count
 
     def get(self, node_id: str) -> Optional[NodeRecord]:
-        off = self._index.get(node_id)
-        return None if off is None else self._cells[off + RECORD]
+        slot = self._held(node_id)
+        return None if slot is None else self._records[slot]
 
     def last_refresh(self, node_id: str) -> Optional[float]:
-        off = self._index.get(node_id)
-        return None if off is None else self._cells[off + FRESH]
+        slot = self._held(node_id)
+        return None if slot is None else self._fresh[slot]
 
     def relayed_by(self, node_id: str) -> Optional[str]:
-        off = self._index.get(node_id)
-        return None if off is None else self._cells[off + RELAYER]
+        slot = self._held(node_id)
+        return None if slot is None else self._relayers[slot]
 
     def members(self) -> Tuple[str, ...]:
         """All known node ids, sorted (deterministic iteration).
@@ -516,7 +691,8 @@ class Directory:
         """
         ver, cached = self._members_cache
         if ver != self._version:
-            cached = tuple(sorted(self._index))
+            ids = cast("List[str]", self._table.ids)
+            cached = tuple(sorted(ids[slot] for slot in self._live()))
             self._members_cache = (self._version, cached)
         return cached
 
@@ -524,21 +700,24 @@ class Directory:
         """All records in ``members()`` order, cached like :meth:`members`."""
         ver, cached = self._records_cache
         if ver != self._version:
-            index, cells = self._index, self._cells
-            cached = tuple(cells[index[nid] + RECORD] for nid in self.members())
+            slot_of = self._table.index
+            records = cast("List[NodeRecord]", self._records)
+            cached = tuple(records[slot_of[nid]] for nid in self.members())
             self._records_cache = (self._version, cached)
         return cached
 
     def snapshot(self) -> Dict[str, NodeRecord]:
         """Copy of the table, for bootstrap transfers and assertions.
 
-        The returned dict is the caller's to mutate; it is materialised
-        from a version-validated cache.
+        Entries come in insertion order.  The returned dict is the
+        caller's to mutate; it is materialised from a version-validated
+        cache.
         """
         ver, cached = self._snapshot_cache
         if ver != self._version:
-            cells = self._cells
-            cached = {nid: cells[off + RECORD] for nid, off in self._index.items()}
+            ids = cast("List[str]", self._table.ids)
+            records = cast("List[NodeRecord]", self._records)
+            cached = {ids[slot]: records[slot] for slot in self._in_order(self._live())}
             self._snapshot_cache = (self._version, cached)
         return dict(cached)
 

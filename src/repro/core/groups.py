@@ -32,13 +32,14 @@ class PeerState:
     #: unchanged heartbeats, so ``hb is last_hb`` identifies a no-change
     #: heartbeat in O(1) — the receive fast path's precondition.
     last_hb: Optional[Heartbeat] = None
-    #: cached offset of this peer's entry in the owner's directory (see
-    #: ``Directory.cell_access``).  The directory's index spans the whole
+    #: cached slot of this peer's entry in the owner's directory (see
+    #: ``Directory.slot_access``).  The slot table spans the whole
     #: cluster, so at 10k nodes the per-heartbeat freshness probe is a
     #: random walk through megabytes of hash table; the cache turns it
-    #: into one touch of the entry's cells.  Valid only while the key
-    #: cell at the offset holds this peer's id — re-probe otherwise.
-    dir_offset: Optional[int] = None
+    #: into one touch of the entry's cells.  Valid only while the table
+    #: names this peer's id at the slot and the directory holds the cell
+    #: there — re-probe otherwise.
+    dir_slot: Optional[int] = None
 
 
 @dataclass(slots=True)

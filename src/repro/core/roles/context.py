@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from repro.detect import FailureDetector
     from repro.runtime.ports import NodeRuntime
 
-__all__ = ["NodeContext", "MemberHost"]
+__all__ = ["NodeContext", "MemberHost", "RateLimiter"]
 
 
 class MemberHost(Protocol):
@@ -60,6 +60,40 @@ class MemberHost(Protocol):
     def _emit_member_up(self, target: str) -> None: ...
 
     def _emit_member_down(self, target: str, reason: str = "timeout") -> None: ...
+
+
+class RateLimiter:
+    """Lets each key act at most once per ``interval``: key -> time it last acted.
+
+    An entry ``interval`` old or older limits nothing, so whenever the map
+    has doubled in size since its last sweep it drops those entries: its
+    size stays within twice the keys that acted in the last interval (for
+    keys acting at a steady rate), however many distinct keys ever pass.
+    """
+
+    __slots__ = ("last", "_swept")
+
+    def __init__(self) -> None:
+        self.last: Dict[str, float] = {}
+        self._swept = 1  # size after the last sweep (at least 1)
+
+    def __len__(self) -> int:
+        return len(self.last)
+
+    def allow(self, key: str, now: float, interval: float) -> bool:
+        """True, and ``key`` stamped ``now``, unless it acted within ``interval``."""
+        last = self.last.get(key)
+        if last is not None and now - last < interval:
+            return False
+        self.last[key] = now
+        if len(self.last) >= 2 * self._swept:
+            self.last = {k: t for k, t in self.last.items() if now - t < interval}
+            self._swept = max(1, len(self.last))
+        return True
+
+    def clear(self) -> None:
+        self.last.clear()
+        self._swept = 1
 
 
 class NodeContext:
@@ -105,7 +139,7 @@ class NodeContext:
         # announces a higher incarnation and passes.
         self.tombstones: Dict[str, Tuple[int, float]] = {}
         # Rate limiter for active tombstone refutations (Informer).
-        self.tombstone_refutes: Dict[str, float] = {}
+        self.tombstone_refutes = RateLimiter()
         # Peers we owe a completed sync exchange: retried from the status
         # tracker until their sync_resp lands (bootstrap over lossy UDP
         # must not be a one-shot).

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, cast
 
-from repro.cluster.directory import FRESH, RECORD, RELAYER
+from repro.core.roles.context import RateLimiter
 from repro.core.roles.receiver import HMEMBER_PORT
 from repro.core.updates import UpdateOp
 
@@ -34,7 +34,7 @@ class Informer:
     def __init__(self, ctx: "NodeContext") -> None:
         self.ctx = ctx
         # Sync rate limiter: peer -> time of last request sent.
-        self.last_sync: Dict[str, float] = {}
+        self.last_sync = RateLimiter()
 
     def reset(self) -> None:
         self.last_sync.clear()
@@ -130,14 +130,52 @@ class Informer:
         # voucher) are inlined below with batch-hoisted lookups, leaving
         # absorb_record the general path.  The hoisted aliases are all
         # stable objects mutated in place, never rebound.
-        directory = ctx.directory
-        probe, cells = directory.cell_access()
+        #
+        # First sights are gathered into ``run`` and written with one
+        # insert_new when the next non-add op or the end of the group
+        # comes.  Only first-sight adds and updates of entries already
+        # held happen in between, and those touch other ids and emit
+        # nothing, so the directory and the trace end up as if each
+        # record had been inserted at its own op.
+        _held, slot_of, _ids, records, relayers, fresh = ctx.directory.slot_access()
         tombstones = ctx.tombstones
-        runtime = ctx.runtime
-        member_up = runtime.obs.member_up
+        run: List["NodeRecord"] = []
         for op in ops:
+            if op.op == "add" and op.node_id != my_id:
+                rec = op.record
+                if rec is None:
+                    continue
+                if not tombstones:
+                    slot = slot_of(rec.node_id)
+                    if slot is None or slot >= len(records):
+                        run.append(rec)
+                        continue
+                    stored = records[slot]
+                    if stored is None:
+                        run.append(rec)
+                        continue
+                    if stored is rec or stored == rec:
+                        # Identical stored payload — by identity when the
+                        # record travelled by reference inside the
+                        # simulator, by content after a wire round-trip
+                        # (equal content implies equal incarnation, so the
+                        # freshness guard holds either way).  With a
+                        # direct entry or an unchanged voucher this is
+                        # absorb_record's bare-timestamp-bump case
+                        # (takeover analysis provably keeps ``relayed_by``
+                        # when it equals ``via``; direct knowledge always
+                        # outranks).
+                        rb = relayers[slot]
+                        if rb is None or rb == via:
+                            fresh[slot] = now
+                            continue
+                self.absorb_record(rec, via, now, vouch_memo)
+                continue
+            if run:
+                self.insert_run(run, via, now, vouch_memo)
+                run = []
+            vouch_memo = {}
             if op.node_id == my_id:
-                vouch_memo = {}
                 if op.op == "remove" and op.incarnation >= ctx.node.incarnation:
                     # Rumor of our own death: refute by bumping our
                     # incarnation (SWIM-style) — the higher incarnation
@@ -151,41 +189,7 @@ class Informer:
                         [UpdateOp("add", ctx.node_id, record.incarnation, record)]
                     )
                 continue  # we are the authority on ourselves
-            if op.op == "add":
-                rec = op.record
-                if rec is None:
-                    continue
-                if not tombstones:
-                    off = probe(rec.node_id)
-                    if off is None:
-                        # absorb_record's insert branch, inlined (same
-                        # memoised anchor, same insert, same emits).
-                        relayed_by = vouch_memo.get(via)
-                        if relayed_by is None:
-                            relayed_by = vouch_memo[via] = self.vouch_anchor(via)
-                        directory.insert_new(rec, now, relayed_by=relayed_by)
-                        member_up.inc()
-                        runtime.emit_view_event("member_up", rec.node_id)
-                        continue
-                    stored: object = cells[off + RECORD]
-                    if stored is rec or stored == rec:
-                        # Identical stored payload — by identity when the
-                        # record travelled by reference inside the
-                        # simulator, by content after a wire round-trip
-                        # (equal content implies equal incarnation, so the
-                        # freshness guard holds either way).  With a
-                        # direct entry or an unchanged voucher this is
-                        # absorb_record's bare-timestamp-bump case
-                        # (takeover analysis provably keeps ``relayed_by``
-                        # when it equals ``via``; direct knowledge always
-                        # outranks).
-                        rb: object = cells[off + RELAYER]
-                        if rb is None or rb == via:
-                            cells[off + FRESH] = now
-                            continue
-                self.absorb_record(rec, via, now, vouch_memo)
-            elif op.op == "leave":
-                vouch_memo = {}
+            if op.op == "leave":
                 # Graceful departure: drop immediately, heartbeats heard a
                 # moment ago notwithstanding (only the node itself
                 # originates its leave, so there is no rumor to distrust).
@@ -216,7 +220,6 @@ class Informer:
                 ctx.updates.forget_sender(op.node_id)
                 ctx.emit_member_down(op.node_id, reason="leave")
             elif op.op == "remove":
-                vouch_memo = {}
                 heard = ctx.heard_level(op.node_id)
                 if heard is not None:
                     # We hear this node ourselves; our own failure detector
@@ -234,6 +237,36 @@ class Informer:
                 ctx.directory.remove(op.node_id)
                 self.bury(op.node_id, op.incarnation)
                 ctx.emit_member_down(op.node_id, reason="update")
+        if run:
+            self.insert_run(run, via, now, vouch_memo)
+
+    def insert_run(
+        self,
+        run: List["NodeRecord"],
+        via: str,
+        now: float,
+        vouch_memo: Dict[str, str],
+    ) -> None:
+        """Write a run of first sights heard from ``via`` (absorb_record's insert branch).
+
+        One anchor, one ``insert_new``, one ``member_up`` add and one
+        view-event call for the run.  Should the run name an id twice, the
+        second record meets the entry the first one made and is merged
+        like any re-announcement.
+        """
+        ctx = self.ctx
+        relayed_by = vouch_memo.get(via)
+        if relayed_by is None:
+            relayed_by = vouch_memo[via] = self.vouch_anchor(via)
+        runtime = ctx.runtime
+        while run:
+            inserted = ctx.directory.insert_new(run, now, relayed_by)
+            runtime.obs.member_up.add(inserted)
+            runtime.emit_view_events("member_up", (r.node_id for r in run[:inserted]))
+            if inserted < len(run):
+                self.absorb_record(run[inserted], via, now, vouch_memo)
+                inserted += 1
+            run = run[inserted:]
 
     # ------------------------------------------------------------------
     # Sync (bootstrap) protocol, client side
@@ -250,10 +283,8 @@ class Informer:
             return False
         now = ctx.now
         ctx.pending_syncs.add(peer)
-        last = self.last_sync.get(peer)
-        if last is not None and now - last < ctx.config.min_sync_interval:
+        if not self.last_sync.allow(peer, now, ctx.config.min_sync_interval):
             return False
-        self.last_sync[peer] = now
         snapshot = [r for r in ctx.directory.records() if r.node_id != peer]
         obs = ctx.runtime.obs
         obs.syncs_sent.inc()
@@ -408,9 +439,9 @@ class Informer:
             # (e.g. a healed partition), the remove rumor reaches it and it
             # refutes by bumping its incarnation, which beats every
             # certificate.  Rate-limited to avoid refutation storms.
-            last = ctx.tombstone_refutes.get(record.node_id)
-            if last is None or now - last >= ctx.config.min_sync_interval:
-                ctx.tombstone_refutes[record.node_id] = now
+            if ctx.tombstone_refutes.allow(
+                record.node_id, now, ctx.config.min_sync_interval
+            ):
                 self.originate([UpdateOp("remove", record.node_id, inc)])
             # Backstop for quiet corners: re-pull from the source once the
             # quarantine ends (by then the cluster has converged on either
@@ -423,22 +454,22 @@ class Informer:
             )
             return False
         memo = _vouch_memo
-        offset_of, cells = ctx.directory.cell_access()
-        off = offset_of(record.node_id)
-        if off is None:
+        held, _slot_of, _ids, records, relayers, fresh = ctx.directory.slot_access()
+        slot = held(record.node_id)
+        if slot is None:
             if memo is None:
                 relayed_by: Optional[str] = self.vouch_anchor(via)
             else:
                 relayed_by = memo.get(via)
                 if relayed_by is None:
                     relayed_by = memo[via] = self.vouch_anchor(via)
-            ctx.directory.insert_new(record, now, relayed_by=relayed_by)
+            ctx.directory.upsert(record, now, relayed_by=relayed_by)
             ctx.emit_member_up(record.node_id)
             return True
-        existing = cast("NodeRecord", cells[off + RECORD])
+        existing = cast("NodeRecord", records[slot])
         if existing.incarnation > record.incarnation:
             return False
-        current = cast("Optional[str]", cells[off + RELAYER])
+        current = relayers[slot]
         if current is None:
             relayed_by = None  # direct knowledge outranks relays
         else:
@@ -479,7 +510,7 @@ class Informer:
             # overwhelmingly common sub-case) is a bare timestamp bump on
             # the entry we already hold.
             if relayed_by == current:
-                cells[off + FRESH] = now
+                fresh[slot] = now
             else:
                 ctx.directory.refresh(record.node_id, now, relayed_by=relayed_by)
             return False

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.cluster.directory import FRESH, RELAYER
 from repro.core.updates import UpdateOp
 from repro.detect import handle_probe_packet
 
@@ -55,7 +54,7 @@ class Receiver:
         on_heartbeat = self.on_heartbeat
         runtime = ctx.runtime
         directory = ctx.directory
-        offset_of, cells = directory.cell_access()
+        held, _slot_of, ids, _records, relayers, fresh = directory.slot_access()
         refresh = directory.refresh
         vouch = directory.vouch
         tombstones = ctx.tombstones
@@ -86,17 +85,20 @@ class Receiver:
                     hb is peer.last_hb
                     or (peer.last_hb is not None and hb.same_as(peer.last_hb))
                 ):
-                    # The directory's index spans the whole cluster, so
-                    # its per-heartbeat probe is the one cache-hostile
-                    # lookup left on this path at 10k nodes: use the
-                    # offset cached on the peer, re-probing only when the
-                    # key cell no longer names this peer (removed, or the
-                    # cells reused for another node).
-                    off = peer.dir_offset
-                    if off is None or cells[off] != nid:
-                        off = offset_of(nid)
-                        peer.dir_offset = off
-                    if off is not None:
+                    # The slot table spans the whole cluster, so its
+                    # per-heartbeat probe is the one cache-hostile lookup
+                    # left on this path at 10k nodes: use the slot cached
+                    # on the peer, re-probing only when the table no
+                    # longer names this peer there (every directory let
+                    # go of it, and the slot may serve another node).
+                    slot = peer.dir_slot
+                    if slot is None or ids[slot] != nid:
+                        slot = peer.dir_slot = held(nid)
+                    # A slot still named by the table but not held here
+                    # (we dropped the entry, another directory kept it)
+                    # has a BLANK (NaN) freshness: testing it here spares
+                    # the record column a cache line per heartbeat.
+                    if slot is not None and fresh[slot] == fresh[slot]:
                         # The sender interned this payload, so nothing
                         # about the peer moved since its last heartbeat.
                         # Freshness is bumped (peer + directory + vouch),
@@ -104,8 +106,8 @@ class Receiver:
                         # depend on *our* state, not the sender's), and
                         # record absorption is skipped entirely.
                         now = runtime.now
-                        if cells[off + RELAYER] is None:
-                            cells[off + FRESH] = now
+                        if relayers[slot] is None:
+                            fresh[slot] = now
                         else:
                             # Heard directly: reclassify via the full
                             # refresh so the relayer-count and

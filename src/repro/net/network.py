@@ -9,7 +9,7 @@ topologies and metering without touching protocol code.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.net.bandwidth import BandwidthMeter
 from repro.net.faults import FaultPlan
@@ -21,6 +21,9 @@ from repro.obs.wiring import NOOP, Instruments
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.cluster.directory import SlotTable
 
 __all__ = ["Network"]
 
@@ -75,6 +78,9 @@ class Network:
         # Shared instrument bundle; the no-op singleton until
         # repro.obs.enable_observability swaps in real instruments.
         self.obs: Instruments = NOOP
+        # The node-slot table every directory on this network shares;
+        # the first SimRuntime asked for it makes it.
+        self.slot_table: Optional[SlotTable] = None
 
     def _make_fabrics(self, *args: object) -> Tuple[MulticastFabric, UnicastTransport]:
         """Build both fabrics from their shared constructor arguments."""

@@ -122,7 +122,6 @@ class MembershipNode(ABC):
         self._services: Dict[str, ServiceSpec] = {s.name: s for s in services}
         self._extra_attrs: Dict[str, str] = {}
         self.incarnation = 0
-        self.directory = Directory(node_id)
         self.running = False
         # The runtime seam: protocol stacks talk only to the NodeRuntime
         # ports, so the same stack runs under the simulator (default) or a
@@ -131,6 +130,7 @@ class MembershipNode(ABC):
         self.runtime: NodeRuntime = (
             runtime if runtime is not None else SimRuntime(network, node_id)
         )
+        self.directory = Directory(node_id, self.runtime.slot_table)
         self.rng = self.runtime.rng_stream(f"proto.{node_id}")
         # The detection seam: the strategy named by ``config.detector``
         # decides when silence becomes a death declaration.  Schemes
@@ -302,7 +302,7 @@ class MembershipNode(ABC):
 
     def _emit_member_up(self, target: str) -> None:
         self.runtime.obs.member_up.inc()
-        self.runtime.emit_view_event("member_up", target)
+        self.runtime.emit_view_events("member_up", (target,))
 
     def _emit_member_down(self, target: str, reason: str = "timeout") -> None:
         self.runtime.obs.member_down.labels(reason=reason).inc()

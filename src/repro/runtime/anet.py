@@ -55,6 +55,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
+from repro.cluster.directory import SlotTable
 from repro.core.config import KNOBS
 from repro.core.heartbeat import Heartbeat
 from repro.net.packet import Packet
@@ -357,6 +358,7 @@ class AsyncRuntime(NodeRuntime):
         self._trace = trace
         self._obs = instruments if instruments is not None else NOOP
         self._seed = seed
+        self._slot_table = SlotTable()
         self._active = False
         self._epoch = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -789,6 +791,13 @@ class AsyncRuntime(NodeRuntime):
         trace = self._trace
         if trace is not None and trace.wants():
             trace.emit(self.now, kind, node=self.node_id, **data)
+
+    # ------------------------------------------------------------------
+    # Directory storage
+    # ------------------------------------------------------------------
+    @property
+    def slot_table(self) -> SlotTable:
+        return self._slot_table
 
     # ------------------------------------------------------------------
     # Randomness

@@ -17,7 +17,10 @@
   moves between nodes (the proxy protocol's IP failover); only the
   simulator implements them, every other adapter refuses;
 * **observability** — the shared instrument bundle (:attr:`obs`) and
-  structured trace emission stamped with this node's id (:meth:`emit`).
+  structured trace emission stamped with this node's id (:meth:`emit`);
+* the **node-slot table** (:attr:`slot_table`) the directories of one
+  runtime family share: every node of a simulated network, or one real
+  daemon.
 
 Epoch semantics: :meth:`activate` starts a new life (a daemon start) and
 :meth:`bump_epoch` invalidates pending one-shots mid-life — protocol
@@ -35,11 +38,12 @@ they belong to the life of the runtime that owns the event.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Protocol
 
 if TYPE_CHECKING:
     import random
 
+    from repro.cluster.directory import SlotTable
     from repro.net.packet import Packet
     from repro.obs.wiring import Instruments
 
@@ -212,15 +216,25 @@ class NodeRuntime(ABC):
     def emit(self, kind: str, **data: object) -> None:
         """Emit a structured trace event stamped ``(now, kind, node_id)``."""
 
-    def emit_view_event(self, kind: str, target: str) -> None:
-        """Emit a ``target``-shaped view event (``member_up``/``member_down``).
+    def emit_view_events(self, kind: str, targets: Iterable[str]) -> None:
+        """Emit one ``target``-shaped view event per target, in order.
 
-        Semantically identical to ``emit(kind, target=target)`` — a
-        dedicated lane because formation emits one ``member_up`` per node
-        *pair* (n² of them at 10k nodes), and adapters can override this
-        to skip the kwargs packing when nothing is listening.
+        Semantically ``emit(kind, target=t)`` for each ``t`` — a dedicated
+        lane because formation emits one ``member_up`` per node *pair*
+        (n² of them at 10k nodes), a run of them per update message, and
+        adapters can override this to skip the loop when nothing is
+        listening.
         """
-        self.emit(kind, target=target)
+        for target in targets:
+            self.emit(kind, target=target)
+
+    # ------------------------------------------------------------------
+    # Directory storage
+    # ------------------------------------------------------------------
+    @property
+    @abstractmethod
+    def slot_table(self) -> "SlotTable":
+        """The node-slot table shared by this runtime family's directories."""
 
     # ------------------------------------------------------------------
     # Randomness

@@ -26,11 +26,12 @@ single trace event.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Set
 
 from repro.runtime.ports import NodeRuntime, PacketHandler, TimerHandle
 
 if TYPE_CHECKING:
+    from repro.cluster.directory import SlotTable
     from repro.net.network import Network
     from repro.obs.wiring import Instruments
     from repro.sim.engine import ScheduledEvent
@@ -188,10 +189,24 @@ class SimRuntime(NodeRuntime):
         if trace.wants():
             trace.emit(self._sim._now, kind, node=self.node_id, **data)
 
-    def emit_view_event(self, kind: str, target: str) -> None:
+    def emit_view_events(self, kind: str, targets: Iterable[str]) -> None:
         trace = self._trace
         if trace.wants():
-            trace.emit(self._sim._now, kind, node=self.node_id, target=target)
+            for target in targets:
+                trace.emit(self._sim._now, kind, node=self.node_id, target=target)
+
+    # ------------------------------------------------------------------
+    # Directory storage
+    # ------------------------------------------------------------------
+    @property
+    def slot_table(self) -> "SlotTable":
+        # One per network (so one per shard worker), made on first ask.
+        table = self.network.slot_table
+        if table is None:
+            from repro.cluster.directory import SlotTable
+
+            table = self.network.slot_table = SlotTable()
+        return table
 
     # ------------------------------------------------------------------
     # Randomness

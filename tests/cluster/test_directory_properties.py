@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Directory, NodeRecord, parse_partitions
+from repro.cluster.directory import SlotTable
 
 node_ids = st.sampled_from([f"n{i}" for i in range(6)])
 incarnations = st.integers(min_value=0, max_value=5)
@@ -116,8 +117,9 @@ class _RefEntry:
 class ReferenceDirectory:
     """One object per entry: insertion rank, per-relayer sets, heap stamps.
 
-    The directory's storage before it became a flat table, kept as the
-    obvious model the table must agree with on every observable.
+    The directory's storage before it became columns over a shared slot
+    table, kept as the obvious model the columns must agree with on every
+    observable.
     """
 
     def __init__(self, owner):
@@ -145,7 +147,14 @@ class ReferenceDirectory:
         if new is not None:
             self.groups.setdefault(new, {})[nid] = None
 
-    def insert_new(self, record, now, relayed_by=None):
+    def insert_new(self, records, now, relayed_by=None):
+        for count, record in enumerate(records):
+            if record.node_id in self.entries:
+                return count
+            self._insert(record, now, relayed_by)
+        return len(records)
+
+    def _insert(self, record, now, relayed_by):
         self.order += 1
         entry = _RefEntry(record, now, relayed_by, self.order)
         self.entries[record.node_id] = entry
@@ -158,7 +167,7 @@ class ReferenceDirectory:
         nid = record.node_id
         cur = self.entries.get(nid)
         if cur is None:
-            self.insert_new(record, now, relayed_by)
+            self._insert(record, now, relayed_by)
             return True
         if cur.record.incarnation > record.incarnation:
             return False
@@ -334,7 +343,8 @@ def model_ops():
     return st.one_of(
         st.tuples(st.just("upsert"), record, times, maybe_relayer),
         st.tuples(restate, model_ids, times, maybe_relayer),
-        st.tuples(st.just("insert_new"), record, times, maybe_relayer),
+        st.tuples(st.just("insert_new"), st.lists(record, min_size=1, max_size=4), times,
+                  maybe_relayer),
         st.tuples(st.just("refresh"), model_ids, times, maybe_relayer),
         st.tuples(st.just("remove"), model_ids),
         st.tuples(st.just("vouch"), model_relayers, times),
@@ -360,10 +370,8 @@ def run_op(target, op):
         record = stored if kind == "upsert_stored" else TWIN_OF[id(stored)]
         return target.upsert(record, now, relayed_by=relayer)
     if kind == "insert_new":
-        record, now, relayer = args
-        if record.node_id in target:
-            return "present"
-        return target.insert_new(record, now, relayed_by=relayer)
+        run, now, relayer = args
+        return target.insert_new(run, now, relayed_by=relayer)
     if kind in ("upsert", "refresh"):
         key, now, relayer = args
         return getattr(target, kind)(key, now, relayed_by=relayer)
@@ -417,21 +425,62 @@ class TestFlatTableMatchesEntryModel:
             assert observe(table) == observe(model), op
 
     def test_freed_cells_are_reused(self):
-        d = Directory(OWNER)
+        table = SlotTable()
+        d, other = Directory(OWNER, table), Directory("n0", table)
         for nid in MODEL_IDS:
             d.upsert(NodeRecord(nid), 0.0)
-        offset_of, cells = d.cell_access()
-        width = len(cells)
-        freed = offset_of("n1")
+        other.upsert(NodeRecord("n1"), 0.0)
+        held, slot_of, ids, records, _relayers, _fresh = d.slot_access()
+        width = len(records)
+        freed = held("n1")
         d.remove("n1")
-        assert cells[freed] is None
+        assert records[freed] is None and held("n1") is None
+        assert slot_of("n1") == freed  # the other directory still holds it
+        other.remove("n1")
+        assert ids[freed] is None and "n1" not in table.index
         d.upsert(NodeRecord("late"), 1.0)
-        assert offset_of("late") == freed and len(cells) == width
+        assert held("late") == freed and len(records) == width
+        assert len(table) == len(MODEL_IDS)
         d.clear()
-        assert len(cells) == width and not any(cells)
+        assert len(table) == 0 and len(records) == width and not any(records)
         for nid in MODEL_IDS:
             d.upsert(NodeRecord(nid), 2.0)
-        assert len(cells) == width  # the cleared cells, reused
+        assert len(records) == width == len(ids)  # the cleared slots, reused
+
+    # Two or three directories of different owners on one table, each
+    # against its own model; ``clear`` is an ordinary op here, so whole
+    # directories let go of their slots mid-run and new ids take them.
+    @given(
+        st.integers(2, 3),
+        st.lists(
+            st.tuples(st.integers(0, 2), st.one_of(model_ops(), st.just(("clear",)))),
+            min_size=20,
+            max_size=80,
+        ),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_directories_sharing_a_table_each_match_their_model(self, count, steps):
+        table = SlotTable()
+        owners = MODEL_IDS[:count]
+        tables = [Directory(owner, table) for owner in owners]
+        models = [ReferenceDirectory(owner) for owner in owners]
+        for which, op in steps:
+            which %= count
+            table_dir, model = tables[which], models[which]
+            v_table, v_model = table_dir.version, model.version
+            assert run_op(table_dir, op) == run_op(model, op), (which, op)
+            assert table_dir.version - v_table == model.version - v_model, (which, op)
+            for table_dir, model in zip(tables, models):
+                assert observe(table_dir) == observe(model), (which, op)
+            # A cell holds no entry exactly where its freshness is BLANK.
+            for table_dir in tables:
+                _held, _slot_of, _ids, records, _relayers, fresh = table_dir.slot_access()
+                assert [r is None for r in records] == [f != f for f in fresh]
+            # A slot stays assigned exactly while some directory holds its id.
+            held = {nid for model in models for nid in model.entries}
+            assert set(table.index) == held
+            assert all(table.ids[slot] == nid for nid, slot in table.index.items())
+            assert len(table.ids) - len(table.free) == len(held)
 
 
 class TestPartitionSpecProperties:

@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Tuple
 
 import pytest
 
-from repro.cluster.directory import Directory, NodeRecord
+from repro.cluster.directory import Directory, NodeRecord, SlotTable
 from repro.core.config import HierarchicalConfig
 from repro.core.roles import (
     Announcer,
@@ -56,6 +56,7 @@ class FakeRuntime(NodeRuntime):
         self.subscriptions: dict = {}
         self.bound: dict = {}
         self.emitted: List[Tuple[float, str, dict]] = []
+        self._slot_table = SlotTable()
 
     # Clock ------------------------------------------------------------
     @property
@@ -147,6 +148,11 @@ class FakeRuntime(NodeRuntime):
     def emit(self, kind: str, **data: object) -> None:
         self.emitted.append((self.time, kind, data))
 
+    # Directory storage ------------------------------------------------
+    @property
+    def slot_table(self) -> SlotTable:
+        return self._slot_table
+
     # Randomness -------------------------------------------------------
     def rng_stream(self, name: str) -> random.Random:
         return random.Random(hash(name) & 0xFFFF)
@@ -189,7 +195,7 @@ class Daemon:
         self.node = FakeNode(node_id)
         self.runtime = FakeRuntime(node_id)
         self.config = HierarchicalConfig()
-        self.directory = Directory(node_id)
+        self.directory = Directory(node_id, self.runtime.slot_table)
         self.ctx = NodeContext(
             node=self.node,
             runtime=self.runtime,

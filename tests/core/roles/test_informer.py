@@ -141,6 +141,78 @@ class TestTombstones:
         assert "ghost" not in daemon.ctx.tombstones
 
 
+class TestRateLimiterMaps:
+    def test_maps_stay_within_twice_the_ids_of_the_last_interval(self, daemon):
+        # A thousand distinct far-away ids, one every 1/32 s: each is
+        # synced with once and refuted once.  Entries an interval old
+        # limit nothing, and both maps drop them once they have doubled.
+        informer, ctx = daemon.ctx.informer, daemon.ctx
+        interval = daemon.config.min_sync_interval
+        step = 1 / 32
+        seen = []
+        for i in range(1000):
+            now = daemon.runtime.time = i * step
+            nid = f"far{i}"
+            assert informer.maybe_sync(nid)
+            informer.bury(nid, 1)
+            assert not informer.absorb_record(NodeRecord(nid, 1), via="p1", now=now)
+            seen.append(now)
+            recent = sum(1 for t in seen if now - t < interval)
+            assert len(informer.last_sync) <= 2 * recent, i
+            assert len(ctx.tombstone_refutes) <= 2 * recent, i
+        assert len(informer.last_sync) < 2 * interval / step < 1000
+        # The limiter still limits: a second request inside the interval
+        # is swallowed, and a refutation of a recent id is not repeated.
+        assert not informer.maybe_sync("far999")
+        published = len(update_publishes(daemon))
+        informer.absorb_record(NodeRecord("far999", 1), via="p2", now=daemon.runtime.time)
+        assert len(update_publishes(daemon)) == published
+
+
+class TestApplyOpsRuns:
+    def count_inserts(self, daemon, monkeypatch):
+        calls = []
+        insert_new = daemon.directory.insert_new
+
+        def counted(records, now, relayed_by=None):
+            calls.append([r.node_id for r in records])
+            return insert_new(records, now, relayed_by)
+
+        monkeypatch.setattr(daemon.directory, "insert_new", counted)
+        return calls
+
+    def test_first_sights_are_written_once_per_run(self, daemon, monkeypatch):
+        calls = self.count_inserts(daemon, monkeypatch)
+        daemon.add_peer("p1")
+        known = daemon.add_peer("p2")
+        ops = [UpdateOp("add", nid, 1, NodeRecord(nid, 1)) for nid in ("a", "b")]
+        ops.append(UpdateOp("add", "p2", 1, known))  # held: a freshness bump
+        ops += [UpdateOp("add", nid, 1, NodeRecord(nid, 1)) for nid in ("c", "d")]
+        ops.append(UpdateOp("remove", "zz", 1))  # not held: ignored, but ends the run
+        ops.append(UpdateOp("add", "e", 1, NodeRecord("e", 1)))
+        daemon.ctx.informer.apply_ops(ops, via="p1")
+        assert calls == [["a", "b", "c", "d"], ["e"]]
+        assert list(daemon.directory.snapshot())[-5:] == ["a", "b", "c", "d", "e"]
+        # One anchor for the run: no leader in sight, so the sender vouches.
+        assert {daemon.directory.relayed_by(nid) for nid in "abcde"} == {"p1"}
+
+    def test_a_run_naming_an_id_twice_merges_the_second(self, daemon, monkeypatch):
+        calls = self.count_inserts(daemon, monkeypatch)
+        daemon.add_peer("p1")
+        first, second = NodeRecord("a", 1), NodeRecord("a", 2)
+        ops = [
+            UpdateOp("add", "a", 1, first),
+            UpdateOp("add", "b", 1, NodeRecord("b", 1)),
+            UpdateOp("add", "a", 2, second),
+            UpdateOp("add", "c", 1, NodeRecord("c", 1)),
+        ]
+        daemon.ctx.informer.apply_ops(ops, via="p1")
+        # The run stops at the repeat, which is merged, then goes on.
+        assert calls == [["a", "b", "a", "c"], ["c"]]
+        assert daemon.directory.get("a") is second
+        assert list(daemon.directory.snapshot())[-3:] == ["a", "b", "c"]
+
+
 class TestSelfDefense:
     def test_rumor_of_own_death_is_refuted(self, daemon):
         me = daemon.node.node_id

@@ -1,8 +1,9 @@
-"""Receiver role in isolation: the no-change path's cached directory offset.
+"""Receiver role in isolation: the no-change path's cached directory slot.
 
-A peer caches the offset of its directory entry, and the cells at that
-offset are freed on removal and reused by the next insert.  A stale
-offset must never refresh whichever node now owns those cells.
+A peer caches the slot of its directory entry.  The slot table takes a
+slot back once no directory holds its id and hands it to the next new
+id, whose entry then lives in the same column cells.  A stale slot must
+never refresh whichever node now owns those cells.
 """
 
 import pytest
@@ -17,15 +18,15 @@ def heartbeat_packet(record, channel):
     return Packet(src=record.node_id, kind="heartbeat", payload=hb, size=64, channel=channel)
 
 
-def fill_until(directory, offset, relayer):
-    """Insert fresh nodes until one occupies the cells at ``offset``."""
-    offset_of, _cells = directory.cell_access()
-    for i in range(len(directory) + 2):
+def fill_until(directory, slot, relayer):
+    """Insert fresh nodes until one is assigned ``slot``."""
+    held = directory.slot_access().held
+    for i in range(len(directory.slot_table.ids) + 2):
         nid = f"other{i}"
-        directory.insert_new(NodeRecord(nid), 2.0, relayed_by=relayer)
-        if offset_of(nid) == offset:
+        assert directory.insert_new([NodeRecord(nid)], 2.0, relayed_by=relayer) == 1
+        if held(nid) == slot:
             return nid
-    raise AssertionError("the freed cells were never reused")
+    raise AssertionError("the released slot was never reassigned")
 
 
 @pytest.mark.parametrize("relayer", [None, "L1"])
@@ -34,34 +35,66 @@ def test_a_stale_offset_never_refreshes_another_node(daemon, free, relayer):
     channel = daemon.config.channel(0)
     handler = daemon.runtime.subscriptions[channel]
     directory = daemon.directory
-    offset_of, _cells = directory.cell_access()
+    held, _slot_of, ids, _records, _relayers, _fresh = directory.slot_access()
     packet = heartbeat_packet(NodeRecord("p1", incarnation=1), channel)
     handler(packet)  # full absorb
     daemon.runtime.time = 1.0
-    handler(packet)  # no-change path: caches the offset
+    handler(packet)  # no-change path: caches the slot
     peer = daemon.ctx.groups[0].peers["p1"]
-    cached = peer.dir_offset
-    assert cached is not None and cached == offset_of("p1")
+    cached = peer.dir_slot
+    assert cached is not None and cached == held("p1")
     assert directory.last_refresh("p1") == 1.0
 
     if free == "remove":
         directory.remove("p1")
     else:
         directory.clear()
+    # The daemon's directory was the only holder: the table took the slot
+    # back, and the next new id is assigned it.
+    assert ids[cached] is None
     other = fill_until(directory, cached, relayer)
+    assert ids[cached] == other
 
     daemon.runtime.time = 5.0
     handler(packet)  # the same heartbeat object: the no-change path again
     assert directory.last_refresh(other) == 2.0
     assert directory.relayed_by(other) == relayer
     # The peer re-probed, found no entry and fell through to the full
-    # absorb, which filed it anew in other cells.
-    assert peer.dir_offset is None
+    # absorb, which filed it anew under another slot.
+    assert peer.dir_slot is None
     assert directory.last_refresh("p1") == 5.0 and directory.relayed_by("p1") is None
-    assert offset_of("p1") != cached
+    assert held("p1") != cached
 
     daemon.runtime.time = 6.0
     handler(packet)
-    assert peer.dir_offset == offset_of("p1")
+    assert peer.dir_slot == held("p1")
     assert directory.last_refresh("p1") == 6.0
     assert directory.last_refresh(other) == 2.0
+
+
+def test_a_slot_another_directory_holds_falls_through_to_the_full_absorb(daemon):
+    # The slot stays assigned to the peer's id while a second directory on
+    # the table holds it, so the cached slot still names the peer; the
+    # daemon's own cells there are blank, and the heartbeat must re-file.
+    from repro.cluster.directory import Directory
+
+    channel = daemon.config.channel(0)
+    handler = daemon.runtime.subscriptions[channel]
+    directory = daemon.directory
+    neighbour = Directory("n9", directory.slot_table)
+    neighbour.upsert(NodeRecord("p1", incarnation=1), 0.0)
+    packet = heartbeat_packet(NodeRecord("p1", incarnation=1), channel)
+    handler(packet)
+    daemon.runtime.time = 1.0
+    handler(packet)
+    peer = daemon.ctx.groups[0].peers["p1"]
+    cached = peer.dir_slot
+    assert cached == neighbour.slot_access().held("p1")
+
+    directory.remove("p1")
+    assert directory.slot_table.ids[cached] == "p1"
+    daemon.runtime.time = 2.0
+    handler(packet)
+    assert "p1" in directory and directory.last_refresh("p1") == 2.0
+    assert peer.dir_slot == cached == directory.slot_access().held("p1")
+    assert neighbour.last_refresh("p1") == 0.0

@@ -12,6 +12,8 @@ moves scheduling order, loss-draw order, purge order, or election timing,
 these tests are the tripwire.
 """
 
+import pytest
+
 from repro.metrics.experiment import make_scheme_cluster
 
 
@@ -173,3 +175,38 @@ def test_golden_trace_all_to_all():
 def test_golden_trace_gossip():
     trace = run_30_node_trace(scheme="gossip")
     assert _trace_hash(trace) == GOLDEN_SHA256[("gossip", 7)]
+
+
+#: How each golden trace is produced, by its key in GOLDEN_SHA256.
+GOLDEN_RUNS = {
+    ("hierarchical", 7): {},
+    ("hierarchical", 8): {"seed": 8},
+    ("hierarchical-chaos", 7): {"chaos": True},
+    ("all-to-all", 7): {"scheme": "all-to-all"},
+    ("gossip", 7): {"scheme": "gossip"},
+}
+
+
+@pytest.mark.parametrize("key", list(GOLDEN_RUNS), ids=lambda key: f"{key[0]}-{key[1]}")
+def test_golden_traces_do_not_see_slot_numbers(key, monkeypatch):
+    # Every directory on a network shares one node-slot table, numbered
+    # in the order ids first appear.  Reserve the cluster's ids in reverse
+    # before deploy, so every slot differs from the plain run's: the
+    # golden hashes must not move.
+    from repro.cluster.directory import Directory, NodeRecord
+    from repro.metrics import experiment
+    from repro.runtime import SimRuntime
+
+    deploy = experiment.deploy
+    holders = []
+
+    def deploy_on_reversed_slots(node_cls, net, hosts, **kwargs):
+        holder = Directory("reserver", SimRuntime(net, "reserver").slot_table)
+        assert holder.insert_new([NodeRecord(h) for h in reversed(hosts)], 0.0) == len(hosts)
+        holders.append(holder)  # holds the slots for the whole run
+        assert [net.slot_table.index[h] for h in hosts] == list(range(len(hosts)))[::-1]
+        return deploy(node_cls, net, hosts, **kwargs)
+
+    monkeypatch.setattr(experiment, "deploy", deploy_on_reversed_slots)
+    assert _trace_hash(run_30_node_trace(**GOLDEN_RUNS[key])) == GOLDEN_SHA256[key]
+    assert len(holders) == 1

@@ -22,18 +22,22 @@ drops the cache.  Pinned here:
   not a re-plan of every key;
 * a cold formation asks about each sender's TTL reach, not about every
   subscriber of the cluster-wide channel: about 20 route queries per
-  node at 100 and at 200 nodes, not N.
+  node at 100 and at 200 nodes, not N;
+* the same formation writes its first sights one update message at a
+  time: no more ``Directory.insert_new`` calls than applied op groups.
 
-The last two are counts, so the gates hold on any machine.
+The last three are counts, so the gates hold on any machine.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.directory import Directory
 from repro.cluster.failures import FailureSchedule
 from repro.core import HierarchicalNode
 from repro.core.config import HierarchicalConfig
+from repro.core.roles.informer import Informer
 from repro.metrics.experiment import make_scheme_cluster
 from repro.net import Network
 from repro.net.builders import build_router_tree, build_switched_cluster
@@ -382,3 +386,38 @@ class TestFormationPlanCost:
         assert net.sim.events_executed == events
         everyone = set(hosts)
         assert all(set(node.view()) == everyone for node in nodes.values())
+
+
+class TestFormationInsertRuns:
+    """Directory writes of the same cold formations, counted in calls.
+
+    Each applied op group writes its run of first sights with one
+    ``insert_new`` (a non-add op in the group splits the run).  When
+    every first sight was inserted on its own, the calls were one per
+    directory entry; the entries are N² while the op groups grow far
+    slower.
+    """
+
+    @pytest.mark.parametrize(
+        "branching, events", [(5, 8094), (10, 17039)], ids=["100_nodes", "200_nodes"]
+    )
+    def test_insert_calls_do_not_exceed_op_groups(self, monkeypatch, branching, events):
+        counts = {"insert_new": 0, "apply_ops": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(Directory, "insert_new", counting("insert_new", Directory.insert_new))
+        monkeypatch.setattr(Informer, "apply_ops", counting("apply_ops", Informer.apply_ops))
+        topo, hosts = build_router_tree(2, branching, hosts_per_leaf=20)
+        net = Network(topo, seed=1)
+        nodes = deploy(HierarchicalNode, net, hosts, config=HierarchicalConfig(max_ttl=7))
+        net.run(until=25.0)
+        assert net.sim.events_executed == events
+        everyone = set(hosts)
+        assert all(set(node.view()) == everyone for node in nodes.values())
+        entries = sum(len(node.directory) for node in nodes.values())
+        assert 0 < counts["insert_new"] <= counts["apply_ops"] < entries

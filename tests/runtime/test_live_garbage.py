@@ -15,6 +15,10 @@ and the port they bind.  The robustness claim, as invariants:
   handler, none was dropped uncounted;
 * the decode memos stay under their caps while forged sources churn them;
 * all three views complete, and stay complete.
+
+A second test floods the daemons with a thousand ids in one well-formed
+update and removes them again: the node-slot tables shrink back with
+the directories.
 """
 
 import asyncio
@@ -22,8 +26,10 @@ import socket
 
 import pytest
 
+from repro.cluster.directory import NodeRecord
 from repro.core import HierarchicalNode
 from repro.core.config import HierarchicalConfig
+from repro.core.updates import UpdateMessage, UpdateOp
 from repro.net.packet import Packet
 from repro.runtime import wire
 from repro.runtime.anet import AsyncRuntime, ClusterSpec, NodeSpec, RelaySpec
@@ -199,3 +205,84 @@ class TestRelayControlHardening:
             pkt = Packet(src="a", kind=kind, payload=payload, size=0, dst="__relay__")
             relay.datagram_received(encode_packet(pkt), self.ADDR)
         assert set(relay.channels["c1"]) == {"a"}
+
+
+# ----------------------------------------------------------------------
+# Ids off the wire leave the slot table with the entries that held them
+# ----------------------------------------------------------------------
+def test_flooded_ids_leave_the_slot_table():
+    # A well-formed update from a stranger names a thousand new ids, then
+    # a second one removes them.  Each daemon's directory takes the slot
+    # table's slots for them and must give every one back: afterwards a
+    # table holds no more ids than its directory.
+    relay_port, *ports = free_ports(4)
+    spec = ClusterSpec(
+        relay=RelaySpec(host="127.0.0.1", port=relay_port),
+        nodes={
+            name: NodeSpec(host="127.0.0.1", port=port, segment="s0")
+            for name, port in zip("abc", ports)
+        },
+    )
+    everyone = ["a", "b", "c"]
+    flood = [f"x{i}" for i in range(1000)]
+    channel = CONFIG.channel(0)
+
+    def update(seq, ops):
+        msg = UpdateMessage(uid=seq, origin="flooder", sender="flooder", level=0, seq=seq,
+                            ops=tuple(ops))
+        pkt = Packet(src="flooder", kind="update", payload=msg, size=0, channel=channel, ttl=1)
+        return encode_packet(pkt)
+
+    adds = update(1, (UpdateOp("add", nid, 1, NodeRecord(nid, 1)) for nid in flood))
+    removes = update(2, (UpdateOp("remove", nid, 1) for nid in flood))
+
+    async def scenario():
+        relay = await serve(spec, "127.0.0.1", relay_port)
+        runtimes, nodes = {}, {}
+        for node_id in spec.nodes:
+            rt = AsyncRuntime(spec, node_id)
+            await rt.start()
+            nodes[node_id] = HierarchicalNode(None, node_id, config=CONFIG, runtime=rt)
+            nodes[node_id].start()
+            runtimes[node_id] = rt
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.setblocking(False)
+
+        async def deliver(frame, done, what):
+            # Resent until it lands: a repeat is deduplicated by (origin, uid).
+            for _attempt in range(20):
+                sock.sendto(frame, ("127.0.0.1", ports[0]))
+                try:
+                    return await wait_for(done, timeout=1.0, what=what)
+                except AssertionError:
+                    continue
+            raise AssertionError(f"timed out waiting for {what}")
+
+        try:
+            await wait_for(
+                lambda: all(node.view() == everyone for node in nodes.values()),
+                what="three complete views",
+            )
+            await deliver(
+                adds,
+                lambda: all(len(node.directory) == 1003 for node in nodes.values()),
+                "the flood in every directory",
+            )
+            assert all(len(rt.slot_table) == 1003 for rt in runtimes.values())
+            await deliver(
+                removes,
+                lambda: all(node.view() == everyone for node in nodes.values()),
+                "the flood removed everywhere",
+            )
+            for name, rt in runtimes.items():
+                assert len(rt.slot_table) <= len(nodes[name].directory) == 3, name
+                assert set(rt.slot_table.index) == set(everyone), name
+        finally:
+            sock.close()
+            for n in nodes:
+                nodes[n].stop()
+                runtimes[n].close()
+            relay.stop_sweeper()
+            relay._transport.close()
+
+    asyncio.run(scenario())
