@@ -86,7 +86,7 @@ class HierarchicalNode(MembershipNode):
             rng=self.rng,
             updates=UpdateManager(
                 self.node_id,
-                self.config.piggyback_depth,
+                self.config,
                 uid_alloc=self._make_uid_alloc(),
             ),
             detector=self.detector,
@@ -150,9 +150,11 @@ class HierarchicalNode(MembershipNode):
 
     def apply_config(self, config: HierarchicalConfig) -> None:
         super().apply_config(config)
-        # The context denormalises the config; keep it in lockstep (the
-        # control plane replaces the frozen dataclass wholesale).
+        # The context and the update streams denormalise the config; keep
+        # them in lockstep (the control plane replaces the frozen
+        # dataclass wholesale).
         self._ctx.config = self.config
+        self._ctx.updates.config = self.config
 
     # ==================================================================
     # Lifecycle (template in MembershipNode; scheme hooks here)

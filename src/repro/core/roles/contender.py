@@ -49,8 +49,9 @@ class Contender:
         group.suppressed = False
         group.leaderless_since = None
         group.my_backup = self.pick_backup(group)
-        if group.last_dead_leader is not None:
-            ctx.directory.reattribute(group.last_dead_leader, ctx.node_id)
+        predecessor = group.last_dead_leader
+        if predecessor is not None:
+            ctx.directory.reattribute(predecessor, ctx.node_id)
             group.last_dead_leader = None
         ctx.runtime.obs.elections.inc()
         ctx.runtime.emit("leader_elected", level=level)
@@ -63,12 +64,15 @@ class Contender:
         )
         ctx.announcer.send_heartbeat(level)  # fly the flag immediately
         # Re-announce the subtree this node now vouches for, so peers
-        # re-attribute entries from the previous leader to us.
-        subtree = self.subtree_records(level)
-        if subtree:
-            ctx.informer.originate(
-                [UpdateOp("add", r.node_id, r.incarnation, r) for r in subtree]
-            )
+        # re-attribute entries from the previous leader to us.  A climb
+        # into an empty group re-attributes nothing, and the same records
+        # went out when this node took the level below: it stays quiet.
+        if group.peers or predecessor is not None:
+            subtree = self.subtree_records(level)
+            if subtree:
+                ctx.informer.originate(
+                    [UpdateOp("add", r.node_id, r.incarnation, r) for r in subtree]
+                )
         ctx.participate(level + 1)
         # Pull state from existing peers: a fresh leader is this group's
         # relay point and must know its peers' subtrees (bootstrap protocol,

@@ -61,7 +61,7 @@ class Informer:
         ctx = self.ctx
         if level not in ctx.groups:
             return
-        msg = ctx.updates.build(level, ops, uid=uid, origin=origin)
+        msg = ctx.updates.build(level, ops, ctx.now, uid=uid, origin=origin)
         ctx.runtime.obs.updates_tx.inc()
         ctx.runtime.publish(
             ctx.config.channel(level),

@@ -36,6 +36,19 @@ class Tracker:
         if not ctx.node.running:
             return
         now = ctx.now
+        # Death certificates past their quarantine protect nothing
+        # (Informer.tombstoned's predicate): drop them, so an id that never
+        # returns does not keep one forever.
+        tombstones = ctx.tombstones
+        if tombstones:
+            quarantine = ctx.config.tombstone_quarantine
+            expired = [
+                nid
+                for nid, (_inc, when) in tombstones.items()
+                if now - when > quarantine
+            ]
+            for nid in expired:
+                del tombstones[nid]
         # Retry unfinished sync exchanges (the rate limiter paces them).
         if ctx.pending_syncs:
             for peer in sorted(ctx.pending_syncs):

@@ -14,20 +14,26 @@ the tree as **update messages** (Section 3.1.2):
   and every node processes each pair once, so relays terminate and
   redundant deliveries are harmless (the paper's idempotence argument).
 * Loss handling: each (sender, channel) stream is sequence-numbered and
-  every message piggybacks the last ``piggyback_depth`` updates, tolerating
-  that many consecutive losses; a larger gap triggers a full directory
-  sync poll to the sender ("the receiver will poll the sender to
-  synchronize its membership directory").
+  every message piggybacks the last ``piggyback_depth`` updates sent on
+  that channel within the level's timeout, tolerating that many
+  consecutive losses; a larger gap triggers a full directory sync poll to
+  the sender ("the receiver will poll the sender to synchronize its
+  membership directory").  An older update need not ride along: every
+  heartbeat advertises the sender's seq, so by then each live receiver
+  has applied it or polled, or has dropped the sender as dead.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.directory import NodeRecord
 from repro.runtime import HEADER_SIZE
+
+if TYPE_CHECKING:
+    from repro.core.config import HierarchicalConfig
 
 __all__ = ["UpdateOp", "UpdateMessage", "UpdateManager", "RecvOutcome"]
 
@@ -145,12 +151,15 @@ class UpdateManager:
     def __init__(
         self,
         node_id: str,
-        piggyback_depth: int = 3,
+        config: "HierarchicalConfig",
         seen_uid_window: int = DEFAULT_SEEN_UID_WINDOW,
         uid_alloc: Optional[Callable[[], int]] = None,
     ) -> None:
         self.node_id = node_id
-        self.piggyback_depth = piggyback_depth
+        #: source of ``piggyback_depth`` and of each level's piggyback
+        #: horizon, ``level_timeout(level)``; the node facade re-points it
+        #: when the control plane replaces the config.
+        self.config = config
         self.seen_uid_window = seen_uid_window
         # Pluggable uid source: the process-global counter is fine for
         # one kernel, but the sharded runner needs uids that are unique
@@ -159,11 +168,14 @@ class UpdateManager:
         self._uid_alloc = uid_alloc
         # outgoing per-channel state
         self._next_seq: Dict[int, int] = {}
-        # level -> (the piggyback window's entries, and the adds and other
-        # ops of each entry, flat and in step with it).  With the totals
-        # of the last message built, a piggybacked group is counted once,
-        # when it is first sent, not again on every send that carries it.
-        self._recent: Dict[int, Tuple[List[_PiggyEntry], List[int]]] = {}
+        # level -> (the piggyback window's entries, the adds and other ops
+        # of each entry, flat and in step with it, and each entry's send
+        # time).  With the totals of the last message built, a piggybacked
+        # group is counted once, when it is first sent, not again on every
+        # send that carries it.
+        self._recent: Dict[
+            int, Tuple[List[_PiggyEntry], List[int], List[float]]
+        ] = {}
         self._built_counts: Tuple[int, int] = (0, 0)
         # incoming stream positions: level -> sender -> last seen seq.
         # Nested (not tuple-keyed) so the per-heartbeat behind() check
@@ -198,23 +210,36 @@ class UpdateManager:
         self,
         level: int,
         ops: Sequence[UpdateOp],
+        now: float,
         uid: Optional[int] = None,
         origin: Optional[str] = None,
     ) -> UpdateMessage:
-        """Construct the next update message for ``level``'s channel.
+        """Construct the next update message for ``level``'s channel, sent at ``now``.
 
         ``uid``/``origin`` are carried through unchanged when relaying
         someone else's update; omitted for locally-originated changes.
+
+        The piggyback holds the last ``piggyback_depth`` updates sent on
+        the channel no more than ``level_timeout(level)`` before ``now``.
+        Send times never decrease, so the expired entries are the
+        window's oldest.
         """
         seq = self._next_seq.get(level, 0) + 1
         self._next_seq[level] = seq
         msg_uid = uid if uid is not None else self.new_uid()
         msg_origin = origin if origin is not None else self.node_id
-        depth = self.piggyback_depth
         window = self._recent.get(level)
         if window is None:
-            window = self._recent[level] = ([], [])
-        recent, counts = window
+            window = self._recent[level] = ([], [], [])
+        recent, counts, sent = window
+        timeout = self.config.level_timeout(level)
+        drop = max(0, len(recent) - self.config.piggyback_depth)
+        while drop < len(sent) and now - sent[drop] > timeout:
+            drop += 1
+        if drop:
+            del recent[:drop]
+            del counts[: 2 * drop]
+            del sent[:drop]
         msg = UpdateMessage(
             uid=msg_uid,
             origin=msg_origin,
@@ -222,17 +247,14 @@ class UpdateManager:
             level=level,
             seq=seq,
             ops=tuple(ops),
-            piggyback=tuple(recent[-depth:]),
+            piggyback=tuple(recent),
         )
         adds = [op.op for op in msg.ops].count("add")
         others = len(msg.ops) - adds
-        piggy = counts[-2 * depth :]
-        self._built_counts = (adds + sum(piggy[0::2]), others + sum(piggy[1::2]))
+        self._built_counts = (adds + sum(counts[0::2]), others + sum(counts[1::2]))
         recent.append((seq, msg_uid, msg_origin, msg.ops))
         counts += (adds, others)
-        if len(recent) > depth:
-            del recent[: len(recent) - depth]
-            del counts[: len(counts) - 2 * depth]
+        sent.append(now)
         # Anything we send is by definition known to us.
         self.mark_seen(msg_origin, msg_uid)
         return msg

@@ -202,7 +202,7 @@ class Daemon:
             config=self.config,
             directory=self.directory,
             rng=random.Random(42),
-            updates=UpdateManager(node_id, self.config.piggyback_depth),
+            updates=UpdateManager(node_id, self.config),
         )
         self.ctx.wire(
             Announcer(self.ctx),

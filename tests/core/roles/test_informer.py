@@ -140,6 +140,28 @@ class TestTombstones:
         assert not daemon.ctx.informer.tombstoned("ghost", 3, daemon.runtime.now)
         assert "ghost" not in daemon.ctx.tombstones
 
+    def test_certificates_of_ids_that_never_return_lapse(self, daemon):
+        # A thousand ids buried one every 1/32 s and never heard again
+        # (the live-garbage flood's shape).  The tracker tick drops every
+        # certificate its quarantine has passed, so the map holds exactly
+        # the ids buried in the last quarantine, and nothing after it.
+        ctx, runtime = daemon.ctx, daemon.runtime
+        quarantine = daemon.config.tombstone_quarantine
+        step, period = 1 / 32, daemon.config.heartbeat_period
+        buried = []
+        for i in range(1000):
+            runtime.time = i * step
+            ctx.informer.bury(f"gone{i}", 1)
+            buried.append((f"gone{i}", runtime.time))
+            if i % round(period / step) == 0:
+                ctx.tracker.check_tick()
+                recent = {nid for nid, t in buried if runtime.time - t <= quarantine}
+                assert set(ctx.tombstones) == recent, i
+        assert len(ctx.tombstones) <= quarantine / step + period / step
+        runtime.time += quarantine + period
+        ctx.tracker.check_tick()
+        assert ctx.tombstones == {}
+
 
 class TestRateLimiterMaps:
     def test_maps_stay_within_twice_the_ids_of_the_last_interval(self, daemon):

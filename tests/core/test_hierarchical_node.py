@@ -340,3 +340,37 @@ class TestTraffic:
 
         small, large = per_node(2), per_node(5)
         assert large / small < 1.3
+
+
+class TestQuietCluster:
+    def test_converged_cluster_builds_no_updates(self, monkeypatch):
+        """Once formed, the 5 x 20 testbed's wire carries heartbeats only.
+
+        Formation's last update goes out by t = 5.3 (seed 31).  After
+        that the root climbs alone into levels 2 and 3; those wins move
+        nobody's attribution, so they re-announce nothing, and nothing
+        else changes.  Count gate: zero ``UpdateManager.build`` calls in
+        t in [6, 30].
+        """
+        from repro.core.updates import UpdateManager
+        from repro.metrics.experiment import make_scheme_cluster
+
+        builds = []
+        build = UpdateManager.build
+
+        def counted(self, level, ops, now, *args, **kwargs):
+            builds.append(now)
+            return build(self, level, ops, now, *args, **kwargs)
+
+        monkeypatch.setattr(UpdateManager, "build", counted)
+        net, hosts, nodes = make_scheme_cluster("hierarchical", 5, 20, seed=31)
+        net.run(until=30.0)
+        assert builds and max(builds) < 6.0
+        assert [t for t in builds if 6.0 <= t <= 30.0] == []
+        for node in nodes.values():
+            assert len(node.view()) == len(hosts)
+        # The root did climb: it leads every level, alone at the top.
+        root = nodes[hosts[0]]
+        assert root.levels() == [0, 1, 2, 3]
+        assert all(root.is_leader(level) for level in root.levels())
+        assert root.group_members(2) == root.group_members(3) == []

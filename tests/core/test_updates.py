@@ -1,7 +1,7 @@
 """Unit tests for the update sub-protocol (seq numbers, piggyback, dedup)."""
 
 from repro.cluster import NodeRecord
-from repro.core import UpdateManager, UpdateOp
+from repro.core import HierarchicalConfig, UpdateManager, UpdateOp
 
 
 def add_op(nid, inc=1):
@@ -12,81 +12,135 @@ def rm_op(nid, inc=1):
     return UpdateOp("remove", nid, inc)
 
 
+#: Send time of every message below that is not about expiry: all at one
+#: instant, so no piggyback entry ages out.
+NOW = 0.0
+
+
+def manager(node_id, depth=3, **kwargs):
+    """An update manager whose config sets the piggyback depth."""
+    return UpdateManager(node_id, HierarchicalConfig(piggyback_depth=depth), **kwargs)
+
+
 class TestBuild:
     def test_seq_increments_per_level(self):
-        um = UpdateManager("me")
-        m1 = um.build(0, [add_op("a")])
-        m2 = um.build(0, [add_op("b")])
-        m3 = um.build(1, [add_op("c")])
+        um = manager("me")
+        m1 = um.build(0, [add_op("a")], NOW)
+        m2 = um.build(0, [add_op("b")], NOW)
+        m3 = um.build(1, [add_op("c")], NOW)
         assert (m1.seq, m2.seq, m3.seq) == (1, 2, 1)
 
     def test_uid_unique_and_carried_through(self):
-        um = UpdateManager("me")
-        m1 = um.build(0, [add_op("a")])
-        m2 = um.build(0, [add_op("b")])
+        um = manager("me")
+        m1 = um.build(0, [add_op("a")], NOW)
+        m2 = um.build(0, [add_op("b")], NOW)
         assert m1.uid != m2.uid
-        relay = um.build(1, m1.ops, uid=m1.uid, origin=m1.origin)
+        relay = um.build(1, m1.ops, NOW, uid=m1.uid, origin=m1.origin)
         assert relay.uid == m1.uid
         assert relay.origin == "me"
 
     def test_piggyback_carries_last_k(self):
-        um = UpdateManager("me", piggyback_depth=3)
-        msgs = [um.build(0, [add_op(f"n{i}")]) for i in range(5)]
+        um = manager("me", 3)
+        msgs = [um.build(0, [add_op(f"n{i}")], NOW) for i in range(5)]
         last = msgs[-1]
         assert [seq for seq, _uid, _origin, _ops in last.piggyback] == [2, 3, 4]
 
     def test_piggyback_per_level(self):
-        um = UpdateManager("me")
-        um.build(0, [add_op("a")])
-        m = um.build(1, [add_op("b")])
+        um = manager("me")
+        um.build(0, [add_op("a")], NOW)
+        m = um.build(1, [add_op("b")], NOW)
         assert m.piggyback == ()
 
     def test_current_seq(self):
-        um = UpdateManager("me")
+        um = manager("me")
         assert um.current_seq(0) == 0
-        um.build(0, [add_op("a")])
+        um.build(0, [add_op("a")], NOW)
         assert um.current_seq(0) == 1
 
     def test_message_size(self):
-        um = UpdateManager("me")
-        m = um.build(0, [add_op("a"), rm_op("b")])
+        um = manager("me")
+        m = um.build(0, [add_op("a"), rm_op("b")], NOW)
         # header 28 + add 228 + remove 24
         assert m.size(member_size=228) == 280
 
     def test_size_includes_piggyback(self):
-        um = UpdateManager("me", piggyback_depth=3)
-        um.build(0, [add_op("a")])
-        m = um.build(0, [add_op("b")])
+        um = manager("me", 3)
+        um.build(0, [add_op("a")], NOW)
+        m = um.build(0, [add_op("b")], NOW)
         assert m.size(228) == 28 + 228 + 228
+
+
+class TestPiggybackHorizon:
+    """An entry rides along until ``level_timeout(level)`` after its send."""
+
+    def test_entry_is_carried_up_to_the_level_timeout(self):
+        for level in (0, 1, 2):
+            timeout = HierarchicalConfig().level_timeout(level)
+            um = manager("me")
+            first = um.build(level, [add_op("a")], 10.0)
+            m = um.build(level, [add_op("b")], 10.0 + timeout)
+            assert [uid for _seq, uid, _o, _ops in m.piggyback] == [first.uid]
+            assert um.last_size(228) == m.size(228) == 28 + 2 * 228
+
+    def test_entry_is_dropped_after_the_level_timeout(self):
+        for level in (0, 1, 2):
+            timeout = HierarchicalConfig().level_timeout(level)
+            um = manager("me")
+            um.build(level, [add_op("a")], 10.0)
+            m = um.build(level, [add_op("b")], 10.0 + timeout + 0.01)
+            assert m.piggyback == ()
+            assert um.last_size(228) == m.size(228) == 28 + 228
+
+    def test_only_the_expired_entries_go(self):
+        timeout = HierarchicalConfig().level_timeout(0)
+        um = manager("me", depth=3)
+        for t in (0.0, 1.0, 2.0):
+            um.build(0, [add_op(f"n{t}")], t)
+        m = um.build(0, [add_op("late")], 1.5 + timeout)
+        assert [seq for seq, _uid, _o, _ops in m.piggyback] == [3]
+        # The horizon is per channel: level 1's entries are judged by its
+        # own, longer timeout.
+        um.build(1, [add_op("up")], 0.0)
+        m1 = um.build(1, [add_op("up2")], 1.5 + timeout)
+        assert [seq for seq, _uid, _o, _ops in m1.piggyback] == [1]
+
+    def test_a_gap_over_an_expired_entry_needs_sync(self):
+        timeout = HierarchicalConfig().level_timeout(0)
+        alice, bob = manager("alice"), manager("bob")
+        bob.receive(alice.build(0, [add_op("a")], 0.0))
+        alice.build(0, [add_op("b")], 1.0)  # lost, and never heard of since
+        out = bob.receive(alice.build(0, [add_op("c")], 2.0 + timeout))
+        assert out.need_sync
+        assert [ops[0].node_id for _uid, _origin, ops in out.apply] == ["c"]
 
 
 class TestReceive:
     def test_in_order_stream(self):
-        alice, bob = UpdateManager("alice"), UpdateManager("bob")
+        alice, bob = manager("alice"), manager("bob")
         for i in range(3):
-            msg = alice.build(0, [add_op(f"n{i}")])
+            msg = alice.build(0, [add_op(f"n{i}")], NOW)
             out = bob.receive(msg)
             assert [ops[0].node_id for _uid, _origin, ops in out.apply] == [f"n{i}"]
             assert not out.need_sync
 
     def test_duplicate_uid_not_reapplied(self):
-        alice, bob = UpdateManager("alice"), UpdateManager("bob")
-        msg = alice.build(0, [add_op("x")])
+        alice, bob = manager("alice"), manager("bob")
+        msg = alice.build(0, [add_op("x")], NOW)
         assert len(bob.receive(msg).apply) == 1
         assert bob.receive(msg).apply == []
 
     def test_relay_through_second_channel_deduped(self):
-        alice, carol, bob = UpdateManager("alice"), UpdateManager("carol"), UpdateManager("bob")
-        orig = alice.build(0, [add_op("x")])
+        alice, carol, bob = manager("alice"), manager("carol"), manager("bob")
+        orig = alice.build(0, [add_op("x")], NOW)
         assert len(bob.receive(orig).apply) == 1
-        relay = carol.build(1, orig.ops, uid=orig.uid, origin=orig.origin)
+        relay = carol.build(1, orig.ops, NOW, uid=orig.uid, origin=orig.origin)
         assert bob.receive(relay).apply == []
 
     def test_gap_recovered_from_piggyback(self):
-        alice, bob = UpdateManager("alice"), UpdateManager("bob")
-        m1 = alice.build(0, [add_op("a")])
-        m2 = alice.build(0, [add_op("b")])  # lost
-        m3 = alice.build(0, [add_op("c")])
+        alice, bob = manager("alice"), manager("bob")
+        m1 = alice.build(0, [add_op("a")], NOW)
+        m2 = alice.build(0, [add_op("b")], NOW)  # lost
+        m3 = alice.build(0, [add_op("c")], NOW)
         bob.receive(m1)
         out = bob.receive(m3)
         applied = [ops[0].node_id for _uid, _origin, ops in out.apply]
@@ -94,8 +148,8 @@ class TestReceive:
         assert not out.need_sync
 
     def test_gap_beyond_piggyback_needs_sync(self):
-        alice, bob = UpdateManager("alice", piggyback_depth=3), UpdateManager("bob", piggyback_depth=3)
-        msgs = [alice.build(0, [add_op(f"n{i}")]) for i in range(6)]
+        alice, bob = manager("alice", 3), manager("bob", 3)
+        msgs = [alice.build(0, [add_op(f"n{i}")], NOW) for i in range(6)]
         bob.receive(msgs[0])
         out = bob.receive(msgs[5])  # lost seqs 2..5: piggyback has 3..5 only
         assert out.need_sync
@@ -105,69 +159,69 @@ class TestReceive:
 
     def test_exactly_max_loss_recoverable(self):
         # piggyback depth 3 tolerates 3 consecutive losses
-        alice, bob = UpdateManager("a"), UpdateManager("b")
-        msgs = [alice.build(0, [add_op(f"n{i}")]) for i in range(5)]
+        alice, bob = manager("a"), manager("b")
+        msgs = [alice.build(0, [add_op(f"n{i}")], NOW) for i in range(5)]
         bob.receive(msgs[0])
         out = bob.receive(msgs[4])  # seqs 2,3,4 lost; piggyback = 2,3,4
         assert not out.need_sync
         assert len(out.apply) == 4
 
     def test_reordered_old_packet_is_noop(self):
-        alice, bob = UpdateManager("a"), UpdateManager("b")
-        m1 = alice.build(0, [add_op("a")])
-        m2 = alice.build(0, [add_op("b")])
+        alice, bob = manager("a"), manager("b")
+        m1 = alice.build(0, [add_op("a")], NOW)
+        m2 = alice.build(0, [add_op("b")], NOW)
         bob.receive(m2)
         out = bob.receive(m1)  # arrives late; uid already seen via piggyback
         assert not out.need_sync
         assert out.apply == []
 
     def test_streams_per_sender(self):
-        a1, a2, bob = UpdateManager("s1"), UpdateManager("s2"), UpdateManager("bob")
-        bob.receive(a1.build(0, [add_op("x")]))
-        out = bob.receive(a2.build(0, [add_op("y")]))
+        a1, a2, bob = manager("s1"), manager("s2"), manager("bob")
+        bob.receive(a1.build(0, [add_op("x")], NOW))
+        out = bob.receive(a2.build(0, [add_op("y")], NOW))
         assert not out.need_sync  # different sender, own stream
 
     def test_forget_sender_resets_stream(self):
-        alice, bob = UpdateManager("a"), UpdateManager("b")
+        alice, bob = manager("a"), manager("b")
         for i in range(5):
-            bob.receive(alice.build(0, [add_op(f"n{i}")]))
+            bob.receive(alice.build(0, [add_op(f"n{i}")], NOW))
         bob.forget_sender("a")
-        fresh = UpdateManager("a")  # restarted daemon, seq restarts at 1
-        out = bob.receive(fresh.build(0, [add_op("z")]))
+        fresh = manager("a")  # restarted daemon, seq restarts at 1
+        out = bob.receive(fresh.build(0, [add_op("z")], NOW))
         assert len(out.apply) == 1
         assert not out.need_sync
 
 
 class TestBehind:
     def test_not_behind_initially_at_zero(self):
-        bob = UpdateManager("b")
+        bob = manager("b")
         assert not bob.behind("a", 0, 0)
 
     def test_behind_when_never_heard(self):
-        bob = UpdateManager("b")
+        bob = manager("b")
         assert bob.behind("a", 0, 3)
 
     def test_behind_when_lagging(self):
-        alice, bob = UpdateManager("a"), UpdateManager("b")
-        bob.receive(alice.build(0, [add_op("x")]))
+        alice, bob = manager("a"), manager("b")
+        bob.receive(alice.build(0, [add_op("x")], NOW))
         assert not bob.behind("a", 0, 1)
         assert bob.behind("a", 0, 2)
 
     def test_note_synced(self):
-        bob = UpdateManager("b")
+        bob = manager("b")
         bob.note_synced("a", 0, 5)
         assert not bob.behind("a", 0, 5)
         assert bob.behind("a", 0, 6)
 
     def test_note_synced_never_regresses(self):
-        bob = UpdateManager("b")
+        bob = manager("b")
         bob.note_synced("a", 0, 5)
         bob.note_synced("a", 0, 3)
         assert not bob.behind("a", 0, 5)
 
     def test_reset(self):
-        um = UpdateManager("me")
-        um.build(0, [add_op("a")])
+        um = manager("me")
+        um.build(0, [add_op("a")], NOW)
         um.note_synced("x", 0, 9)
         um.reset()
         assert um.current_seq(0) == 0
@@ -181,10 +235,10 @@ class TestReorderingEdges:
         # With no piggyback a gap cannot recover the lost update, so when
         # the reordered packet finally lands behind the stream position its
         # uid is genuinely new: it must still apply and relay.
-        alice = UpdateManager("a", piggyback_depth=0)
-        bob = UpdateManager("b", piggyback_depth=0)
-        m1 = alice.build(0, [add_op("x")])
-        m2 = alice.build(0, [add_op("y")])
+        alice = manager("a", 0)
+        bob = manager("b", 0)
+        m1 = alice.build(0, [add_op("x")], NOW)
+        m2 = alice.build(0, [add_op("y")], NOW)
         first = bob.receive(m2)  # m1 still in flight
         assert first.need_sync  # hole, nothing to recover from
         late = bob.receive(m1)  # duplicate-behind, uid unseen
@@ -201,11 +255,11 @@ class TestReorderingEdges:
         carry the very updates that were lost.  They used to be thrown
         away; they must be recovered exactly like the forward-gap path.
         """
-        alice, bob = UpdateManager("a"), UpdateManager("b")
-        m1 = alice.build(0, [add_op("a1")])
-        alice.build(0, [add_op("a2")])  # lost
-        alice.build(0, [add_op("a3")])  # lost
-        m4 = alice.build(0, [add_op("a4")])  # delayed in flight
+        alice, bob = manager("a"), manager("b")
+        m1 = alice.build(0, [add_op("a1")], NOW)
+        alice.build(0, [add_op("a2")], NOW)  # lost
+        alice.build(0, [add_op("a3")], NOW)  # lost
+        m4 = alice.build(0, [add_op("a4")], NOW)  # delayed in flight
         bob.receive(m1)
         bob.note_synced("a", 0, 4)  # full sync jumped the stream forward
         out = bob.receive(m4)  # arrives late: seq 4 <= last 4
@@ -218,26 +272,26 @@ class TestReorderingEdges:
         assert not bob.behind("a", 0, 4)
 
     def test_recovered_counter_on_gap_path(self):
-        alice, bob = UpdateManager("a"), UpdateManager("b")
-        bob.receive(alice.build(0, [add_op("a")]))
-        alice.build(0, [add_op("b")])  # lost
-        out = bob.receive(alice.build(0, [add_op("c")]))
+        alice, bob = manager("a"), manager("b")
+        bob.receive(alice.build(0, [add_op("a")], NOW))
+        alice.build(0, [add_op("b")], NOW)  # lost
+        out = bob.receive(alice.build(0, [add_op("c")], NOW))
         assert len(out.apply) == 2
         assert out.recovered == 1  # only "b" was a piggyback recovery
 
     def test_duplicate_behind_with_seen_uid_is_silent(self):
-        alice, bob = UpdateManager("a"), UpdateManager("b")
-        m1 = alice.build(0, [add_op("x")])
-        m2 = alice.build(0, [add_op("y")])
+        alice, bob = manager("a"), manager("b")
+        m1 = alice.build(0, [add_op("x")], NOW)
+        m2 = alice.build(0, [add_op("y")], NOW)
         bob.receive(m2)  # piggyback recovers m1's ops, marking its uid seen
         late = bob.receive(m1)
         assert late.apply == [] and not late.relay and not late.need_sync
 
     def test_gap_exactly_piggyback_depth_fully_recovers(self):
         depth = 3
-        alice = UpdateManager("a", piggyback_depth=depth)
-        bob = UpdateManager("b", piggyback_depth=depth)
-        msgs = [alice.build(0, [add_op(f"n{i}")]) for i in range(depth + 2)]
+        alice = manager("a", depth)
+        bob = manager("b", depth)
+        msgs = [alice.build(0, [add_op(f"n{i}")], NOW) for i in range(depth + 2)]
         bob.receive(msgs[0])
         out = bob.receive(msgs[depth + 1])  # exactly `depth` seqs lost
         assert not out.need_sync
@@ -246,9 +300,9 @@ class TestReorderingEdges:
 
     def test_gap_one_past_piggyback_depth_needs_sync(self):
         depth = 3
-        alice = UpdateManager("a", piggyback_depth=depth)
-        bob = UpdateManager("b", piggyback_depth=depth)
-        msgs = [alice.build(0, [add_op(f"n{i}")]) for i in range(depth + 3)]
+        alice = manager("a", depth)
+        bob = manager("b", depth)
+        msgs = [alice.build(0, [add_op(f"n{i}")], NOW) for i in range(depth + 3)]
         bob.receive(msgs[0])
         out = bob.receive(msgs[depth + 2])  # depth+1 seqs lost: one too many
         assert out.need_sync
@@ -261,21 +315,21 @@ class TestSeenUidWindow:
     """The uid-dedup memory is a bounded insertion-ordered window."""
 
     def test_window_bounds_memory_under_sustained_churn(self):
-        bob = UpdateManager("b", seen_uid_window=8)
-        senders = [UpdateManager(f"s{i}") for i in range(4)]
+        bob = manager("b", seen_uid_window=8)
+        senders = [manager(f"s{i}") for i in range(4)]
         for round_no in range(200):
             for s in senders:
-                bob.receive(s.build(0, [add_op(f"n{round_no}")]))
+                bob.receive(s.build(0, [add_op(f"n{round_no}")], NOW))
         assert len(bob._seen_uids) <= 8
 
     def test_oldest_uids_evicted_first(self):
-        um = UpdateManager("me", seen_uid_window=3)
+        um = manager("me", seen_uid_window=3)
         for uid in (1, 2, 3, 4, 5):
             um.mark_seen("o", uid)
         assert list(um._seen_uids) == [("o", 3), ("o", 4), ("o", 5)]
 
     def test_mark_seen_idempotent_no_reorder(self):
-        um = UpdateManager("me", seen_uid_window=3)
+        um = manager("me", seen_uid_window=3)
         for uid in (1, 2, 3):
             um.mark_seen("o", uid)
         um.mark_seen("o", 1)  # already present: must not refresh or evict
@@ -286,11 +340,11 @@ class TestSeenUidWindow:
         # two nodes can both emit uid 1.  Dedup keys on (origin, uid)
         # content: a colliding uid from a different originator is a
         # different update and must still apply.
-        bob = UpdateManager("b")
-        one = UpdateManager("s1", uid_alloc=iter([1]).__next__)
-        two = UpdateManager("s2", uid_alloc=iter([1]).__next__)
-        assert len(bob.receive(one.build(0, [add_op("x")])).apply) == 1
-        out = bob.receive(two.build(0, [add_op("y")]))
+        bob = manager("b")
+        one = manager("s1", uid_alloc=iter([1]).__next__)
+        two = manager("s2", uid_alloc=iter([1]).__next__)
+        assert len(bob.receive(one.build(0, [add_op("x")], NOW)).apply) == 1
+        out = bob.receive(two.build(0, [add_op("y")], NOW))
         assert [ops[0].node_id for _uid, _origin, ops in out.apply] == ["y"]
         assert out.relay
 
@@ -298,10 +352,10 @@ class TestSeenUidWindow:
         # A piggybacked entry may be a relay of someone else's update; its
         # recovery must re-advertise the *original* (origin, uid), not the
         # primary message's origin.
-        alice, bob = UpdateManager("a"), UpdateManager("b")
-        relayed = alice.build(0, [add_op("x")], uid=7, origin="far")  # lost
+        alice, bob = manager("a"), manager("b")
+        relayed = alice.build(0, [add_op("x")], NOW, uid=7, origin="far")  # lost
         assert relayed.origin == "far"
-        m2 = alice.build(0, [add_op("y")])
+        m2 = alice.build(0, [add_op("y")], NOW)
         out = bob.receive(m2)  # gap of 1: piggyback recovers the relay
         assert [(uid, origin) for uid, origin, _ops in out.apply] == [
             (7, "far"),
@@ -314,11 +368,11 @@ class TestSeenUidWindow:
     def test_evicted_uid_straggler_reapplies_harmlessly(self):
         # An evicted uid that straggles back is re-applied; the update ops
         # are idempotent per the paper, so dedup loss only costs work.
-        alice = UpdateManager("a", piggyback_depth=0)
-        bob = UpdateManager("b", piggyback_depth=0, seen_uid_window=2)
-        m1 = alice.build(0, [add_op("x")])
+        alice = manager("a", 0)
+        bob = manager("b", 0, seen_uid_window=2)
+        m1 = alice.build(0, [add_op("x")], NOW)
         for i in range(4):  # push m1's uid out of the window
-            bob.receive(alice.build(0, [add_op(f"f{i}")]))
+            bob.receive(alice.build(0, [add_op(f"f{i}")], NOW))
         out = bob.receive(m1)  # behind the stream AND evicted from dedup
         assert [ops[0].node_id for _uid, _origin, ops in out.apply] == ["x"]
         assert out.relay

@@ -10,11 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import NodeRecord
-from repro.core import UpdateManager, UpdateOp
+from repro.core import HierarchicalConfig, UpdateManager, UpdateOp
 
 
 def add_op(i):
     return UpdateOp("add", f"n{i}", 1, NodeRecord(f"n{i}", incarnation=1))
+
+
+#: Send time of every message below that is not about expiry: all at one
+#: instant, so no piggyback entry ages out.
+NOW = 0.0
+
+
+def manager(node_id, depth=3, **kwargs):
+    """An update manager whose config sets the piggyback depth."""
+    return UpdateManager(node_id, HierarchicalConfig(piggyback_depth=depth), **kwargs)
 
 
 @st.composite
@@ -30,11 +40,11 @@ class TestStreamProperties:
     @settings(max_examples=300, deadline=None)
     def test_at_most_once_and_ordered(self, case):
         n, depth, lost = case
-        sender = UpdateManager("s", piggyback_depth=depth)
-        receiver = UpdateManager("r", piggyback_depth=depth)
+        sender = manager("s", depth)
+        receiver = manager("r", depth)
         applied = []
         for i in range(n):
-            msg = sender.build(0, [add_op(i)])
+            msg = sender.build(0, [add_op(i)], NOW)
             if i in lost:
                 continue
             out = receiver.receive(msg)
@@ -65,12 +75,12 @@ class TestStreamProperties:
                 run += 1
             else:
                 run = 0
-        sender = UpdateManager("s", piggyback_depth=depth)
-        receiver = UpdateManager("r", piggyback_depth=depth)
+        sender = manager("s", depth)
+        receiver = manager("r", depth)
         applied = set()
         needed_sync = False
         for i in range(n):
-            msg = sender.build(0, [add_op(i)])
+            msg = sender.build(0, [add_op(i)], NOW)
             if i in bounded:
                 continue
             out = receiver.receive(msg)
@@ -86,13 +96,13 @@ class TestStreamProperties:
         """need_sync fires exactly when some delivered packet saw a gap
         larger than its piggyback could cover."""
         n, depth, lost = case
-        sender = UpdateManager("s", piggyback_depth=depth)
-        receiver = UpdateManager("r", piggyback_depth=depth)
+        sender = manager("s", depth)
+        receiver = manager("r", depth)
         missing_uncovered = False
         last_seen = 0
         got_sync = False
         for i in range(n):
-            msg = sender.build(0, [add_op(i)])
+            msg = sender.build(0, [add_op(i)], NOW)
             if i in lost:
                 continue
             gap = msg.seq - last_seen - 1
@@ -112,11 +122,11 @@ class TestStreamProperties:
     def test_duplicate_and_reordered_delivery_safe(self, n, depth, rng):
         """Deliver the whole stream twice in random order: every update is
         applied exactly once (uid dedup absorbs duplicates + reordering)."""
-        sender = UpdateManager("s", piggyback_depth=depth)
-        msgs = [sender.build(0, [add_op(i)]) for i in range(n)]
+        sender = manager("s", depth)
+        msgs = [sender.build(0, [add_op(i)], NOW) for i in range(n)]
         deliveries = msgs + msgs
         rng.shuffle(deliveries)
-        receiver = UpdateManager("r", piggyback_depth=depth)
+        receiver = manager("r", depth)
         applied = []
         for msg in deliveries:
             for _uid, _origin, ops in receiver.receive(msg).apply:
@@ -137,17 +147,41 @@ class TestSendSize:
         _op_mixes,
         st.integers(min_value=0, max_value=5),
         st.lists(st.integers(min_value=0, max_value=600), min_size=1, max_size=4),
+        st.lists(
+            st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+            min_size=1,
+            max_size=12,
+        ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_last_size_equals_the_per_op_formula(self, groups, depth, member_sizes):
-        """The counted price of every built message equals summing its ops."""
-        um = UpdateManager("s", piggyback_depth=depth)
+    def test_last_size_equals_the_per_op_formula(
+        self, groups, depth, member_sizes, gaps
+    ):
+        """The counted price of every built message equals summing its ops.
+
+        Send times advance by drawn gaps, so piggyback entries expire at
+        the level timeout on both channels, and the price must follow.
+        """
+        um = manager("s", depth)
+        config = um.config
+        now = 0.0
+        sent = {}  # (level, seq) -> send time
         for i, kinds in enumerate(groups):
+            now += gaps[i % len(gaps)]
             ops = [
                 add_op(f"{i}.{j}") if kind == "add" else UpdateOp(kind, f"{i}.{j}", 1)
                 for j, kind in enumerate(kinds)
             ]
-            msg = um.build(i % 2, ops)
+            level = i % 2
+            msg = um.build(level, ops, now)
+            sent[level, msg.seq] = now
+            carried = [seq for seq, _uid, _origin, _ops in msg.piggyback]
+            expected = [
+                seq
+                for seq in range(max(1, msg.seq - depth), msg.seq)
+                if now - sent[level, seq] <= config.level_timeout(level)
+            ]
+            assert carried == expected
             # A live member_size change prices right, as the op walk would.
             for member_size in member_sizes:
                 assert um.last_size(member_size) == msg.size(member_size)

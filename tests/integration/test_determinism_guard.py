@@ -120,23 +120,25 @@ def test_jsonl_sink_attached_changes_nothing_and_is_byte_identical(tmp_path):
 #
 # The hashes below were captured on the monolithic pre-roles codebase
 # (single-class ``HierarchicalNode``, protocols scheduling directly on
-# ``repro.sim``).  The runtime/roles refactor — and any future structural
-# change — must reproduce them bit-for-bit: a changed hash means the
-# "pure code motion" claim is false (a scheduling call moved, an RNG draw
-# was added or reordered, a trace emit shifted).  Unlike the pairwise
-# tests above, these pin the traces across *commits*, not just across
-# runs of one commit.
+# ``repro.sim``); the three hierarchical ones were re-captured once when
+# updates began to carry only news (no re-announce on a climb into an
+# empty level, piggyback entries expiring after the level timeout;
+# DESIGN.md §6).  Any structural change must reproduce them bit-for-bit:
+# a changed hash means the "pure code motion" claim is false (a
+# scheduling call moved, an RNG draw was added or reordered, a trace emit
+# shifted).  Unlike the pairwise tests above, these pin the traces across
+# *commits*, not just across runs of one commit.
 # ----------------------------------------------------------------------
 
 GOLDEN_SHA256 = {
     ("hierarchical", 7): (
-        "3f4f977fca4e3f1a478b39e16063aa16fd6756f2ae86218aa803eb96498a5b04"
+        "33d21ae6ee866998c42a934091cd03f86ac04d2b72a93f58f920de3e2f45703d"
     ),
     ("hierarchical", 8): (
-        "0bd99ad4617aa69698071c6a2d3d66e843f1c31d553e6b3efffd77b3e4e2faf9"
+        "ea3874acab3d4746ae268602a74e9834de3238881b266393bc8a1726ed529c38"
     ),
     ("hierarchical-chaos", 7): (
-        "982bb17173d1ffbdc803db9f45f7cf58cdb3a43d22847478e164fe0bd771fa53"
+        "af0093e32ac138e1ab0ffa96008cc8699db9847fbd4dc9bc07a94b2596dc418b"
     ),
     ("all-to-all", 7): (
         "324c46ec37a32b83763025db31bbb51dc4386b6826d592a0332d0cf64c359a45"

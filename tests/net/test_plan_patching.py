@@ -354,8 +354,9 @@ class TestReplanningCost:
         assert {dst for _src, dst in calls} == {self.VICTIM}
         # Behaviour is unchanged by patching: both numbers are what the
         # fabric that rebuilt every plan produced for this run (18,898
-        # kernel events from t=0 to t=60, all 100 views complete).
-        assert net.sim.events_executed == 18898
+        # kernel events from t=0 to t=60, all 100 views complete; 18,903
+        # since climbs into empty levels stopped re-announcing).
+        assert net.sim.events_executed == 18903
         everyone = set(hosts)
         assert sum(set(n.view()) == everyone for n in nodes.values()) == 100
 
@@ -372,7 +373,7 @@ class TestFormationPlanCost:
     """
 
     @pytest.mark.parametrize(
-        "branching, events", [(5, 8094), (10, 17039)], ids=["100_nodes", "200_nodes"]
+        "branching, events", [(5, 8066), (10, 16986)], ids=["100_nodes", "200_nodes"]
     )
     def test_route_queries_per_node_do_not_grow_with_n(self, branching, events):
         topo, hosts = build_router_tree(2, branching, hosts_per_leaf=20)
@@ -382,7 +383,9 @@ class TestFormationPlanCost:
         net.run(until=25.0)
         assert len(calls) <= 25 * len(hosts)
         # Behaviour is what the fabric that walked every subscriber
-        # produced: the same kernel events, and every view complete.
+        # produced: the same kernel events (8,094 and 17,039 before climbs
+        # into empty levels stopped re-announcing), and every view
+        # complete.
         assert net.sim.events_executed == events
         everyone = set(hosts)
         assert all(set(node.view()) == everyone for node in nodes.values())
@@ -399,7 +402,7 @@ class TestFormationInsertRuns:
     """
 
     @pytest.mark.parametrize(
-        "branching, events", [(5, 8094), (10, 17039)], ids=["100_nodes", "200_nodes"]
+        "branching, events", [(5, 8066), (10, 16986)], ids=["100_nodes", "200_nodes"]
     )
     def test_insert_calls_do_not_exceed_op_groups(self, monkeypatch, branching, events):
         counts = {"insert_new": 0, "apply_ops": 0}

@@ -114,6 +114,20 @@ def test_rebuild_detector_swaps_strategy_mid_run(scheme):
     assert node.runtime.live_timers == 0
 
 
+def test_update_streams_follow_a_replaced_config():
+    # The update streams read the piggyback depth and horizon from the
+    # config, so a control-plane replacement must reach them too.
+    from dataclasses import replace
+
+    net, hosts, nodes = make_nodes("hierarchical")
+    node = nodes[hosts[0]]
+    node.apply_config(replace(node.config, piggyback_depth=0))
+    updates = node._ctx.updates
+    assert updates.config is node.config
+    updates.build(0, [], net.now)
+    assert updates.build(0, [], net.now).piggyback == ()
+
+
 @pytest.mark.parametrize("scheme", ["hierarchical", "all-to-all", "gossip"])
 def test_stop_is_idempotent_and_timers_stay_dead(scheme):
     net, hosts, nodes = make_nodes(scheme)
