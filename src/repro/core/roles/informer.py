@@ -224,9 +224,18 @@ class Informer:
                 if heard is not None:
                     # We hear this node ourselves; our own failure detector
                     # outranks second-hand news.  Leaders refute the rumor
-                    # so distant nodes that removed it re-add it quickly.
+                    # so distant nodes that removed it re-add it quickly,
+                    # but only for a node heard within two periods: one
+                    # gone quieter is about to time out here too, and a
+                    # refutation would only bounce the members' removal.
+                    group = ctx.groups[heard]
                     record = ctx.directory.get(op.node_id)
-                    if record is not None and ctx.groups[heard].i_am_leader:
+                    if (
+                        record is not None
+                        and group.i_am_leader
+                        and now - group.peers[op.node_id].last_heard
+                        <= 2 * ctx.config.heartbeat_period
+                    ):
                         self.originate(
                             [UpdateOp("add", op.node_id, record.incarnation, record)]
                         )
@@ -336,28 +345,38 @@ class Informer:
                     if rec is not None:
                         self.bury(nid, rec.incarnation)
                     ctx.emit_member_down(nid, reason="sync_prune")
-        if ctx.is_relay_point():
-            if (
-                now < ctx.bootstrap_announce_until
-                and now - ctx.last_full_announce >= ctx.config.min_sync_interval
-            ):
-                # Fresh leadership: propagate the whole bootstrap result so
-                # members recover entries they dropped during the failover
-                # (their removals were collateral, not visible to us).
-                # Rate-limited: one flood per sync interval is enough and
-                # keeps formation-time traffic linear.
-                ctx.last_full_announce = now
-                announce = [
-                    r
-                    for r in snapshot
-                    if r.node_id != ctx.node_id and r.node_id in ctx.directory
-                ]
-            else:
-                announce = added
-            if announce:
-                self.originate(
-                    [UpdateOp("add", r.node_id, r.incarnation, r) for r in announce]
-                )
+        if not ctx.is_relay_point():
+            return
+        from_level: Optional[int] = None
+        if (
+            now < ctx.bootstrap_announce_until
+            and now - ctx.last_full_announce >= ctx.config.min_sync_interval
+        ):
+            # Fresh leadership: propagate the whole bootstrap result so
+            # members recover entries they dropped during the failover
+            # (their removals were collateral, not visible to us).
+            # Rate-limited: one flood per sync interval is enough and
+            # keeps formation-time traffic linear.  The flood follows the
+            # relay rule (Fig. 5): the channel we hear the snapshot's
+            # sender on holds the sender, who has just said all of it, so
+            # that channel hears the flood only as our echo where we lead
+            # it.  A sender heard on no channel gets it everywhere.
+            ctx.last_full_announce = now
+            announce = [
+                r
+                for r in snapshot
+                if r.node_id != ctx.node_id and r.node_id in ctx.directory
+            ]
+            from_level = ctx.heard_level(via)
+        else:
+            announce = added
+        if not announce:
+            return
+        ops = [UpdateOp("add", r.node_id, r.incarnation, r) for r in announce]
+        if from_level is None:
+            self.originate(ops)
+        else:
+            self.relay_ops(ctx.updates.new_uid(), ctx.node_id, ops, from_level)
 
     # ------------------------------------------------------------------
     # Second-hand record absorption and death certificates

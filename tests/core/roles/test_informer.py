@@ -255,3 +255,33 @@ class TestSelfDefense:
         daemon.node.incarnation = 5
         daemon.ctx.informer.apply_ops([UpdateOp("remove", daemon.node.node_id, 2)], via="p1")
         assert daemon.node.refutations == 0
+
+
+class TestLeaderRefutation:
+    """A leader answers a member's death rumor only while it hears the member."""
+
+    def rumor(self, daemon, heard_periods_ago):
+        period = daemon.config.heartbeat_period
+        daemon.runtime.time = 10.0
+        daemon.ctx.groups[0].i_am_leader = True
+        daemon.add_peer("m1", last_heard=10.0 - heard_periods_ago * period)
+        daemon.ctx.informer.apply_ops([UpdateOp("remove", "m1", 1)], via="p1")
+        return [
+            op
+            for m in update_publishes(daemon)
+            for op in m.ops
+            if op.node_id == "m1"
+        ]
+
+    def test_member_heard_a_period_ago_is_refuted(self, daemon):
+        ops = self.rumor(daemon, heard_periods_ago=1)
+        assert [(op.op, op.incarnation) for op in ops] == [("add", 1)]
+        assert "m1" in daemon.directory
+
+    def test_member_quiet_for_three_periods_is_neither_refuted_nor_removed(self, daemon):
+        ops = self.rumor(daemon, heard_periods_ago=3)
+        assert ops == []
+        # Our own detector still decides: the entry and the peer stay.
+        assert "m1" in daemon.directory
+        assert "m1" in daemon.ctx.groups[0].peers
+        assert daemon.node.member_down == []

@@ -374,3 +374,53 @@ class TestQuietCluster:
         assert root.levels() == [0, 1, 2, 3]
         assert all(root.is_leader(level) for level in root.levels())
         assert root.group_members(2) == root.group_members(3) == []
+
+
+class TestRefutationPingPong:
+    def test_churn_imports_few_buried_records(self, monkeypatch):
+        """A leader defends only a member it still hears.
+
+        The ledger's churn schedule on the 5 x 20 testbed at 2 % loss
+        (seed 13, 60 crash/recover pairs of ordinary nodes, 4 s apart,
+        each victim back 14 s later).  When a leader refuted every
+        removal of a member still in its group, a leader whose detector
+        lagged its members' by one tracker tick answered their removals
+        with fresh adds, and each member refused the add against its
+        death certificate and pushed the removal out again: 12,068
+        buried records offered for import.  Refuting only for a member
+        heard within two heartbeat periods leaves 54.  Count gate: at
+        most 500 ``Informer.tombstoned`` hits, and every view complete.
+        """
+        import random
+
+        from repro.cluster.failures import FailureSchedule
+        from repro.core.roles.informer import Informer
+        from repro.metrics.experiment import make_scheme_cluster
+
+        hits = []
+        tombstoned = Informer.tombstoned
+
+        def counted(self, node_id, incarnation, now):
+            buried = tombstoned(self, node_id, incarnation, now)
+            if buried:
+                hits.append(node_id)
+            return buried
+
+        monkeypatch.setattr(Informer, "tombstoned", counted)
+        seed, kills = 13, 60
+        net, hosts, nodes = make_scheme_cluster("hierarchical", 5, 20, seed=seed, loss_rate=0.02)
+        net.run(until=25.0)
+        rng = random.Random(seed)
+        ordinary = [h for h in hosts if not nodes[h].is_leader(0)]
+        rng.shuffle(ordinary)
+        schedule = FailureSchedule(net)
+        for i in range(kills):
+            down = 30.0 + 4.0 * i + rng.uniform(0.05, 0.25)
+            victim = ordinary[i % len(ordinary)]
+            schedule.register_stack(victim, nodes[victim])
+            schedule.crash_node_at(down, victim)
+            schedule.recover_node_at(down + 14.0, victim)
+        net.run(until=30.0 + 4.0 * kills + 14.0 + 12.0)
+        assert len(hits) <= 500
+        everyone = set(hosts)
+        assert all(set(node.view()) == everyone for node in nodes.values())

@@ -122,8 +122,10 @@ def test_jsonl_sink_attached_changes_nothing_and_is_byte_identical(tmp_path):
 # (single-class ``HierarchicalNode``, protocols scheduling directly on
 # ``repro.sim``); the three hierarchical ones were re-captured once when
 # updates began to carry only news (no re-announce on a climb into an
-# empty level, piggyback entries expiring after the level timeout;
-# DESIGN.md §6).  Any structural change must reproduce them bit-for-bit:
+# empty level, piggyback entries expiring after the level timeout), and
+# seed 7 and chaos-7 once more when the bootstrap flood took the relay
+# rule and leaders began to refute only for members they still hear
+# (DESIGN.md §6).  Any structural change must reproduce them bit-for-bit:
 # a changed hash means the "pure code motion" claim is false (a
 # scheduling call moved, an RNG draw was added or reordered, a trace emit
 # shifted).  Unlike the pairwise tests above, these pin the traces across
@@ -132,13 +134,13 @@ def test_jsonl_sink_attached_changes_nothing_and_is_byte_identical(tmp_path):
 
 GOLDEN_SHA256 = {
     ("hierarchical", 7): (
-        "33d21ae6ee866998c42a934091cd03f86ac04d2b72a93f58f920de3e2f45703d"
+        "3f4f977fca4e3f1a478b39e16063aa16fd6756f2ae86218aa803eb96498a5b04"
     ),
     ("hierarchical", 8): (
         "ea3874acab3d4746ae268602a74e9834de3238881b266393bc8a1726ed529c38"
     ),
     ("hierarchical-chaos", 7): (
-        "af0093e32ac138e1ab0ffa96008cc8699db9847fbd4dc9bc07a94b2596dc418b"
+        "4bfb9e056ebe05497ef069c7c62fda0b35aeb65259ca879ca13f0c2679fddf18"
     ),
     ("all-to-all", 7): (
         "324c46ec37a32b83763025db31bbb51dc4386b6826d592a0332d0cf64c359a45"
