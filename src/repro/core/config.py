@@ -76,8 +76,12 @@ class HierarchicalConfig(ProtocolConfig):
     ``max_ttl``
         Group formation stops once the TTL reaches this bound.
     ``piggyback_depth``
-        Each update message carries this many previous updates so the
-        receiver tolerates that many consecutive losses (paper: 3).
+        Each update message carries up to this many previous updates so
+        the receiver tolerates that many consecutive losses (paper: 3).
+        The paper's updates are one-member changes, so the carried ops
+        are kept to the bytes of this many ``member_size`` records; a
+        bigger update (a bootstrap flood, a subtree re-announce) is left
+        out, and a receiver that loses it polls.
     ``election_delay``
         How long a node waits hearing no leader before contending.
     ``min_sync_interval``
@@ -202,7 +206,8 @@ KNOBS: Tuple[Knob, ...] = (
     Knob("member_size", int, "MEMBER_SIZE", str,
          "modelled bytes of one member description"),
     Knob("piggyback_depth", int, "PIGGYBACK", str,
-         "previous updates carried by each update message"),
+         "previous updates carried by each update message, within the"
+         " bytes of that many member descriptions"),
     Knob("detector", detector_name, "DETECTOR", str,
          "failure-detection strategy (default: spec/counter)",
          control=True, flag=True, choices=tuple(sorted(DETECTORS))),

@@ -338,13 +338,21 @@ class Informer:
             # it still vouches for: drop entries it no longer lists (heals
             # a missed remove-update that was the sender's last message).
             listed = {r.node_id for r in snapshot}
+            pruned: List[UpdateOp] = []
             for nid in ctx.directory.relayed_entries(via):
                 if nid not in listed and ctx.heard_level(nid) is None:
                     rec = ctx.directory.get(nid)
                     ctx.directory.remove(nid)
                     if rec is not None:
                         self.bury(nid, rec.incarnation)
+                        pruned.append(UpdateOp("remove", nid, rec.incarnation))
                     ctx.emit_member_down(nid, reason="sync_prune")
+            if pruned and ctx.is_relay_point():
+                # The removal we missed is one our own group missed too:
+                # the sync marks the sender's stream caught up, so the
+                # piggyback that carried it is never relayed.  Like the
+                # tracker's backstop purge, a relay point tells its group.
+                self.originate(pruned)
         if not ctx.is_relay_point():
             return
         from_level: Optional[int] = None

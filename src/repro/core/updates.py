@@ -15,12 +15,15 @@ the tree as **update messages** (Section 3.1.2):
   redundant deliveries are harmless (the paper's idempotence argument).
 * Loss handling: each (sender, channel) stream is sequence-numbered and
   every message piggybacks the last ``piggyback_depth`` updates sent on
-  that channel within the level's timeout, tolerating that many
-  consecutive losses; a larger gap triggers a full directory sync poll to
-  the sender ("the receiver will poll the sender to synchronize its
-  membership directory").  An older update need not ride along: every
-  heartbeat advertises the sender's seq, so by then each live receiver
-  has applied it or polled, or has dropped the sender as dead.
+  that channel within the level's timeout, as far as they fit the bytes
+  of that many one-member updates (the paper's updates are one-member
+  changes; a bootstrap flood is not re-sent three times), tolerating
+  that many consecutive losses; a larger gap, or a lost update too big
+  to ride, triggers a full directory sync poll to the sender ("the
+  receiver will poll the sender to synchronize its membership
+  directory").  An older update need not ride along: every heartbeat
+  advertises the sender's seq, so by then each live receiver has applied
+  it or polled, or has dropped the sender as dead.
 """
 
 from __future__ import annotations
@@ -156,8 +159,9 @@ class UpdateManager:
         uid_alloc: Optional[Callable[[], int]] = None,
     ) -> None:
         self.node_id = node_id
-        #: source of ``piggyback_depth`` and of each level's piggyback
-        #: horizon, ``level_timeout(level)``; the node facade re-points it
+        #: source of ``piggyback_depth``, of the piggyback's byte budget
+        #: (``member_size``) and of each level's piggyback horizon,
+        #: ``level_timeout(level)``; the node facade re-points it
         #: when the control plane replaces the config.
         self.config = config
         self.seen_uid_window = seen_uid_window
@@ -170,9 +174,8 @@ class UpdateManager:
         self._next_seq: Dict[int, int] = {}
         # level -> (the piggyback window's entries, the adds and other ops
         # of each entry, flat and in step with it, and each entry's send
-        # time).  With the totals of the last message built, a piggybacked
-        # group is counted once, when it is first sent, not again on every
-        # send that carries it.
+        # time).  The counts price an entry without walking its ops, both
+        # against the piggyback budget and in the last message's totals.
         self._recent: Dict[
             int, Tuple[List[_PiggyEntry], List[int], List[float]]
         ] = {}
@@ -219,10 +222,16 @@ class UpdateManager:
         ``uid``/``origin`` are carried through unchanged when relaying
         someone else's update; omitted for locally-originated changes.
 
-        The piggyback holds the last ``piggyback_depth`` updates sent on
-        the channel no more than ``level_timeout(level)`` before ``now``.
-        Send times never decrease, so the expired entries are the
-        window's oldest.
+        The piggyback window is the last ``piggyback_depth`` updates sent
+        on the channel no more than ``level_timeout(level)`` before
+        ``now``; send times never decrease, so the expired entries are
+        the window's oldest.  The message carries the part of the window
+        that fits the paper's "last 3 updates" of one member each:
+        walking it newest first, an entry rides while the ops carried so
+        far fit ``piggyback_depth * member_size`` bytes, priced as on the
+        wire, and an entry that does not fit (a bootstrap flood or a
+        subtree re-announce) is skipped.  A receiver that lost a skipped
+        entry sees the gap and polls.
         """
         seq = self._next_seq.get(level, 0) + 1
         self._next_seq[level] = seq
@@ -240,6 +249,22 @@ class UpdateManager:
             del recent[:drop]
             del counts[: 2 * drop]
             del sent[:drop]
+        # Newest first, carry each entry whose ops still fit the budget of
+        # piggyback_depth one-member updates; skip one that does not.
+        member_size = self.config.member_size
+        room = self.config.piggyback_depth * member_size
+        carried: List[_PiggyEntry] = []
+        carried_adds = carried_others = 0
+        for entry, entry_adds, entry_others in zip(
+            reversed(recent), counts[-2::-2], counts[::-2]
+        ):
+            cost = entry_adds * member_size + entry_others * REMOVE_OP_SIZE
+            if cost <= room:
+                room -= cost
+                carried.append(entry)
+                carried_adds += entry_adds
+                carried_others += entry_others
+        carried.reverse()
         msg = UpdateMessage(
             uid=msg_uid,
             origin=msg_origin,
@@ -247,11 +272,11 @@ class UpdateManager:
             level=level,
             seq=seq,
             ops=tuple(ops),
-            piggyback=tuple(recent),
+            piggyback=tuple(carried),
         )
         adds = [op.op for op in msg.ops].count("add")
         others = len(msg.ops) - adds
-        self._built_counts = (adds + sum(counts[0::2]), others + sum(counts[1::2]))
+        self._built_counts = (adds + carried_adds, others + carried_others)
         recent.append((seq, msg_uid, msg_origin, msg.ops))
         counts += (adds, others)
         sent.append(now)

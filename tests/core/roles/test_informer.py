@@ -85,6 +85,31 @@ class TestSyncServer:
         assert "new1" in daemon.directory
 
 
+class TestSyncPruneRelay:
+    """What a sync response prunes, a relay point tells its group."""
+
+    def prune(self, daemon):
+        daemon.ctx.pending_syncs.add("up")
+        daemon.directory.upsert(NodeRecord("old1", 4), 0.0, relayed_by="up")
+        daemon.ctx.receiver.on_unicast(sync_resp("up", []))
+        assert "old1" not in daemon.directory
+        assert ("old1", "sync_prune") in daemon.node.member_down
+        return [(op.op, op.node_id, op.incarnation)
+                for m in update_publishes(daemon) for op in m.ops]
+
+    def test_a_leader_originates_the_removal_with_the_buried_incarnation(self, daemon):
+        daemon.ctx.groups[0].i_am_leader = True
+        daemon.add_peer("up", level=1)
+        sent = self.prune(daemon)
+        # One update, multicast on both channels the leader joins.
+        assert sent == [("remove", "old1", 4)] * 2
+        assert daemon.ctx.tombstones["old1"][0] == 4
+
+    def test_a_plain_member_prunes_silently(self, daemon):
+        daemon.add_peer("up", is_leader=True)
+        assert self.prune(daemon) == []
+
+
 class TestTombstones:
     def test_certificate_refuses_stale_incarnations(self, daemon):
         daemon.ctx.informer.bury("ghost", 3)

@@ -114,6 +114,52 @@ class TestPiggybackHorizon:
         assert [ops[0].node_id for _uid, _origin, ops in out.apply] == ["c"]
 
 
+class TestPiggybackBudget:
+    """The piggyback carries at most ``depth`` one-member updates' bytes."""
+
+    def test_single_op_entries_up_to_the_depth_ride(self):
+        for depth in (1, 3, 6):
+            um = manager("me", depth)
+            for i in range(depth):
+                um.build(0, [add_op(f"a{i}") if i % 2 else rm_op(f"r{i}")], NOW)
+            m = um.build(0, [add_op("last")], NOW)
+            assert [seq for seq, _uid, _o, _ops in m.piggyback] == list(range(1, depth + 1))
+            assert um.last_size(228) == m.size(228)
+
+    def test_an_over_budget_entry_is_left_out(self):
+        um = manager("me", 3)
+        um.build(0, [add_op("a")], NOW)
+        um.build(0, [add_op(f"f{i}") for i in range(4)], NOW)  # a flood
+        um.build(0, [rm_op("b")], NOW)
+        m = um.build(0, [add_op("c")], NOW)
+        assert [seq for seq, _uid, _o, _ops in m.piggyback] == [1, 3]
+        assert um.last_size(228) == m.size(228) == 28 + 228 + 228 + 24
+
+    def test_the_budget_is_filled_newest_first(self):
+        um = manager("me", 3)
+        um.build(0, [add_op("a")], NOW)
+        um.build(0, [add_op("b"), add_op("c")], NOW)
+        um.build(0, [add_op("d"), add_op("e")], NOW)
+        m = um.build(0, [add_op("f")], NOW)
+        # Seq 3 takes two of the three slots, seq 2 no longer fits, seq 1 does.
+        assert [seq for seq, _uid, _o, _ops in m.piggyback] == [1, 3]
+
+    def test_a_gap_over_a_left_out_entry_needs_sync(self):
+        alice, bob = manager("alice"), manager("bob")
+        bob.receive(alice.build(0, [add_op("a")], NOW))
+        alice.build(0, [add_op(f"f{i}") for i in range(4)], NOW)  # lost
+        out = bob.receive(alice.build(0, [add_op("c")], NOW))
+        assert out.need_sync
+        assert [ops[0].node_id for _uid, _origin, ops in out.apply] == ["c"]
+
+    def test_depth_zero_carries_nothing(self):
+        um = manager("me", 0)
+        um.build(0, [add_op("a")], NOW)
+        m = um.build(0, [rm_op("b")], NOW)
+        assert m.piggyback == ()
+        assert um.last_size(228) == m.size(228) == 28 + 24
+
+
 class TestReceive:
     def test_in_order_stream(self):
         alice, bob = manager("alice"), manager("bob")

@@ -161,11 +161,15 @@ class TestSendSize:
 
         Send times advance by drawn gaps, so piggyback entries expire at
         the level timeout on both channels, and the price must follow.
+        Of the window, the carried entries are those that fit the budget
+        of ``depth`` one-member updates, walked newest first.
         """
         um = manager("s", depth)
         config = um.config
+        budget = depth * config.member_size
         now = 0.0
         sent = {}  # (level, seq) -> send time
+        cost = {}  # (level, seq) -> bytes of its ops at config.member_size
         for i, kinds in enumerate(groups):
             now += gaps[i % len(gaps)]
             ops = [
@@ -175,12 +179,18 @@ class TestSendSize:
             level = i % 2
             msg = um.build(level, ops, now)
             sent[level, msg.seq] = now
+            cost[level, msg.seq] = sum(op.size(config.member_size) for op in ops)
             carried = [seq for seq, _uid, _origin, _ops in msg.piggyback]
-            expected = [
+            window = [
                 seq
                 for seq in range(max(1, msg.seq - depth), msg.seq)
                 if now - sent[level, seq] <= config.level_timeout(level)
             ]
+            expected, room = [], budget
+            for seq in reversed(window):
+                if cost[level, seq] <= room:
+                    room -= cost[level, seq]
+                    expected.insert(0, seq)
             assert carried == expected
             # A live member_size change prices right, as the op walk would.
             for member_size in member_sizes:

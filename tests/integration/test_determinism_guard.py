@@ -124,8 +124,10 @@ def test_jsonl_sink_attached_changes_nothing_and_is_byte_identical(tmp_path):
 # updates began to carry only news (no re-announce on a climb into an
 # empty level, piggyback entries expiring after the level timeout), and
 # seed 7 and chaos-7 once more when the bootstrap flood took the relay
-# rule and leaders began to refute only for members they still hear
-# (DESIGN.md §6).  Any structural change must reproduce them bit-for-bit:
+# rule and leaders began to refute only for members they still hear,
+# and all three once more when the piggyback kept to the bytes of
+# ``piggyback_depth`` one-member updates (DESIGN.md §6).  Any structural
+# change must reproduce them bit-for-bit:
 # a changed hash means the "pure code motion" claim is false (a
 # scheduling call moved, an RNG draw was added or reordered, a trace emit
 # shifted).  Unlike the pairwise tests above, these pin the traces across
@@ -134,13 +136,13 @@ def test_jsonl_sink_attached_changes_nothing_and_is_byte_identical(tmp_path):
 
 GOLDEN_SHA256 = {
     ("hierarchical", 7): (
-        "3f4f977fca4e3f1a478b39e16063aa16fd6756f2ae86218aa803eb96498a5b04"
+        "1eda707aa99d92bb8bbcceb1a5bbf0b586aa44db7ed04572a2faec2a5d19d536"
     ),
     ("hierarchical", 8): (
-        "ea3874acab3d4746ae268602a74e9834de3238881b266393bc8a1726ed529c38"
+        "85e7d70a1809ec5db2d458ef5aac39c0ca1d3a4ff94f7dedc050a667b550db3e"
     ),
     ("hierarchical-chaos", 7): (
-        "4bfb9e056ebe05497ef069c7c62fda0b35aeb65259ca879ca13f0c2679fddf18"
+        "cf408b0b72e96bd5bd2b6f69bfbc75474a58b27a1c1a74877663dc03ab607b6c"
     ),
     ("all-to-all", 7): (
         "324c46ec37a32b83763025db31bbb51dc4386b6826d592a0332d0cf64c359a45"

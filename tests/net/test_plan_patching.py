@@ -358,8 +358,9 @@ class TestReplanningCost:
         # fabric that rebuilt every plan produced for this run (18,898
         # kernel events from t=0 to t=60, all 100 views complete; 18,903
         # since climbs into empty levels stopped re-announcing, 18,775
-        # since the bootstrap flood follows the relay rule).
-        assert net.sim.events_executed == 18775
+        # since the bootstrap flood follows the relay rule, 18,859 since
+        # the piggyback keeps to the bytes of its depth's small updates).
+        assert net.sim.events_executed == 18859
         everyone = set(hosts)
         assert sum(set(n.view()) == everyone for n in nodes.values()) == 100
 
@@ -459,3 +460,23 @@ class TestFormationFloodCost:
         everyone = set(hosts)
         assert all(set(node.view()) == everyone for node in nodes.values())
         assert sum(adds) <= 2.2 * len(hosts) ** 2
+
+
+class TestPiggybackBudget:
+    """Update bytes received in the cold 200-node formation.
+
+    Each update piggybacks the sender's recent updates on its channel.
+    When the piggyback re-sent whole entries, a bootstrap flood or a
+    subtree re-announce of up to N records rode along in the next three
+    messages: 59.9 MB of update rx bytes.  Kept to the bytes of
+    ``piggyback_depth`` one-member updates, the flood goes once: 29.9 MB.
+    """
+
+    def test_update_rx_bytes_stay_under_a_bound(self):
+        topo, hosts = build_router_tree(2, 10, hosts_per_leaf=20)
+        net = Network(topo, seed=1)
+        nodes = deploy(HierarchicalNode, net, hosts, config=HierarchicalConfig(max_ttl=7))
+        net.run(until=25.0)
+        everyone = set(hosts)
+        assert all(set(node.view()) == everyone for node in nodes.values())
+        assert net.meter.bytes_by_kind("update") <= 36e6
