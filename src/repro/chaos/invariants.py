@@ -11,12 +11,16 @@ What counts as a violation is deliberately conservative:
 * **Dual leaders** must be *mutually visible* — both running, both flying
   the flag at the same level, within TTL range of each other over live
   devices, and not separated by a severing fault rule — and must persist
-  for ``leader_streak`` consecutive ticks.  Transient dual leadership
+  for :data:`LEADER_STREAK` consecutive ticks.  Transient dual leadership
   after a partition heals is the election protocol *working* (the
   two-leaders rule needs a heartbeat round to fire), not a bug.
 * **Resurrection** only fires after ``zombie_grace`` seconds: removal of
   a dead node legitimately takes up to the relayed timeout to reach
   quiet corners of the tree.
+* **Hierarchy** (§3, Fig. 4) is checked once, at the end of a run: a
+  running node takes part at level 0 and follows a level-0 leader, takes
+  part at level l+1 only while it leads level l, and a leader at level l
+  sees no other leader at level l.
 * **False failures** are bounded, not forbidden: with loss rate *p* and
   ``MAX_LOSS`` *k*, a live node is declared dead with probability ~*p^k*
   per observation window — the paper's own Fig. 12 accuracy argument.
@@ -26,20 +30,28 @@ What counts as a violation is deliberately conservative:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from repro.detect.bounds import detection_bound
-from repro.net.network import Network
-from repro.net.topology import UNREACHABLE
 from repro.protocols.base import MembershipNode
-from repro.sim.trace import TraceRecord
 
-__all__ = ["CHECK_PERIOD", "InvariantChecker", "Violation", "false_failure_bound"]
+if TYPE_CHECKING:
+    from repro.net.network import Network
+    from repro.sim.trace import TraceRecord
+
+__all__ = [
+    "CHECK_PERIOD", "LEADER_STREAK", "InvariantChecker", "Violation", "false_failure_bound",
+]
 
 #: Seconds of virtual time between two checking passes.
 CHECK_PERIOD = 2.0
+
+#: Consecutive ticks a mutually-visible dual-leader pair must persist
+#: before it becomes a violation.
+LEADER_STREAK = 3
 
 #: Per-detector false-failure budgets (scenario-long counts).  The
 #: counter and SWIM strategies declare on hard evidence (k missed
@@ -64,53 +76,40 @@ class Violation:
     """One observed invariant breach."""
 
     time: float
-    invariant: str  # "dual_leader" | "resurrection" | "false_failures" | "agreement"
+    #: "dual_leader" | "resurrection" | "false_failures" | "agreement" | "hierarchy"
+    invariant: str
     detail: str
 
 
 class InvariantChecker:
     """Watches a simulated cluster for membership-safety violations.
 
-    Parameters
-    ----------
-    network, nodes:
-        The deployment under test (``nodes`` maps host -> protocol stack).
-    leader_streak:
-        Consecutive ticks a mutually-visible dual-leader pair must persist
-        before it becomes a violation.
-    zombie_grace:
-        Seconds a buried ``(node, incarnation)`` may linger in someone's
-        directory before counting as a resurrection.  Defaults to the
-        slowest legitimate removal path: relayed timeout + the deepest
-        level timeout + two heartbeat periods.
-    max_false_failures:
-        Upper bound for :meth:`check_false_failures`.  ``None`` (default)
-        derives it from the deployment's failure-detection strategy via
-        :func:`false_failure_bound` — adaptive detectors are budgeted
-        more mistakes than deadline ones under the same chaos.
+    ``nodes`` maps host -> protocol stack of the deployment under test.
+    Two bounds derive from the deployment's config:
+
+    * ``zombie_grace`` — seconds a buried ``(node, incarnation)`` may
+      linger in someone's directory before counting as a resurrection:
+      the slowest legitimate removal path (relayed timeout + the deepest
+      level timeout + two heartbeat periods, or twice the detector's
+      bound plus two heartbeat periods, whichever is longer);
+    * ``max_false_failures`` — the bound of :meth:`check_false_failures`,
+      :func:`false_failure_bound` of the deployment's detector: adaptive
+      detectors are budgeted more mistakes than deadline ones under the
+      same chaos.
+
+    :meth:`start` ticks the continuous checks; :meth:`finish` ends the
+    run with the end-of-run checks and returns every violation.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        nodes: Dict[str, MembershipNode],
-        leader_streak: int = 3,
-        zombie_grace: Optional[float] = None,
-        max_false_failures: Optional[int] = None,
-    ) -> None:
+    def __init__(self, network: Network, nodes: Dict[str, MembershipNode]) -> None:
         self.network = network
         self.nodes = nodes
-        self.leader_streak = leader_streak
-        if max_false_failures is None:
-            detector = "counter"
-            for node in nodes.values():
-                detector = getattr(node.config, "detector", "counter")
-                break
-            max_false_failures = false_failure_bound(detector)
-        self.max_false_failures = max_false_failures
-        if zombie_grace is None:
-            zombie_grace = self._default_grace()
-        self.zombie_grace = zombie_grace
+        detector = "counter"
+        for node in nodes.values():
+            detector = getattr(node.config, "detector", "counter")
+            break
+        self.max_false_failures = false_failure_bound(detector)
+        self.zombie_grace = self._default_grace()
         self.violations: List[Violation] = []
         #: (time, observer, target, reason) of every counted false failure
         self.false_failures: List[Tuple[float, str, str, str]] = []
@@ -150,10 +149,10 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # Driving
     # ------------------------------------------------------------------
-    def start(self, period: float = CHECK_PERIOD) -> None:
-        """Run :meth:`tick` every ``period`` seconds of virtual time."""
+    def start(self) -> None:
+        """Run :meth:`tick` every :data:`CHECK_PERIOD` seconds of virtual time."""
         self._observe_lifecycles()
-        self._timer = self.network.sim.call_every(period, self.tick)
+        self._timer = self.network.sim.call_every(CHECK_PERIOD, self.tick)
 
     def stop(self) -> None:
         if self._timer is not None:
@@ -165,6 +164,14 @@ class InvariantChecker:
         self._observe_lifecycles()
         self._check_resurrection()
         self._check_dual_leaders()
+
+    def finish(self) -> List[Violation]:
+        """End the run: stop ticking, run the end-of-run checks, return every violation."""
+        self.stop()
+        self.check_false_failures()
+        self.check_agreement()
+        self.check_hierarchy()
+        return list(self.violations)
 
     # ------------------------------------------------------------------
     # Ground-truth bookkeeping
@@ -235,8 +242,7 @@ class InvariantChecker:
             return False
         node = self.nodes[a]
         ttl = node.config.ttl_for_level(level) if hasattr(node.config, "ttl_for_level") else level + 1
-        dist = topo.ttl_distance(a, b)
-        if dist == UNREACHABLE or dist > ttl:
+        if topo.ttl_distance(a, b) > ttl:
             return False
         plan = self.network.fault_plan
         if plan is not None and plan.severed(a, b, now):
@@ -256,7 +262,7 @@ class InvariantChecker:
                 seen.add(key)
                 streak = self._dual_streaks.get(key, 0) + 1
                 self._dual_streaks[key] = streak
-                if streak == self.leader_streak:
+                if streak == LEADER_STREAK:
                     self.violations.append(
                         Violation(
                             now,
@@ -284,7 +290,7 @@ class InvariantChecker:
         topo = self.network.topo
         if not (topo.is_up(target) and topo.is_up(rec.node)):
             return
-        if topo.ttl_distance(rec.node, target) == UNREACHABLE:
+        if math.isinf(topo.ttl_distance(rec.node, target)):
             return  # partitioned by a downed device: removal is correct
         plan = self.network.fault_plan
         if plan is not None and plan.severed(rec.node, target, rec.time):
@@ -333,6 +339,37 @@ class InvariantChecker:
                         f"{nid}: missing={sorted(missing)} extra={sorted(extra)}",
                     )
                 )
+        self.violations.extend(out)
+        return out
+
+    # ------------------------------------------------------------------
+    # Invariant: the hierarchy's structural rules
+    # ------------------------------------------------------------------
+    def check_hierarchy(self) -> List[Violation]:
+        """Every running node's place in the hierarchy obeys §3's rules.
+
+        Read through the public node API only; nodes without levels (the
+        flat baselines) have no hierarchy and are skipped.  Call it at
+        scenario end, after formation has settled.
+        """
+        now = self.network.now
+        errors: List[str] = []
+        for nid, node in self.nodes.items():
+            if not node.running or not hasattr(node, "levels"):
+                continue
+            levels = node.levels()
+            if 0 not in levels:
+                errors.append(f"{nid}: does not participate at level 0")
+            for level in levels:
+                if level > 0 and not node.is_leader(level - 1):
+                    errors.append(f"{nid}: participates at L{level} without leading L{level - 1}")
+                if node.is_leader(level):
+                    seen = node.visible_leaders(level)
+                    if seen:
+                        errors.append(f"{nid}: leads L{level} but sees leaders {seen}")
+            if node.leader_of(0) is None:
+                errors.append(f"{nid}: no level-0 leader in sight")
+        out = [Violation(now, "hierarchy", detail) for detail in errors]
         self.violations.extend(out)
         return out
 

@@ -30,6 +30,7 @@ from typing import List, Optional
 from repro.analysis.models import MODELS
 from repro.chaos.invariants import InvariantChecker
 from repro.chaos.runner import LOSS_RATE
+from repro.cluster.failures import FailureSchedule
 from repro.core.config import HierarchicalConfig
 from repro.detect import DETECTORS
 from repro.detect.bounds import detection_bound
@@ -142,14 +143,13 @@ class DetectorMatrixLab:
         stats = bandwidth_stats(net.meter, self.bandwidth_window, n)
 
         victim = groups[0][m // 2]
-        nodes[victim].stop()
-        net.crash_host(victim)
+        sched = FailureSchedule(net)
+        sched.register_stack(victim, nodes[victim])
         kill_time = net.now
+        sched.crash_node_at(kill_time, victim)
         net.run(until=kill_time + observe)
 
-        checker.stop()
-        checker.check_false_failures()
-        checker.check_agreement()
+        checker.finish()
 
         survivors = [h for h in hosts if h != victim]
         detection = detection_time(net.trace, victim, kill_time)

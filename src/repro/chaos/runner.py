@@ -141,9 +141,7 @@ class ChaosScenario:
 
         net.run(until=self.chaos_end + self.quiesce)
 
-        checker.stop()
-        checker.check_false_failures()
-        checker.check_agreement()
+        checker.finish()
 
         observers = [h for h in hosts if h != victim]
         # Strict convergence over the side of the partition that could

@@ -54,16 +54,20 @@ def _figure_name(name: str) -> str:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    res = FailureExperiment(
-        args.scheme,
-        args.networks,
-        args.hosts,
-        seed=args.seed,
-        warmup=25.0,
-        bandwidth_window=0.0,
-        observe=args.observe,
-        kill_leader=args.kill_leader,
-    ).run()
+    try:
+        experiment = FailureExperiment(
+            args.scheme,
+            args.networks,
+            args.hosts,
+            seed=args.seed,
+            warmup=25.0,
+            bandwidth_window=0.0,
+            observe=args.observe,
+            kill_leader=args.kill_leader,
+        )
+    except ValueError as exc:
+        args.parser.error(str(exc))
+    res = experiment.run()
     print(f"scheme      : {res.scheme}")
     print(f"nodes       : {res.num_nodes}")
     print(f"victim      : {res.victim}" + (" (leader)" if args.kill_leader else ""))
@@ -307,8 +311,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hosts", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--observe", type=float, default=60.0)
-    p.add_argument("--kill-leader", action="store_true")
-    p.set_defaults(fn=_cmd_detect)
+    p.add_argument("--kill-leader", action="store_true",
+                   help="kill a group leader (hierarchical scheme only)")
+    p.set_defaults(fn=_cmd_detect, parser=p)
 
     p = sub.add_parser("formation", help="show the membership hierarchy")
     p.add_argument("--networks", type=int, default=2)

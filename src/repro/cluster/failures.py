@@ -30,10 +30,11 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
-from repro.net.faults import LinkFault
-from repro.net.network import Network
+if TYPE_CHECKING:
+    from repro.net.faults import LinkFault
+    from repro.net.network import Network
 
 __all__ = ["FailureSchedule"]
 

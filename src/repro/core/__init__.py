@@ -29,12 +29,6 @@ from repro.core.groups import GroupState, PeerState
 from repro.core.election import Decision, decide
 from repro.core.proxy import MembershipProxy, ServiceSummary, install_proxy_forwarding
 from repro.core.service_api import MClient, MService, Machine, MachineList
-from repro.core.introspect import (
-    GroupInfo,
-    hierarchy_invariant_errors,
-    hierarchy_snapshot,
-    render_hierarchy,
-)
 
 __all__ = [
     "HierarchicalConfig",
@@ -56,8 +50,4 @@ __all__ = [
     "MService",
     "Machine",
     "MachineList",
-    "GroupInfo",
-    "hierarchy_invariant_errors",
-    "hierarchy_snapshot",
-    "render_hierarchy",
 ]

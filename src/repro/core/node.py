@@ -228,6 +228,11 @@ class HierarchicalNode(MembershipNode):
         group = self._ctx.groups.get(level)
         return group.current_leader(self.node_id) if group else None
 
+    def visible_leaders(self, level: int) -> List[str]:
+        """Other nodes this node sees flying the leader flag at ``level``."""
+        group = self._ctx.groups.get(level)
+        return group.visible_leaders() if group else []
+
     def group_members(self, level: int) -> List[str]:
         group = self._ctx.groups.get(level)
         return group.member_ids() if group else []

@@ -441,7 +441,7 @@ class Informer:
         record: "NodeRecord",
         via: str,
         now: float,
-        _vouch_memo: Optional[Dict[str, str]] = None,
+        vouch_memo: Dict[str, str],
     ) -> bool:
         """Merge one second-hand record; returns True if it was new.
 
@@ -451,7 +451,7 @@ class Informer:
         re-homes the entry — that is how a failed-over leader's successor
         takes ownership of the subtree in everyone's books.
 
-        ``_vouch_memo`` is an optional per-batch cache of
+        ``vouch_memo`` is the caller's per-batch cache of
         :meth:`vouch_anchor` results, valid only while group/leader state
         is untouched (the caller clears it across mutating ops).
         """
@@ -480,16 +480,12 @@ class Informer:
                 via,
             )
             return False
-        memo = _vouch_memo
         held, _slot_of, _ids, records, relayers, fresh = ctx.directory.slot_access()
         slot = held(record.node_id)
         if slot is None:
-            if memo is None:
-                relayed_by: Optional[str] = self.vouch_anchor(via)
-            else:
-                relayed_by = memo.get(via)
-                if relayed_by is None:
-                    relayed_by = memo[via] = self.vouch_anchor(via)
+            relayed_by: Optional[str] = vouch_memo.get(via)
+            if relayed_by is None:
+                relayed_by = vouch_memo[via] = self.vouch_anchor(via)
             ctx.directory.upsert(record, now, relayed_by=relayed_by)
             ctx.emit_member_up(record.node_id)
             return True
@@ -500,22 +496,17 @@ class Informer:
         if current is None:
             relayed_by = None  # direct knowledge outranks relays
         else:
-            if memo is None:
-                anchor_via = self.vouch_anchor(via)
-            else:
-                anchor_via = memo.get(via)
-                if anchor_via is None:
-                    anchor_via = memo[via] = self.vouch_anchor(via)
+            anchor_via = vouch_memo.get(via)
+            if anchor_via is None:
+                anchor_via = vouch_memo[via] = self.vouch_anchor(via)
             takeover = False
             if anchor_via == via:
                 if current == ctx.node_id:
                     takeover = True
-                elif memo is None:
-                    takeover = self.vouch_anchor(current) != current
                 else:
-                    anchor_cur = memo.get(current)
+                    anchor_cur = vouch_memo.get(current)
                     if anchor_cur is None:
-                        anchor_cur = memo[current] = self.vouch_anchor(current)
+                        anchor_cur = vouch_memo[current] = self.vouch_anchor(current)
                     takeover = anchor_cur != current
             if takeover:
                 # The current relayer no longer functions as a vouching

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Type
 
+from repro.cluster.failures import FailureSchedule
 from repro.core.config import HierarchicalConfig
 from repro.core.node import HierarchicalNode
 from repro.metrics.collectors import (
@@ -84,6 +85,8 @@ class FailureExperiment:
     Parameters mirror Section 6.2: 1 Hz heartbeats, MAX_LOSS 5, 228-byte
     member descriptions, 20 nodes per network, no packet loss.  A
     ``bandwidth_window`` of 0 skips the bandwidth measurement.
+    ``kill_leader`` picks a group leader as the victim; only the
+    hierarchical scheme has leaders, so any other scheme refuses it.
     """
 
     scheme: str
@@ -95,6 +98,10 @@ class FailureExperiment:
     observe: float = 40.0
     config: Optional[ProtocolConfig] = None
     kill_leader: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kill_leader and self.scheme != "hierarchical":
+            raise ValueError(f"kill_leader: the {self.scheme} scheme has no leaders")
 
     def run(self) -> FailureResult:
         net, hosts, nodes = make_scheme_cluster(
@@ -112,9 +119,10 @@ class FailureExperiment:
             stats = bandwidth_stats(net.meter, self.bandwidth_window, len(hosts))
 
         victim = self._pick_victim(hosts, nodes)
-        nodes[victim].stop()
-        net.crash_host(victim)
+        sched = FailureSchedule(net)
+        sched.register_stack(victim, nodes[victim])
         kill_time = net.now
+        sched.crash_node_at(kill_time, victim)
         net.run(until=kill_time + self.observe)
 
         survivors = [h for h in hosts if h != victim]

@@ -25,14 +25,13 @@ from repro.apps import SearchDeployment
 from repro.chaos import ChaosScenario
 from repro.chaos.invariants import CHECK_PERIOD, false_failure_bound
 from repro.chaos.runner import LOSS_RATE
+from repro.cluster.failures import FailureSchedule
 from repro.cluster.gateway import Gateway
-from repro.core import HierarchicalConfig, HierarchicalNode
+from repro.core import HierarchicalConfig
 from repro.metrics.collectors import BandwidthStats, accuracy_timeseries
 from repro.metrics.experiment import SCHEMES, FailureExperiment, make_scheme_cluster
-from repro.net import Network
-from repro.net.builders import build_switched_cluster
 from repro.net.faults import DEGRADED_LINK
-from repro.protocols import ProtocolConfig, deploy
+from repro.protocols import ProtocolConfig
 from repro.runtime import SimRuntime
 
 __all__ = ["CHAOS_SEEDS", "FIGURES", "render", "render_table"]
@@ -240,16 +239,16 @@ def piggyback() -> Entry:
 
     def run(depth: int, seed: int) -> List[Any]:
         """Sync and update traffic (KB) after the burst, and whether every view is exact."""
-        topo, hosts = build_switched_cluster(4, 10)
-        net = Network(topo, seed=seed, loss_rate=loss)
-        nodes = deploy(HierarchicalNode, net, hosts,
-                       config=HierarchicalConfig(piggyback_depth=depth))
+        net, hosts, nodes = make_scheme_cluster(
+            "hierarchical", 4, 10, seed=seed, loss_rate=loss,
+            config=HierarchicalConfig(piggyback_depth=depth))
         net.run(until=25.0)
         # Three non-leader kills, each a burst of remove-updates under loss.
         victims = [hosts[5], hosts[15], hosts[25]]
+        sched = FailureSchedule(net)
         for when, victim in zip(kills, victims):
-            net.sim.call_at(when, nodes[victim].stop)
-            net.sim.call_at(when, net.crash_host, victim)
+            sched.register_stack(victim, nodes[victim])
+            sched.crash_node_at(when, victim)
         net.meter.reset()
         net.run(until=90.0)
         meter, survivors = net.meter, [h for h in hosts if h not in victims]
@@ -279,12 +278,12 @@ def accuracy() -> Entry:
         net, hosts, nodes = make_scheme_cluster(scheme, 3, 10, seed=17)
         victims = [hosts[7], hosts[17], hosts[27]]
         intervals = {h: [(0.0, horizon)] for h in hosts}
+        sched = FailureSchedule(net)
         for when, victim in zip(kills, victims):
-            net.sim.call_at(when, nodes[victim].stop)
-            net.sim.call_at(when, net.crash_host, victim)
+            sched.register_stack(victim, nodes[victim])
+            sched.crash_node_at(when, victim)
             intervals[victim] = [(0.0, when)]
-        net.sim.call_at(recover_at, net.recover_host, victims[0])
-        net.sim.call_at(recover_at, nodes[victims[0]].start)
+        sched.recover_node_at(recover_at, victims[0])
         intervals[victims[0]].append((recover_at, horizon))
         net.run(until=horizon)
         series[scheme] = dict(accuracy_timeseries(net.trace, hosts, intervals, horizon=horizon))

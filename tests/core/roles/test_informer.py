@@ -114,7 +114,7 @@ class TestTombstones:
     def test_certificate_refuses_stale_incarnations(self, daemon):
         daemon.ctx.informer.bury("ghost", 3)
         absorbed = daemon.ctx.informer.absorb_record(
-            NodeRecord("ghost", 2), via="p1", now=daemon.runtime.now
+            NodeRecord("ghost", 2), via="p1", now=daemon.runtime.now, vouch_memo={}
         )
         assert absorbed is False
         assert "ghost" not in daemon.directory
@@ -122,7 +122,7 @@ class TestTombstones:
     def test_refused_record_triggers_refutation_and_repull(self, daemon):
         daemon.ctx.informer.bury("ghost", 3)
         daemon.ctx.informer.absorb_record(
-            NodeRecord("ghost", 3), via="p1", now=daemon.runtime.now
+            NodeRecord("ghost", 3), via="p1", now=daemon.runtime.now, vouch_memo={}
         )
         # Anti-entropy: the removal is pushed back at whoever is stale...
         msgs = update_publishes(daemon)
@@ -143,9 +143,9 @@ class TestTombstones:
     def test_refutation_storm_is_rate_limited(self, daemon):
         daemon.ctx.informer.bury("ghost", 3)
         now = daemon.runtime.now
-        daemon.ctx.informer.absorb_record(NodeRecord("ghost", 3), via="p1", now=now)
+        daemon.ctx.informer.absorb_record(NodeRecord("ghost", 3), via="p1", now=now, vouch_memo={})
         published_before = len(update_publishes(daemon))
-        daemon.ctx.informer.absorb_record(NodeRecord("ghost", 3), via="p2", now=now)
+        daemon.ctx.informer.absorb_record(NodeRecord("ghost", 3), via="p2", now=now, vouch_memo={})
         assert len(update_publishes(daemon)) == published_before
 
     def test_higher_incarnation_beats_the_certificate(self, daemon):
@@ -153,7 +153,7 @@ class TestTombstones:
         # certificate must not block its return.
         daemon.ctx.informer.bury("ghost", 3)
         absorbed = daemon.ctx.informer.absorb_record(
-            NodeRecord("ghost", 4), via="p1", now=daemon.runtime.now
+            NodeRecord("ghost", 4), via="p1", now=daemon.runtime.now, vouch_memo={}
         )
         assert absorbed is True
         assert "ghost" in daemon.directory
@@ -202,7 +202,7 @@ class TestRateLimiterMaps:
             nid = f"far{i}"
             assert informer.maybe_sync(nid)
             informer.bury(nid, 1)
-            assert not informer.absorb_record(NodeRecord(nid, 1), via="p1", now=now)
+            assert not informer.absorb_record(NodeRecord(nid, 1), via="p1", now=now, vouch_memo={})
             seen.append(now)
             recent = sum(1 for t in seen if now - t < interval)
             assert len(informer.last_sync) <= 2 * recent, i
@@ -212,7 +212,8 @@ class TestRateLimiterMaps:
         # is swallowed, and a refutation of a recent id is not repeated.
         assert not informer.maybe_sync("far999")
         published = len(update_publishes(daemon))
-        informer.absorb_record(NodeRecord("far999", 1), via="p2", now=daemon.runtime.time)
+        informer.absorb_record(NodeRecord("far999", 1), via="p2", now=daemon.runtime.time,
+                               vouch_memo={})
         assert len(update_publishes(daemon)) == published
 
 

@@ -82,7 +82,7 @@ class TestOneShotTimers:
         rec = nodes[victim].self_record()
         y._ctx.informer.bury(victim, rec.incarnation)
         before = len(y.runtime.oneshots)
-        assert y._ctx.informer.absorb_record(rec, victim, net.now) is False  # quarantined
+        assert y._ctx.informer.absorb_record(rec, victim, net.now, {}) is False  # quarantined
         assert len(y.runtime.oneshots) > before  # backstop registered as one-shot
         y.stop()
         assert not y.runtime.oneshots  # ...and dies with the node
@@ -105,7 +105,7 @@ class TestOneShotTimers:
             orig(peer),
         )
         old_inc = y.incarnation
-        assert y._ctx.informer.absorb_record(rec, victim, net.now) is False  # backstop set
+        assert y._ctx.informer.absorb_record(rec, victim, net.now, {}) is False  # backstop set
         y.stop()
         y.start()
         net.run(until=40.0)  # well past quarantine + backstop delay

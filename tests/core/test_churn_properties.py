@@ -9,7 +9,8 @@ and the hierarchy invariants must hold.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HierarchicalNode, hierarchy_invariant_errors
+from repro.chaos import InvariantChecker
+from repro.core import HierarchicalNode
 from repro.net import Network
 from repro.net.builders import build_switched_cluster
 from repro.protocols import deploy
@@ -65,8 +66,7 @@ class TestRandomChurn:
         live = sorted(h for h in hosts if alive[h])
         for h in live:
             assert nodes[h].view() == live, (h, nodes[h].view(), live)
-        running = {h: nodes[h] for h in live}
-        assert hierarchy_invariant_errors(running) == []
+        assert InvariantChecker(net, nodes).check_hierarchy() == []
 
     @given(st.integers(min_value=0, max_value=30))
     @settings(max_examples=10, deadline=None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chaos import InvariantChecker
 from repro.cluster import ServiceSpec
 from repro.core import HierarchicalConfig, HierarchicalNode
 from repro.net import Network
@@ -123,13 +124,7 @@ class TestOverlap:
         net = Network(topo, seed=1)
         nodes = deploy(HierarchicalNode, net, hosts, config=HierarchicalConfig(max_ttl=4))
         net.run(until=25.0)
-        for h, node in nodes.items():
-            for level in node.levels():
-                if node.is_leader(level):
-                    group = node._ctx.groups[level]
-                    assert group.visible_leaders() == [], (
-                        f"{h} leads level {level} but sees {group.visible_leaders()}"
-                    )
+        assert InvariantChecker(net, nodes).check_hierarchy() == []
 
     def test_update_reaches_members_beyond_sender_ttl(self):
         # B's group leader cannot reach C's group directly at level 2; a

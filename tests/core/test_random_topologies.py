@@ -9,11 +9,8 @@ a consistent hierarchy, and failure convergence.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    HierarchicalConfig,
-    HierarchicalNode,
-    hierarchy_invariant_errors,
-)
+from repro.chaos import InvariantChecker
+from repro.core import HierarchicalConfig, HierarchicalNode
 from repro.net import Network, Topology
 from repro.protocols import deploy
 
@@ -57,7 +54,7 @@ class TestRandomTopologies:
         net.run(until=12.0 + 5.0 * cfg.max_level)
         for h, node in nodes.items():
             assert node.view() == sorted(hosts), (h, node.view())
-        assert hierarchy_invariant_errors(nodes) == []
+        assert InvariantChecker(net, nodes).check_hierarchy() == []
 
     @given(random_cluster())
     @settings(max_examples=8, deadline=None)

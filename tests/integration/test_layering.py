@@ -7,6 +7,10 @@ They may name ``repro.net`` / ``repro.sim`` types for annotations, under
 ``if TYPE_CHECKING:``, and nowhere else.  ``repro.core.service_api`` is
 exempt: its same-host shm-key registry still lives on the network.
 
+The harness modules that judge and script a run (the invariant checker,
+the failure schedule and the observability wiring) are held to the same
+import rule: they take the network they drive as an argument.
+
 The check reads each module's source (AST), so it sees imports inside
 functions too and needs nothing imported but the package paths.
 """
@@ -25,6 +29,7 @@ CLUSTER = (
     "consumer", "provider", "loadinfo", "loadbalance", "gateway", "directory", "service",
     "machine",
 )
+HARNESS = ("repro.chaos.invariants", "repro.cluster.failures", "repro.obs.wiring")
 
 
 def covered_modules():
@@ -33,7 +38,7 @@ def covered_modules():
         for info in pkgutil.walk_packages(repro.core.__path__, "repro.core.")
         if info.name not in EXEMPT
     ]
-    return ["repro.core", *core, *(f"repro.cluster.{name}" for name in CLUSTER)]
+    return ["repro.core", *core, *(f"repro.cluster.{name}" for name in CLUSTER), *HARNESS]
 
 
 def _is_type_checking(test):
@@ -81,6 +86,7 @@ def substrate_imports(module):
 def test_covered_set_reaches_the_proxy_and_the_roles():
     modules = covered_modules()
     assert {"repro.core.proxy", "repro.core.node", "repro.core.roles.informer"} <= set(modules)
+    assert set(HARNESS) <= set(modules)
     assert not EXEMPT & set(modules)
 
 

@@ -47,6 +47,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "(leader)" in out
 
+    def test_detect_kill_leader_needs_a_scheme_with_leaders(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--scheme", "gossip", "--networks", "1", "--hosts", "5",
+                  "--observe", "30", "--kill-leader"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "the gossip scheme has no leaders" in captured.err
+        assert "victim" not in captured.out
+
     def test_reproduce_writes_the_committed_entry(self, capsys, tmp_path):
         assert main(["reproduce", "fig02", "--out", str(tmp_path / "f.json")]) == 0
         assert "**Fig. 2 validation: simulated vs model packet rate**" in capsys.readouterr().out
