@@ -76,8 +76,13 @@ class Contender:
         ctx.participate(level + 1)
         # Pull state from existing peers: a fresh leader is this group's
         # relay point and must know its peers' subtrees (bootstrap protocol,
-        # leader side).
+        # leader side).  This one-time pull is not held back by an earlier
+        # poll of the same peer: deferred to the next status tick, it
+        # would reach a member still in its bootstrap window that much
+        # later, and that member's flood would go out late.
+        last_sync = ctx.informer.last_sync
         for peer_id in group.member_ids():
+            last_sync.forget(peer_id)
             ctx.maybe_sync(peer_id)
 
     def step_down(self, level: int) -> None:

@@ -91,6 +91,10 @@ class RateLimiter:
             self._swept = max(1, len(self.last))
         return True
 
+    def forget(self, key: str) -> None:
+        """Let ``key`` act at once, whenever it last acted."""
+        self.last.pop(key, None)
+
     def clear(self) -> None:
         self.last.clear()
         self._swept = 1

@@ -193,9 +193,15 @@ class Receiver:
             # node joins" — any relay point announces a newly-heard direct
             # peer to the rest of its channels; covers first joins,
             # restarts (higher incarnation counts as new), and peers
-            # returning after a healed partition.
-            ctx.informer.originate(
-                [UpdateOp("add", hb.node_id, hb.record.incarnation, hb.record)]
+            # returning after a healed partition.  The announcement follows
+            # the relay rule (Fig. 5): the channel it was heard on heard
+            # the peer itself, so it gets the announcement only as the
+            # leader's echo there — not one copy from every participant.
+            ctx.informer.relay_ops(
+                ctx.updates.new_uid(),
+                ctx.node_id,
+                [UpdateOp("add", hb.node_id, hb.record.incarnation, hb.record)],
+                from_level=level,
             )
         if not was_known:
             # Bootstrap triggers: a group leader pulls a newcomer's state;

@@ -4,6 +4,9 @@ A new leader re-announces the subtree it now vouches for only where
 that moves someone's attribution: its group has peers, or a dead
 predecessor whose entries it inherits.  A climb into an empty group
 (the root alone on the upper levels) originates nothing.
+
+A fresh leader pulls its members' state at once, even from a member it
+polled less than ``min_sync_interval`` ago.
 """
 
 from repro.cluster.directory import NodeRecord
@@ -52,3 +55,18 @@ class TestReannounce:
         assert group.last_dead_leader is None
         assert daemon.directory.relayed_by("far") == "n0"
         assert update_ops(daemon) == [(daemon.config.channel(0), ["n0"])]
+
+
+class TestLeaderPull:
+    def test_a_fresh_leader_pulls_a_member_it_synced_with_just_now(self, daemon):
+        daemon.add_peer("p1")
+        assert daemon.ctx.informer.maybe_sync("p1") is True
+        daemon.runtime.time = daemon.config.min_sync_interval / 2
+        # An ordinary poll is still held back by the limiter ...
+        assert daemon.ctx.informer.maybe_sync("p1") is False
+        sent_before = len(daemon.runtime.sent)
+        # ... but the fresh leader's pull goes out now.
+        daemon.ctx.contender.become_leader(0)
+        pulls = [dst for (dst, kind, *_rest) in daemon.runtime.sent[sent_before:]
+                 if kind == "sync_req"]
+        assert pulls == ["p1"]

@@ -1,9 +1,14 @@
-"""Receiver role in isolation: the no-change path's cached directory slot.
+"""Receiver role in isolation: the no-change path's cached directory
+slot, and the newcomer announcement.
 
 A peer caches the slot of its directory entry.  The slot table takes a
 slot back once no directory holds its id and hands it to the next new
 id, whose entry then lives in the same column cells.  A stale slot must
 never refresh whichever node now owns those cells.
+
+A relay point that hears a new peer announces it by the relay rule:
+on every other channel it joins, and on the peer's own channel only
+when it leads that channel.
 """
 
 import pytest
@@ -13,8 +18,8 @@ from repro.core.heartbeat import Heartbeat
 from repro.net.packet import Packet
 
 
-def heartbeat_packet(record, channel):
-    hb = Heartbeat(record, level=0, is_leader=False, suppressed=False)
+def heartbeat_packet(record, channel, level=0):
+    hb = Heartbeat(record, level=level, is_leader=False, suppressed=False)
     return Packet(src=record.node_id, kind="heartbeat", payload=hb, size=64, channel=channel)
 
 
@@ -98,3 +103,48 @@ def test_a_slot_another_directory_holds_falls_through_to_the_full_absorb(daemon)
     assert "p1" in directory and directory.last_refresh("p1") == 2.0
     assert peer.dir_slot == cached == directory.slot_access().held("p1")
     assert neighbour.last_refresh("p1") == 0.0
+
+
+class TestNewcomerAnnouncement:
+    """A relay point announces a newly heard peer by the relay rule (Fig. 5).
+
+    The peer's own channel heard its heartbeat, so it gets the add only
+    as its leader's echo; every other joined channel gets one copy.
+    """
+
+    @staticmethod
+    def announced(daemon):
+        """``(level, node ids)`` of every update multicast so far."""
+        levels = {daemon.config.channel(lv): lv for lv in daemon.ctx.groups}
+        return [
+            (levels[channel], sorted(op.node_id for op in msg.ops))
+            for (channel, _, kind, msg, _) in daemon.runtime.published
+            if kind == "update"
+        ]
+
+    @staticmethod
+    def hear(daemon, node_id, level):
+        channel = daemon.config.channel(level)
+        packet = heartbeat_packet(NodeRecord(node_id, incarnation=1), channel, level)
+        daemon.runtime.subscriptions[channel](packet)
+
+    def test_a_peer_heard_on_a_channel_it_does_not_lead_goes_to_the_others(self, daemon):
+        daemon.ctx.groups[0].i_am_leader = True
+        daemon.ctx.participate(1)
+        self.hear(daemon, "q1", level=1)
+        assert self.announced(daemon) == [(0, ["q1"])]
+
+    def test_the_leader_of_the_channel_echoes_it_there_too(self, daemon):
+        daemon.ctx.groups[0].i_am_leader = True
+        daemon.ctx.participate(1)
+        self.hear(daemon, "p1", level=0)
+        assert self.announced(daemon) == [(0, ["p1"]), (1, ["p1"])]
+        # One logical update: every copy carries the same (origin, uid),
+        # so a node that hears two of them applies one.
+        copies = [msg for (_, _, kind, msg, _) in daemon.runtime.published
+                  if kind == "update"]
+        assert {(m.origin, m.uid) for m in copies} == {("n0", copies[0].uid)}
+
+    def test_a_plain_member_announces_nothing(self, daemon):
+        self.hear(daemon, "p1", level=0)
+        assert self.announced(daemon) == []

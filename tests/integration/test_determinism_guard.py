@@ -126,7 +126,9 @@ def test_jsonl_sink_attached_changes_nothing_and_is_byte_identical(tmp_path):
 # seed 7 and chaos-7 once more when the bootstrap flood took the relay
 # rule and leaders began to refute only for members they still hear,
 # and all three once more when the piggyback kept to the bytes of
-# ``piggyback_depth`` one-member updates (DESIGN.md §6).  Any structural
+# ``piggyback_depth`` one-member updates, and once more when a relay
+# point's newcomer announcement took the relay rule and a fresh leader's
+# pull stopped waiting on the sync limiter (DESIGN.md §6).  Any structural
 # change must reproduce them bit-for-bit:
 # a changed hash means the "pure code motion" claim is false (a
 # scheduling call moved, an RNG draw was added or reordered, a trace emit
@@ -136,13 +138,13 @@ def test_jsonl_sink_attached_changes_nothing_and_is_byte_identical(tmp_path):
 
 GOLDEN_SHA256 = {
     ("hierarchical", 7): (
-        "1eda707aa99d92bb8bbcceb1a5bbf0b586aa44db7ed04572a2faec2a5d19d536"
+        "fc10d2fd08b95200a9b534ec486a21eb3c9bfd8380a9cadcc38b315e47a57a28"
     ),
     ("hierarchical", 8): (
-        "85e7d70a1809ec5db2d458ef5aac39c0ca1d3a4ff94f7dedc050a667b550db3e"
+        "17506ea940d9df46456af1d57848f5006c2018085846c2b40809b4849759f5af"
     ),
     ("hierarchical-chaos", 7): (
-        "cf408b0b72e96bd5bd2b6f69bfbc75474a58b27a1c1a74877663dc03ab607b6c"
+        "d442b218347309a5d5b1f59c2539aee826ad558097f6b037a09bcee17b527693"
     ),
     ("all-to-all", 7): (
         "324c46ec37a32b83763025db31bbb51dc4386b6826d592a0332d0cf64c359a45"

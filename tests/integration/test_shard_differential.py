@@ -52,15 +52,16 @@ SCENARIOS = [
 #: DESIGN.md §6 records when and why they were re-captured ("one fabric";
 #: the hierarchical and router-tree ones again at "updates carry only news",
 #: the router-tree one once more at "the bootstrap flood follows the relay
-#: rule", and all four of those again at "the piggyback carries the
-#: paper's small updates").
+#: rule", all four of those again at "the piggyback carries the
+#: paper's small updates", and all four once more at "the newcomer
+#: announcement follows the relay rule").
 SHARD_GOLDEN = {
-    ("hierarchical", 7): "36a116b9fbcc4739d042073f058d0c5b687ee96798f2e051d53225d85526433c",
-    ("hierarchical", 8): "4a62a559ad8e0df8ddde8e48b073c33e4205859585c6f13c581859ff7b984491",
-    ("hierarchical-chaos", 7): "6340f43b682a344a7a12f3cb56f973beeadc77eb94a057ecc26075bf09f076d1",
+    ("hierarchical", 7): "bd1a2093c33ce5ff6422fcebaa6f3da878416b60635766a11720d8edc8ea3a7f",
+    ("hierarchical", 8): "79fefbbab08fc38acb2651696dd0c372885e88278974e801752f508ec489aa34",
+    ("hierarchical-chaos", 7): "5c938873d2273e6363e97c804fd0cf2c0a9fb45739737cd2116e4c7fe39dd813",
     ("all-to-all", 7): "51d329a2d259315f9371052bdf128f045809fceef5428a0565115e5e11a45096",
     ("gossip", 7): "d7866bdcd122034d303cfdaeea8294763710480042de4f5b4f981f5c382f4f9b",
-    ("router-tree", 7): "ceff56e13162c714c4e138a01da7cd106ab71792b64098f25ed86c59f9123b45",
+    ("router-tree", 7): "48d7e10d0c838c7c007c96de28d0fbca05b32a00083282a49a29fc604be36627",
 }
 
 #: Host indices of the tree scenario's two victims: the first crashes at
